@@ -14,7 +14,7 @@
 use carbon_devices::batch::{par_ids_soa, BatchEval};
 use carbon_devices::{AlphaPowerFet, BallisticFet, LinearGnrFet, TableFet};
 use carbon_runtime::bench::{black_box, Harness};
-use carbon_runtime::{Distribution, Normal};
+use carbon_runtime::{Distribution, Executor, Normal};
 use carbon_spice::FetCurve;
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
     h.bench(&format!("campaign_scalar/{n}"), || {
         // Pre-batch idiom (cf. sample_device): one executor item per
         // device, distribution and model constructed per sample.
-        black_box(carbon_runtime::par_mc_fine(7, n, |i, rng| {
+        black_box(Executor::new().par_mc_fine(7, n, |i, rng| {
             let vt = Normal::new(0.35, 0.07_f64.max(1e-12))
                 .expect("validated")
                 .sample(rng);
@@ -45,7 +45,7 @@ fn main() {
         // Batch layer: sample the parameter lane on the chunked
         // executor, evaluate all devices in one SoA call.
         let dist = Normal::new(0.35, 0.07_f64.max(1e-12)).expect("validated");
-        let vt = carbon_runtime::par_mc(7, n, |_, rng| dist.sample(rng));
+        let vt = Executor::new().par_mc(7, n, |_, rng| dist.sample(rng));
         let mut out = vec![0.0; n];
         gnr.ids_soa_vt(&vgs, &vds, &vt, &mut out);
         black_box(out);
@@ -68,9 +68,7 @@ fn main() {
     // The pre-batch transfer/tabulation idiom: one executor item per
     // grid point, vs the chunked batch entry point.
     h.bench(&format!("table_par_scalar/{n}"), || {
-        black_box(carbon_runtime::par_map(n, |k| {
-            table.ids(black_box(vgs[k]), black_box(vds[k]))
-        }));
+        black_box(Executor::new().par_map(n, |k| table.ids(black_box(vgs[k]), black_box(vds[k]))));
     });
     h.bench(&format!("table_par_soa/{n}"), || {
         black_box(par_ids_soa(&table, black_box(&vgs), black_box(&vds)));

@@ -15,7 +15,7 @@
 //!
 //! `trace-summary` folds a `CARBON_TRACE` JSONL event stream into the
 //! same schema `compare` consumes (span duration stats, integer-field
-//! stats, counter totals), printed to stdout. With `--folded` it
+//! stats, instant counts), printed to stdout. With `--folded` it
 //! instead emits flamegraph folded stacks — one
 //! `root;child;leaf self_ns` line per call path, self time only — for
 //! direct consumption by `flamegraph.pl` / `inferno`.

@@ -1,19 +1,20 @@
 //! Aggregation of a `carbon-trace` JSONL file into benchmark records.
 //!
 //! `carbon-bench trace-summary <trace.jsonl>` folds a raw event stream
-//! (one JSON object per span / instant / counter, as written by the
+//! (one JSON object per span / instant, as written by the
 //! `CARBON_TRACE` exporter) into the same flat JSONL schema the bench
 //! harness emits and [`crate::compare`] consumes:
 //!
 //! ```text
 //! {"id":"trace/spice.newton_solve/dur_ns","median_ns":8100,"min_ns":7300,"max_ns":9800,"iters":101}
 //! {"id":"trace/spice.newton_solve/iters","median_ns":3,"min_ns":2,"max_ns":9,"iters":101}
-//! {"id":"trace/counter/spice.sparse.replay","median_ns":97,"min_ns":97,"max_ns":97,"iters":97}
+//! {"id":"trace/instant/spice.sparse.stale_pivot","median_ns":1,"min_ns":1,"max_ns":1,"iters":1}
 //! ```
 //!
 //! Span durations and integer span fields become median/min/max rows
-//! (`iters` = number of spans observed); counters and instants become
-//! total rows. The payoff: a captured trace can be diffed against a
+//! (`iters` = number of spans observed); instants become count rows.
+//! Counts and gauges live in the `carbon-metrics` registry, not in the
+//! trace. The payoff: a captured trace can be diffed against a
 //! committed baseline with the exact `compare` machinery that gates
 //! wall-clock benchmarks, so a convergence regression (more Newton
 //! iterations, more repivots) fails CI the same way a slowdown does.
@@ -30,7 +31,7 @@ use crate::compare::{string_field, u64_field};
 pub struct TraceStat {
     /// Record id, e.g. `"trace/spice.newton_solve/dur_ns"`.
     pub id: String,
-    /// Median of the observations (totals for counters/instants).
+    /// Median of the observations (the count for instants).
     pub median: u64,
     /// Smallest observation.
     pub min: u64,
@@ -128,11 +129,7 @@ fn integer_fields(line: &str) -> Vec<(String, u64)> {
 pub fn summarize(text: &str) -> TraceSummary {
     let mut span_durs: BTreeMap<String, Vec<u64>> = BTreeMap::new();
     let mut span_fields: BTreeMap<(String, String), Vec<u64>> = BTreeMap::new();
-    let mut counters: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut instants: BTreeMap<String, u64> = BTreeMap::new();
-    // Gauges keep (last, min, max, count) — set-valued, so summing
-    // observations like a counter would be meaningless.
-    let mut gauges: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
     let mut skipped = 0usize;
 
     for line in text.lines() {
@@ -154,21 +151,7 @@ pub fn summarize(text: &str) -> TraceSummary {
                             .push(value);
                     }
                 }
-                "counter" => {
-                    let delta = u64_field(line, "delta")?;
-                    let slot = counters.entry(name).or_insert((0, 0));
-                    slot.0 += delta;
-                    slot.1 += 1;
-                }
                 "instant" => *instants.entry(name).or_insert(0) += 1,
-                "gauge" => {
-                    let value = u64_field(line, "value")?;
-                    let slot = gauges.entry(name).or_insert((0, u64::MAX, 0, 0));
-                    slot.0 = value;
-                    slot.1 = slot.1.min(value);
-                    slot.2 = slot.2.max(value);
-                    slot.3 += 1;
-                }
                 _ => return None,
             }
             Some(())
@@ -191,30 +174,12 @@ pub fn summarize(text: &str) -> TraceSummary {
             &mut values,
         ));
     }
-    for (name, (total, hits)) in counters {
-        stats.push(TraceStat {
-            id: format!("trace/counter/{name}"),
-            median: total,
-            min: total,
-            max: total,
-            count: hits,
-        });
-    }
     for (name, hits) in instants {
         stats.push(TraceStat {
             id: format!("trace/instant/{name}"),
             median: hits,
             min: hits,
             max: hits,
-            count: hits,
-        });
-    }
-    for (name, (last, min, max, hits)) in gauges {
-        stats.push(TraceStat {
-            id: format!("trace/gauge/{name}"),
-            median: last,
-            min,
-            max,
             count: hits,
         });
     }
@@ -233,7 +198,7 @@ pub fn summarize(text: &str) -> TraceSummary {
 ///
 /// Spans whose recorded parent id is absent from the trace (e.g. a
 /// truncated capture) root their own stack; parent chains are
-/// depth-capped defensively. Instants and counters are ignored.
+/// depth-capped defensively. Instants are ignored.
 pub fn folded(text: &str) -> String {
     struct SpanRec {
         name: String,
@@ -310,13 +275,8 @@ mod tests {
         "\"start_ns\":1000,\"dur_ns\":500,\"fields\":{\"iters\":9}}\n",
         "{\"ev\":\"span\",\"name\":\"spice.newton_solve\",\"id\":3,\"thread\":2,",
         "\"start_ns\":1200,\"dur_ns\":700,\"fields\":{\"iters\":4}}\n",
-        "{\"ev\":\"counter\",\"name\":\"spice.sparse.replay\",\"delta\":2,\"thread\":1}\n",
-        "{\"ev\":\"counter\",\"name\":\"spice.sparse.replay\",\"delta\":3,\"thread\":2}\n",
         "{\"ev\":\"instant\",\"name\":\"spice.continuation_halve\",\"thread\":1,",
         "\"at_ns\":50,\"fields\":{\"depth\":1}}\n",
-        "{\"ev\":\"gauge\",\"name\":\"serve.queue_depth\",\"value\":5,\"thread\":1}\n",
-        "{\"ev\":\"gauge\",\"name\":\"serve.queue_depth\",\"value\":2,\"thread\":2}\n",
-        "{\"ev\":\"gauge\",\"name\":\"serve.queue_depth\",\"value\":9,\"thread\":1}\n",
     );
 
     #[test]
@@ -335,18 +295,8 @@ mod tests {
         let iters = by_id["trace/spice.newton_solve/iters"];
         assert_eq!((iters.median, iters.min, iters.max), (4, 3, 9));
 
-        let replays = by_id["trace/counter/spice.sparse.replay"];
-        assert_eq!((replays.median, replays.count), (5, 2));
-
         let halvings = by_id["trace/instant/spice.continuation_halve"];
         assert_eq!(halvings.median, 1);
-
-        // Gauges report last/min/max of the observed values.
-        let depth = by_id["trace/gauge/serve.queue_depth"];
-        assert_eq!(
-            (depth.median, depth.min, depth.max, depth.count),
-            (9, 2, 9, 3)
-        );
 
         // Non-integer fields (bool, float, string) are not aggregated.
         assert!(!by_id.contains_key("trace/spice.newton_solve/converged"));
@@ -392,7 +342,6 @@ mod tests {
             "{\"ev\":\"span\",\"name\":\"orphan\",\"id\":9,\"parent\":77,\"thread\":2,",
             "\"start_ns\":0,\"dur_ns\":5,\"fields\":{}}\n",
             "{\"ev\":\"instant\",\"name\":\"noise\",\"thread\":1,\"at_ns\":1,\"fields\":{}}\n",
-            "{\"ev\":\"counter\",\"name\":\"noise\",\"delta\":3,\"thread\":1}\n",
         );
         let out = folded(trace);
         assert_eq!(

@@ -73,8 +73,8 @@ pub fn run() -> Result<Fig5, CoreError> {
 
     // Each gate length is an independent 131-point transfer sweep;
     // fan the ladder out on the runtime executor.
-    let cnt: Vec<CntPoint> =
-        carbon_runtime::par_map(gate_lengths.len(), |k| -> Result<CntPoint, CoreError> {
+    let cnt: Vec<CntPoint> = carbon_runtime::Executor::new()
+        .par_map(gate_lengths.len(), |k| -> Result<CntPoint, CoreError> {
             let lg = gate_lengths[k];
             let alpha_d = (electro.dibl(Length::from_nanometers(lg)) / 1e3).clamp(1e-3, 0.5);
             let fet = BallisticFet::builder(Arc::new(band.clone()))

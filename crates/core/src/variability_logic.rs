@@ -15,7 +15,7 @@ use std::sync::Arc;
 use carbon_devices::AlphaPowerFet;
 use carbon_fab::stats::{mean, percentile, std_dev};
 use carbon_logic::Inverter;
-use carbon_runtime::{par_mc_fine, Distribution, Normal};
+use carbon_runtime::{Distribution, Executor, Normal};
 use carbon_units::Voltage;
 
 use crate::error::CoreError;
@@ -61,26 +61,28 @@ pub const SAMPLES: usize = 40;
 /// Propagates device and circuit failures.
 pub fn run() -> Result<VariabilityLogic, CoreError> {
     let mut rows = Vec::new();
+    let ex = Executor::new();
     for vt_sigma in [0.02, 0.07, 0.12] {
         let seed = 2014 + (vt_sigma * 1e3) as u64;
         let dist = Normal::new(0.3, vt_sigma).map_err(|e| CoreError::Device(e.to_string()))?;
-        let margins: Vec<f64> = par_mc_fine(seed, SAMPLES, |_, rng| -> Result<f64, CoreError> {
-            // Independent V_T draws for the n and p device, clamped to
-            // the model's validity range.
-            let vt_n = dist.sample(rng).clamp(0.05, 0.6);
-            let vt_p = dist.sample(rng).clamp(0.05, 0.6);
-            let nfet = AlphaPowerFet::new(vt_n, 1.3, 7.2e-4, 0.8, 0.15, 75.0)
-                .map_err(|e| CoreError::Device(e.to_string()))?;
-            let pfet = AlphaPowerFet::new(vt_p, 1.3, 7.2e-4, 0.8, 0.15, 75.0)
-                .map_err(|e| CoreError::Device(e.to_string()))?
-                .into_p_type();
-            let inv = Inverter::new(Arc::new(nfet), Arc::new(pfet), Voltage::from_volts(1.0))?;
-            let vtc = inv.vtc(61)?;
-            let nm = vtc.noise_margins();
-            Ok(nm.low.min(nm.high))
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+        let margins: Vec<f64> = ex
+            .par_mc_fine(seed, SAMPLES, |_, rng| -> Result<f64, CoreError> {
+                // Independent V_T draws for the n and p device, clamped to
+                // the model's validity range.
+                let vt_n = dist.sample(rng).clamp(0.05, 0.6);
+                let vt_p = dist.sample(rng).clamp(0.05, 0.6);
+                let nfet = AlphaPowerFet::new(vt_n, 1.3, 7.2e-4, 0.8, 0.15, 75.0)
+                    .map_err(|e| CoreError::Device(e.to_string()))?;
+                let pfet = AlphaPowerFet::new(vt_p, 1.3, 7.2e-4, 0.8, 0.15, 75.0)
+                    .map_err(|e| CoreError::Device(e.to_string()))?
+                    .into_p_type();
+                let inv = Inverter::new(Arc::new(nfet), Arc::new(pfet), Voltage::from_volts(1.0))?;
+                let vtc = inv.vtc(61)?;
+                let nm = vtc.noise_margins();
+                Ok(nm.low.min(nm.high))
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()?;
         let robust = margins.iter().filter(|&&m| m > 0.2).count() as f64 / SAMPLES as f64;
         rows.push(DispersionRow {
             vt_sigma,

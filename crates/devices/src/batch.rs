@@ -135,7 +135,7 @@ pub fn eval_via_soa<M: BatchEval + ?Sized>(model: &M, vgs: f64, vds: f64) -> (f6
 /// work is pure, so the result is byte-identical at any
 /// `CARBON_THREADS` — and bit-identical to one
 /// [`BatchEval::ids_soa`] call over the whole lane set. Emits
-/// `devices.batch.lanes` / `devices.batch.chunks` trace counters.
+/// `devices.batch.lanes` / `devices.batch.chunks` registry counters.
 ///
 /// # Panics
 ///
@@ -146,9 +146,9 @@ pub fn par_ids_soa<M: BatchEval + ?Sized>(model: &M, vgs: &[f64], vds: &[f64]) -
     }
     let n = vgs.len();
     let n_chunks = n.div_ceil(SOA_CHUNK);
-    carbon_trace::counter!("devices.batch.lanes", n as u64);
-    carbon_trace::counter!("devices.batch.chunks", n_chunks as u64);
-    let chunks = carbon_runtime::par_map(n_chunks, |c| {
+    carbon_metrics::global_counter!("devices.batch.lanes").add(n as u64);
+    carbon_metrics::global_counter!("devices.batch.chunks").add(n_chunks as u64);
+    let chunks = carbon_runtime::Executor::new().par_map(n_chunks, |c| {
         let a = c * SOA_CHUNK;
         let b = (a + SOA_CHUNK).min(n);
         let mut out = vec![0.0; b - a];

@@ -82,7 +82,7 @@ impl TableFet {
         // evaluate each through the inner model's SoA kernel. The grid
         // expressions are unchanged and the kernel is bit-identical to
         // scalar `ids`, so the table matches the per-point original.
-        let rows = carbon_runtime::par_map(n_vgs, |i| {
+        let rows = carbon_runtime::Executor::new().par_map(n_vgs, |i| {
             let vgs = vgs_lo + (vgs_hi - vgs_lo) * i as f64 / (n_vgs - 1) as f64;
             let vgs_lane = vec![vgs; n_vds];
             let vds_lane: Vec<f64> = (0..n_vds)

@@ -599,7 +599,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_totals_exactly() {
+    fn counter_sums_exactly() {
         let c = Counter::new();
         c.incr();
         c.add(41);

@@ -11,7 +11,7 @@ use carbon_metrics::{Histogram, Registry};
 /// N threads hammering one counter must total exactly — sharding may
 /// spread the adds across cache lines but can never lose one.
 #[test]
-fn counter_totals_exactly_under_contention() {
+fn counter_sums_exactly_under_contention() {
     let registry = Arc::new(Registry::new());
     let threads = 8;
     let per_thread = 100_000u64;

@@ -194,6 +194,12 @@ impl Poisson {
 impl Distribution<f64> for Poisson {
     /// Returns the count as `f64` (mirroring the former `rand_distr`
     /// interface the fab models were written against).
+    // Hot in the fab Monte-Carlo loop (one site count per sampled
+    // device). Left to its heuristics, LLVM inlines it or not depending
+    // on unrelated code in the same monomorphized executor chain, and
+    // the out-of-line call cost ~10 % of an adaptive fig7 campaign on a
+    // 2-vCPU x86-64 host.
+    #[inline]
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if self.lambda >= POISSON_NORMAL_CUTOVER {
             let n = Normal::new(self.lambda, self.lambda.sqrt()).expect("valid by construction");

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use carbon_metrics::{global_gauge, global_histogram};
-use carbon_trace::{gauge, span};
+use carbon_trace::span;
 
 use crate::rng::Xoshiro256pp;
 
@@ -209,7 +209,6 @@ impl Executor {
                     chunk_span.record("items", (n - c * chunk_size).min(chunk_size));
                     chunk_span.record("queue", n_chunks - c - 1);
                 }
-                gauge!("runtime.queue", n_chunks - c - 1);
                 inflight.add(1);
                 let started = std::time::Instant::now();
                 work(c * chunk_size, c, &mut out);
@@ -240,10 +239,9 @@ impl Executor {
                             chunk_span.record("chunk", c);
                             chunk_span.record("items", (n - c * chunk_size).min(chunk_size));
                             // Chunks still waiting in the queue when this
-                            // one was pulled — a live occupancy gauge.
+                            // one was pulled.
                             chunk_span.record("queue", n_chunks.saturating_sub(c + 1));
                         }
-                        gauge!("runtime.queue", n_chunks.saturating_sub(c + 1));
                         inflight.add(1);
                         let started = std::time::Instant::now();
                         let mut local = Vec::with_capacity(chunk_size);
@@ -261,34 +259,6 @@ impl Executor {
         }
         out
     }
-}
-
-/// Maps `f` over `0..n` on the default executor.
-pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    Executor::new().par_map(n, f)
-}
-
-/// Runs `n` seeded stochastic evaluations on the default executor.
-pub fn par_mc<T, F>(seed: u64, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut Xoshiro256pp) -> T + Sync,
-{
-    Executor::new().par_mc(seed, n, f)
-}
-
-/// Runs `n` seeded *expensive* stochastic evaluations (one RNG stream
-/// per item) on the default executor.
-pub fn par_mc_fine<T, F>(seed: u64, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut Xoshiro256pp) -> T + Sync,
-{
-    Executor::new().par_mc_fine(seed, n, f)
 }
 
 #[cfg(test)]
@@ -324,14 +294,14 @@ mod tests {
             assert_eq!(out, reference, "divergence at {threads} threads");
         }
         // Item i's stream is independent of n.
-        let longer = par_mc_fine(9, 128, |i, rng| (i, rng.next_u64()));
+        let longer = Executor::new().par_mc_fine(9, 128, |i, rng| (i, rng.next_u64()));
         assert_eq!(longer[..64], reference[..]);
     }
 
     #[test]
     fn par_mc_extend_matches_the_tail_of_one_full_run() {
         let n = 3 * MC_CHUNK + 17;
-        let full = par_mc(2014, n, |i, rng| (i, rng.next_u64()));
+        let full = Executor::new().par_mc(2014, n, |i, rng| (i, rng.next_u64()));
         for threads in [1, 2, 4, 8] {
             let ex = Executor::with_threads(threads);
             // Grown in rounds of one chunk, the concatenation must be
@@ -362,16 +332,16 @@ mod tests {
 
     #[test]
     fn par_mc_depends_on_seed() {
-        let a = par_mc(1, 100, |_, rng| rng.next_f64());
-        let b = par_mc(2, 100, |_, rng| rng.next_f64());
+        let a = Executor::new().par_mc(1, 100, |_, rng| rng.next_f64());
+        let b = Executor::new().par_mc(2, 100, |_, rng| rng.next_f64());
         assert_ne!(a, b);
     }
 
     #[test]
     fn chunk_boundaries_are_stable_across_n() {
         // Item i's draws must not depend on how many items follow it.
-        let short = par_mc(7, MC_CHUNK + 10, |_, rng| rng.next_u64());
-        let long = par_mc(7, 3 * MC_CHUNK, |_, rng| rng.next_u64());
+        let short = Executor::new().par_mc(7, MC_CHUNK + 10, |_, rng| rng.next_u64());
+        let long = Executor::new().par_mc(7, 3 * MC_CHUNK, |_, rng| rng.next_u64());
         assert_eq!(short[..], long[..MC_CHUNK + 10]);
     }
 
@@ -434,7 +404,7 @@ mod tests {
         // Chunk spans nest under the run span.
         let run_id = match &runs[0] {
             carbon_trace::Event::Span { id, .. } => *id,
-            _ => unreachable!(),
+            carbon_trace::Event::Instant { .. } => unreachable!(),
         };
         for ev in &chunks {
             if let carbon_trace::Event::Span { parent, .. } = ev {
@@ -480,19 +450,6 @@ mod tests {
                 .get(),
             0
         );
-    }
-
-    #[test]
-    fn inline_execution_emits_queue_gauge_events() {
-        use carbon_trace::collect::Collector;
-
-        let collector = Collector::new();
-        carbon_trace::with_subscriber(collector.clone(), || {
-            Executor::with_threads(1).par_mc(42, 3 * MC_CHUNK, |_, rng| rng.next_f64())
-        });
-        // The queue gauge counts down as chunks drain: 2, 1, 0.
-        assert_eq!(collector.gauge_values("runtime.queue"), vec![2, 1, 0]);
-        assert_eq!(collector.gauge_minmax("runtime.queue"), Some((0, 2)));
     }
 
     #[test]

@@ -45,5 +45,5 @@ pub mod rng;
 
 pub use cancel::CancelToken;
 pub use dist::{Bernoulli, DistError, Distribution, LogNormal, Normal, Poisson, Uniform};
-pub use executor::{par_map, par_mc, par_mc_fine, Executor, MC_CHUNK};
+pub use executor::{Executor, MC_CHUNK};
 pub use rng::{Rng, RngCore, SplitMix64, Xoshiro256pp};

@@ -449,15 +449,12 @@ fn dispatch(
             metrics
                 .queue_depth
                 .set(i64::try_from(depth).unwrap_or(i64::MAX));
-            carbon_trace::counter!("serve.accepted");
-            carbon_trace::gauge!("serve.queue_depth", depth);
             resp_rx.recv().unwrap_or_else(|_| {
                 error_response(&id, "exec", "worker dropped the job (server shutting down)")
             })
         }
         Err(_rejected) => {
             metrics.rejected_busy.incr();
-            carbon_trace::counter!("serve.rejected_busy");
             busy_response(&id, queue.depth(), queue.capacity())
         }
     }
@@ -543,7 +540,6 @@ fn worker_loop(
             CacheDecision::Served(response) => {
                 metrics.cache_hit.incr();
                 metrics.completed.incr();
-                carbon_trace::counter!("serve.cache.hit");
                 metrics.cache_hit_latency.record(
                     u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 );
@@ -559,7 +555,6 @@ fn worker_loop(
             CacheDecision::WaitTimedOut => {
                 metrics.cache_miss.incr();
                 metrics.timed_out.incr();
-                carbon_trace::counter!("serve.timed_out");
                 let response = timeout_response(
                     &ticket.id,
                     kind,
@@ -619,7 +614,6 @@ fn worker_loop(
             }
             Err(JobError::Cancelled { message }) => {
                 metrics.timed_out.incr();
-                carbon_trace::counter!("serve.timed_out");
                 ("timeout", timeout_response(&ticket.id, kind, &message))
             }
             Err(e) => {

@@ -38,7 +38,7 @@ use crate::error::SpiceError;
 use crate::netlist::{Circuit, NodeId};
 use crate::sparse::{Refactor, SparseLu, SparseMatrix};
 use carbon_runtime::executor::Executor;
-use carbon_trace::{counter, instant, span};
+use carbon_trace::{instant, span};
 
 /// Node-to-ground leak stamped on every node diagonal, matching the
 /// DC solver's default gmin so floating nodes stay anchored.
@@ -452,19 +452,16 @@ fn sparse_sweep_points(
         }
         if k == 0 {
             ws.lu.factor(&ws.a)?;
-            counter!("spice.sparse.ac_factor");
             carbon_metrics::global_counter!("spice.sparse.ac_factor").incr();
         } else {
             match ws.lu.refactor(&ws.a)? {
                 Refactor::Replayed => {
-                    counter!("spice.sparse.ac_replay");
-                    carbon_metrics::global_counter!("spice.sparse.ac_replay").incr();
+                    carbon_metrics::global_counter!("spice.sparse.ac_replay").incr()
                 }
                 Refactor::Repivoted => {
                     // The pivot order chosen at the head frequency went
                     // stale as ω moved the susceptances — rare, but
                     // campaigns watch the fallback rate.
-                    counter!("spice.sparse.ac_repivot");
                     carbon_metrics::global_counter!("spice.sparse.ac_repivot").incr();
                     instant!("spice.sparse.ac_stale_pivot", "freq" = f, "n" = n_unknowns);
                 }

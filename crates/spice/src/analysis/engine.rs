@@ -7,7 +7,7 @@ use crate::error::SpiceError;
 use crate::linalg::{DenseMatrix, Stamp};
 use crate::netlist::{Circuit, NodeId};
 use crate::sparse::{Refactor, SparseLu, SparseMatrix};
-use carbon_trace::{counter, instant, span};
+use carbon_trace::{instant, span};
 
 /// Unknown count below which the dense solver is used: at inverter-scale
 /// systems the dense factorization fits in cache and beats the sparse
@@ -542,15 +542,13 @@ pub(crate) fn newton_solve(
                 if lu.is_factored() {
                     match lu.refactor(a)? {
                         Refactor::Replayed => {
-                            counter!("spice.sparse.replay");
-                            carbon_metrics::global_counter!("spice.sparse.replay").incr();
+                            carbon_metrics::global_counter!("spice.sparse.replay").incr()
                         }
                         Refactor::Repivoted => {
                             // The pivot-growth staleness check rejected
                             // the cached pivot order — the event sweeps
                             // and campaigns watch for fallback-rate
                             // spikes.
-                            counter!("spice.sparse.repivot");
                             carbon_metrics::global_counter!("spice.sparse.repivot").incr();
                             instant!("spice.sparse.stale_pivot", "iter" = iter, "n" = n_unknowns);
                             repivots += 1;
@@ -558,7 +556,6 @@ pub(crate) fn newton_solve(
                     }
                 } else {
                     lu.factor(a)?;
-                    counter!("spice.sparse.factor");
                     carbon_metrics::global_counter!("spice.sparse.factor").incr();
                 }
                 x_new.copy_from_slice(z);

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
-use carbon_trace::{counter, instant, span};
+use carbon_trace::{instant, span};
 
 pub(crate) use engine::{
     newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, NewtonOptions, SolverCache,
@@ -245,7 +245,7 @@ impl Circuit {
             }
             Err(_) => spent += opts.max_iter,
         }
-        counter!("spice.op.gmin_step_fallback");
+        carbon_metrics::global_counter!("spice.op.gmin_step_fallback").incr();
         // Strategy 2: gmin stepping from zero.
         let mut xg = vec![0.0; self.num_unknowns()];
         let mut ok = true;
@@ -269,7 +269,7 @@ impl Circuit {
             }
         }
         // Strategy 3: source stepping from zero.
-        counter!("spice.op.source_step_fallback");
+        carbon_metrics::global_counter!("spice.op.source_step_fallback").incr();
         let mut xs = vec![0.0; self.num_unknowns()];
         for k in 1..=20 {
             let scale = k as f64 / 20.0;
@@ -336,7 +336,7 @@ impl Circuit {
                 })
             }
             Err(_) => {
-                counter!("spice.continuation_halvings");
+                carbon_metrics::global_counter!("spice.continuation_halvings").incr();
                 instant!(
                     "spice.continuation_halve",
                     "v_from" = v_from,
@@ -502,7 +502,7 @@ impl Circuit {
         // pre-solved seed with a private circuit clone and workspace.
         type ChunkResult = Result<(Vec<OpResult>, Vec<usize>), SpiceError>;
         let chunks: Vec<ChunkResult> =
-            carbon_runtime::executor::par_map(n_chunks, |c| -> ChunkResult {
+            carbon_runtime::Executor::new().par_map(n_chunks, |c| -> ChunkResult {
                 let lo = c * chunk;
                 let hi = (lo + chunk).min(grid.len());
                 let mut chunk_span = span!("spice.sweep_chunk");

@@ -38,7 +38,7 @@ use super::{newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, N
 use crate::element::ElementKind;
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
-use carbon_trace::{counter, instant, span};
+use carbon_trace::{instant, span};
 
 /// Which time-stepping scheme [`Circuit::transient_with`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -462,8 +462,6 @@ fn fixed_loop(
     times: &mut Vec<f64>,
     samples: &mut Vec<Vec<f64>>,
 ) -> Result<(usize, usize), SpiceError> {
-    times.reserve(steps);
-    samples.reserve(steps);
     for k in 1..=steps {
         // Checkpoint between time steps: a deadline that expires
         // mid-transient stops before the next integration step (the
@@ -524,7 +522,6 @@ fn fixed_loop(
             })?;
         }
         companions.commit(x);
-        counter!("spice.tran.step");
         carbon_metrics::global_counter!("spice.tran.steps").incr();
         times.push(t);
         samples.push(x.to_vec());
@@ -687,7 +684,6 @@ fn adaptive_loop(
             times.push(t);
             samples.push(x.to_vec());
             accepted += 1;
-            counter!("spice.tran.step");
             carbon_metrics::global_counter!("spice.tran.steps").incr();
             last_failure = None;
             if lands && t < tstop {
@@ -709,7 +705,6 @@ fn adaptive_loop(
             }
         } else {
             rejected += 1;
-            counter!("spice.tran.reject");
             carbon_metrics::global_counter!("spice.tran.rejects").incr();
             instant!("spice.tran.reject", "t" = t, "h" = h_step, "err" = err_norm);
             h = h_step * 0.5;

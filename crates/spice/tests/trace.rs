@@ -1,12 +1,43 @@
-//! End-to-end tests of the instrumentation layer: the trace must
-//! record what the solver actually did (staleness fallbacks, step
-//! halvings, iteration counts) without perturbing any result.
+//! End-to-end tests of the instrumentation layer: the metrics registry
+//! must count what the solver actually did (factorizations, replays,
+//! staleness fallbacks, step halvings) and the trace must carry the
+//! causal detail, without perturbing any result.
+//!
+//! The registry is process-global, so every test in this binary holds
+//! [`REGISTRY`] and reads counter deltas around the call it checks.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use carbon_spice::{Circuit, FetCurve, SpiceError};
+use carbon_spice::{Circuit, FetCurve, SpiceError, Waveform};
 use carbon_trace::collect::Collector;
-use carbon_trace::{Event, Value};
+use carbon_trace::{with_subscriber, Event, Value};
+
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` and returns how much each named global counter grew.
+fn deltas<const N: usize, R>(names: [&str; N], f: impl FnOnce() -> R) -> (R, [u64; N]) {
+    let total = |name: &str| carbon_metrics::global().counter(name).total();
+    let before = names.map(total);
+    let out = f();
+    let mut grown = names.map(total);
+    for (g, b) in grown.iter_mut().zip(before) {
+        *g -= b;
+    }
+    (out, grown)
+}
+
+/// The number of instants named `name` the collector saw.
+fn instants(collector: &Collector, name: &str) -> usize {
+    collector
+        .events()
+        .iter()
+        .filter(|e| matches!(e, Event::Instant { .. }) && e.name() == name)
+        .count()
+}
 
 /// The solver bench's nonlinear workload: `n` forward diode drops from
 /// a 5 V source. The diode conductances swing by many decades over the
@@ -33,21 +64,24 @@ fn diode_chain(n: usize) -> Circuit {
 
 #[test]
 fn stale_pivot_fallback_happens_exactly_once_and_is_traced() {
+    let _lock = lock();
     let collector = Collector::new();
-    let traced = carbon_trace::with_subscriber(collector.clone(), || diode_chain(24).op())
-        .expect("chain solves");
+    let (traced, [factors, repivots, replays]) = deltas(
+        [
+            "spice.sparse.factor",
+            "spice.sparse.repivot",
+            "spice.sparse.replay",
+        ],
+        || with_subscriber(collector.clone(), || diode_chain(24).op()),
+    );
+    let traced = traced.expect("chain solves");
 
     // The cold solve starts from the flat initial guess, so the first
     // factorization's pivot order goes stale exactly once as the diode
     // conductances jump; every later iteration replays cleanly.
-    assert_eq!(collector.counter_total("spice.sparse.factor"), 1);
-    assert_eq!(
-        collector.counter_total("spice.sparse.repivot"),
-        1,
-        "staleness fallback must fire exactly once: {:?}",
-        collector.counter_totals()
-    );
-    assert!(collector.counter_total("spice.sparse.replay") >= 1);
+    assert_eq!(factors, 1);
+    assert_eq!(repivots, 1, "staleness fallback must fire exactly once");
+    assert!(replays >= 1);
 
     // The fallback leaves a locatable instant event.
     let stale: Vec<Event> = collector
@@ -80,13 +114,14 @@ fn stale_pivot_fallback_happens_exactly_once_and_is_traced() {
 
 #[test]
 fn dc_sweep_spans_nest_newton_solves() {
+    let _lock = lock();
     let mut ckt = Circuit::new();
     ckt.voltage_source("vin", "in", "0", 0.0);
     ckt.resistor("r1", "in", "out", 1e3).expect("unique");
     ckt.diode("d1", "out", "0", 1e-15, 1.0).expect("unique");
 
     let collector = Collector::new();
-    carbon_trace::with_subscriber(collector.clone(), || {
+    with_subscriber(collector.clone(), || {
         ckt.dc_sweep("vin", 0.0, 1.0, 0.1).expect("sweeps")
     });
 
@@ -135,25 +170,32 @@ fn rc_ladder(n: usize) -> Circuit {
     ckt
 }
 
+const AC_COUNTERS: [&str; 3] = [
+    "spice.sparse.ac_factor",
+    "spice.sparse.ac_replay",
+    "spice.sparse.ac_repivot",
+];
+
 #[test]
 fn ac_sweep_traces_one_factor_and_replays_the_rest() {
+    let _lock = lock();
     let ckt = rc_ladder(20);
     let freqs: Vec<f64> = (0..12).map(|k| 1e5 * 10f64.powf(k as f64 / 3.0)).collect();
 
     let collector = Collector::new();
-    let traced = carbon_trace::with_subscriber(collector.clone(), || ckt.ac_sweep("vin", &freqs))
-        .expect("sweeps");
+    let (traced, [factors, replays, repivots]) = deltas(AC_COUNTERS, || {
+        with_subscriber(collector.clone(), || ckt.ac_sweep("vin", &freqs))
+    });
+    let traced = traced.expect("sweeps");
 
     // The factor/replay schedule is the whole point of the sparse AC
     // path: one full factorization at the head frequency, and every
     // other point either replays or (rarely) falls back to a repivot.
-    assert_eq!(collector.counter_total("spice.sparse.ac_factor"), 1);
+    assert_eq!(factors, 1);
     assert_eq!(
-        collector.counter_total("spice.sparse.ac_replay")
-            + collector.counter_total("spice.sparse.ac_repivot"),
+        replays + repivots,
         (freqs.len() - 1) as u64,
-        "every non-head frequency is a replay or a repivot: {:?}",
-        collector.counter_totals()
+        "every non-head frequency is a replay or a repivot"
     );
 
     // The sweep span carries the system size, point count, and path.
@@ -180,16 +222,19 @@ fn ac_sweep_traces_one_factor_and_replays_the_rest() {
 
 #[test]
 fn ac_sweep_par_traces_chunk_spans() {
+    let _lock = lock();
     let ckt = rc_ladder(20);
     let freqs: Vec<f64> = (0..10).map(|k| 1e5 * 10f64.powf(k as f64 / 3.0)).collect();
 
     let collector = Collector::new();
     // One worker keeps every span on the subscriber's thread.
     let ex = carbon_runtime::executor::Executor::with_threads(1);
-    let traced = carbon_trace::with_subscriber(collector.clone(), || {
-        ckt.ac_sweep_par_on(&ex, "vin", &freqs, 4)
-    })
-    .expect("sweeps");
+    let (traced, [factors, replays, repivots]) = deltas(AC_COUNTERS, || {
+        with_subscriber(collector.clone(), || {
+            ckt.ac_sweep_par_on(&ex, "vin", &freqs, 4)
+        })
+    });
+    let traced = traced.expect("sweeps");
 
     assert_eq!(collector.spans("spice.ac_sweep_par").len(), 1);
     assert_eq!(
@@ -202,12 +247,8 @@ fn ac_sweep_par_traces_chunk_spans() {
         "one span per chunk"
     );
     // Each chunk factors at its own head frequency, then replays.
-    assert_eq!(collector.counter_total("spice.sparse.ac_factor"), 3);
-    assert_eq!(
-        collector.counter_total("spice.sparse.ac_replay")
-            + collector.counter_total("spice.sparse.ac_repivot"),
-        (freqs.len() - 3) as u64
-    );
+    assert_eq!(factors, 3);
+    assert_eq!(replays + repivots, (freqs.len() - 3) as u64);
 
     let untraced = ckt.ac_sweep_par_on(&ex, "vin", &freqs, 4).expect("sweeps");
     assert_eq!(traced.solutions(), untraced.solutions());
@@ -231,6 +272,7 @@ impl FetCurve for SnapFet {
 
 #[test]
 fn continuation_exhaustion_reports_sweep_value_and_residual() {
+    let _lock = lock();
     let mut ckt = Circuit::new();
     ckt.voltage_source("vdd", "vdd", "0", 1.0);
     ckt.voltage_source("vin", "g", "0", 0.0);
@@ -239,9 +281,10 @@ fn continuation_exhaustion_reports_sweep_value_and_residual() {
         .expect("fet");
 
     let collector = Collector::new();
-    let err =
-        carbon_trace::with_subscriber(collector.clone(), || ckt.dc_sweep("vin", 0.0, 1.0, 0.25))
-            .expect_err("the snap device cannot converge past threshold");
+    let (result, [halvings]) = deltas(["spice.continuation_halvings"], || {
+        with_subscriber(collector.clone(), || ckt.dc_sweep("vin", 0.0, 1.0, 0.25))
+    });
+    let err = result.expect_err("the snap device cannot converge past threshold");
 
     match err {
         SpiceError::ContinuationExhausted {
@@ -272,12 +315,96 @@ fn continuation_exhaustion_reports_sweep_value_and_residual() {
     }
 
     // The retry ladder is visible in the trace: halvings were burned
-    // before giving up, and the exhaustion itself is an instant event.
-    assert!(collector.counter_total("spice.continuation_halvings") >= 1);
-    let exhausted = collector
-        .events()
-        .iter()
-        .filter(|e| e.name() == "spice.continuation_exhausted")
-        .count();
-    assert_eq!(exhausted, 1);
+    // before giving up, each one an instant the registry also counts,
+    // and the exhaustion itself is an instant event.
+    let halves = instants(&collector, "spice.continuation_halve");
+    assert!(halves >= 1);
+    assert_eq!(halvings, halves as u64);
+    assert_eq!(instants(&collector, "spice.continuation_exhausted"), 1);
+}
+
+#[test]
+fn transient_factors_once_and_replays_every_newton_iteration() {
+    let _lock = lock();
+    // 20-node RC ladder → 21 unknowns, over the sparse threshold (16),
+    // so the transient runs on the sparse LU path.
+    let build = || {
+        let mut ckt = Circuit::new();
+        ckt.voltage_source_wave(
+            "v",
+            "n0",
+            "0",
+            Waveform::Pulse {
+                low: 0.0,
+                high: 1.0,
+                delay: 1e-9,
+                rise: 0.0,
+                fall: 0.0,
+                width: 1.0,
+                period: 0.0,
+            },
+        )
+        .unwrap();
+        for s in 0..20 {
+            ckt.resistor(
+                &format!("r{s}"),
+                &format!("n{s}"),
+                &format!("n{}", s + 1),
+                1e3,
+            )
+            .unwrap();
+            ckt.capacitor(&format!("c{s}"), &format!("n{}", s + 1), "0", 1e-12)
+                .unwrap();
+        }
+        ckt
+    };
+    for adaptive in [false, true] {
+        let collector = Collector::new();
+        let (steps, [factors, replays, repivots, counted_steps]) = deltas(
+            [
+                "spice.sparse.factor",
+                "spice.sparse.replay",
+                "spice.sparse.repivot",
+                "spice.tran.steps",
+            ],
+            || {
+                with_subscriber(collector.clone(), || {
+                    let ckt = build();
+                    let tran = if adaptive {
+                        ckt.transient_adaptive(1e-9, 1e-7).unwrap()
+                    } else {
+                        ckt.transient(1e-9, 1e-7).unwrap()
+                    };
+                    tran.accepted_steps()
+                })
+            },
+        );
+        assert_eq!(
+            factors, 1,
+            "adaptive = {adaptive}: symbolic analysis + first factorization happen once per deck"
+        );
+        assert_eq!(repivots, 0, "a linear ladder never goes stale");
+        assert!(
+            replays as usize >= steps,
+            "adaptive = {adaptive}: every subsequent Newton iteration replays \
+             (got {replays} replays over {steps} steps)"
+        );
+        // The span carries the step accounting.
+        let spans = collector.spans("spice.transient");
+        assert_eq!(spans.len(), 1);
+        let methods = collector.span_field("spice.transient", "method");
+        assert_eq!(
+            methods,
+            vec![Value::Str(
+                if adaptive { "adaptive" } else { "fixed" }.into()
+            )]
+        );
+        let recorded: Vec<u64> = collector
+            .span_field("spice.transient", "steps")
+            .iter()
+            .filter_map(Value::as_u64)
+            .collect();
+        assert_eq!(recorded, vec![steps as u64]);
+        assert_eq!(counted_steps, steps as u64);
+    }
 }

@@ -1,7 +1,6 @@
 //! An in-memory [`Subscriber`] that records every event — the test
 //! harness's window into the instrumentation layer.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::{Event, Subscriber, Value};
@@ -33,50 +32,6 @@ impl Collector {
             .into_iter()
             .filter(|e| matches!(e, Event::Span { .. }) && e.name() == name)
             .collect()
-    }
-
-    /// Sum of all deltas recorded for the named counter.
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.events()
-            .iter()
-            .filter_map(|e| match e {
-                Event::Counter { name: n, delta, .. } if *n == name => Some(*delta),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Totals of every counter seen, by name.
-    pub fn counter_totals(&self) -> BTreeMap<&'static str, u64> {
-        let mut totals = BTreeMap::new();
-        for e in self.events() {
-            if let Event::Counter { name, delta, .. } = e {
-                *totals.entry(name).or_insert(0) += delta;
-            }
-        }
-        totals
-    }
-
-    /// Every value observed on the named gauge, in arrival order.
-    pub fn gauge_values(&self, name: &str) -> Vec<u64> {
-        self.events()
-            .iter()
-            .filter_map(|e| match e {
-                Event::Gauge { name: n, value, .. } if *n == name => Some(*value),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The last value observed on the named gauge, if any.
-    pub fn gauge_last(&self, name: &str) -> Option<u64> {
-        self.gauge_values(name).last().copied()
-    }
-
-    /// The (min, max) of every value observed on the named gauge.
-    pub fn gauge_minmax(&self, name: &str) -> Option<(u64, u64)> {
-        let values = self.gauge_values(name);
-        Some((*values.iter().min()?, *values.iter().max()?))
     }
 
     /// The values of field `key` across every span named `name`, in
@@ -129,29 +84,6 @@ mod tests {
         );
         assert_eq!(c.span_field("t.solve", "residual"), vec![Value::F64(1e-10)]);
         assert!(c.span_field("t.absent", "iters").is_empty());
-    }
-
-    #[test]
-    fn counter_totals_by_name() {
-        let c = Collector::new();
-        c.event(&Event::Counter {
-            name: "a",
-            delta: 2,
-            thread: 1,
-        });
-        c.event(&Event::Counter {
-            name: "b",
-            delta: 3,
-            thread: 1,
-        });
-        c.event(&Event::Counter {
-            name: "a",
-            delta: 1,
-            thread: 2,
-        });
-        let totals = c.counter_totals();
-        assert_eq!(totals.get("a"), Some(&3));
-        assert_eq!(totals.get("b"), Some(&3));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! ```text
 //! {"ev":"span","name":"spice.newton_solve","id":7,"parent":3,"thread":1,"start_ns":120,"dur_ns":8100,"fields":{"iters":4,"converged":true}}
 //! {"ev":"instant","name":"spice.continuation_halve","parent":9,"thread":2,"at_ns":9000,"fields":{"v_from":0.5,"v_to":0.75}}
-//! {"ev":"counter","name":"spice.sparse.replay","delta":1,"thread":1}
 //! ```
 //!
 //! The schema is flat and hand-parseable (see `carbon-bench`'s
@@ -85,28 +84,6 @@ impl JsonlWriter {
                 let _ = write!(s, ",\"thread\":{thread},\"at_ns\":{at_ns}");
                 render_fields(&mut s, fields);
                 s.push('}');
-            }
-            Event::Counter {
-                name,
-                delta,
-                thread,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"counter\",\"name\":\"{}\",\"delta\":{delta},\"thread\":{thread}}}",
-                    escape(name)
-                );
-            }
-            Event::Gauge {
-                name,
-                value,
-                thread,
-            } => {
-                let _ = write!(
-                    s,
-                    "{{\"ev\":\"gauge\",\"name\":\"{}\",\"value\":{value},\"thread\":{thread}}}",
-                    escape(name)
-                );
             }
         }
         s
@@ -199,25 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn renders_counter_and_instant() {
-        let c = JsonlWriter::render(&Event::Counter {
-            name: "spice.sparse.replay",
-            delta: 2,
-            thread: 3,
-        });
-        assert_eq!(
-            c,
-            "{\"ev\":\"counter\",\"name\":\"spice.sparse.replay\",\"delta\":2,\"thread\":3}"
-        );
-        let g = JsonlWriter::render(&Event::Gauge {
-            name: "serve.queue_depth",
-            value: 7,
-            thread: 2,
-        });
-        assert_eq!(
-            g,
-            "{\"ev\":\"gauge\",\"name\":\"serve.queue_depth\",\"value\":7,\"thread\":2}"
-        );
+    fn renders_instant() {
         let i = JsonlWriter::render(&Event::Instant {
             name: "x",
             parent: None,
@@ -250,16 +209,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("unit-{}.jsonl", std::process::id()));
         let writer = JsonlWriter::create(&path).unwrap();
-        writer.event(&Event::Counter {
-            name: "unit.count",
-            delta: 1,
-            thread: 1,
-        });
-        writer.event(&Event::Counter {
-            name: "unit.count",
-            delta: 2,
-            thread: 1,
-        });
+        for at_ns in [1, 2] {
+            writer.event(&Event::Instant {
+                name: "unit.tick",
+                parent: None,
+                thread: 1,
+                at_ns,
+                fields: vec![],
+            });
+        }
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));

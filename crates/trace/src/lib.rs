@@ -1,5 +1,5 @@
 //! Zero-dependency instrumentation for the carbon-electronics stack:
-//! structured spans, counters, and a pluggable [`Subscriber`] with a
+//! structured spans and instants, and a pluggable [`Subscriber`] with a
 //! JSONL exporter.
 //!
 //! The simulation stack got fast by being adaptive — replay
@@ -18,15 +18,17 @@
 //!
 //! # Model
 //!
-//! Three event kinds ([`Event`]):
+//! Two event kinds ([`Event`]):
 //!
 //! * **Spans** — named, timed regions with key/value fields, nested via
 //!   a thread-local stack ([`span!`] returns an RAII guard; the
 //!   completed span is dispatched on drop).
 //! * **Instants** — point events with fields (e.g. one continuation
 //!   step-halving).
-//! * **Counters** — named monotonic deltas (e.g. one replay
-//!   refactorization).
+//!
+//! Counts and gauges (one replay refactorization, a queue depth) are
+//! not trace events: they live in the always-on `carbon-metrics`
+//! registry, so each event is counted in exactly one place.
 //!
 //! Events go to a [`Subscriber`]: either the process-global one —
 //! installed explicitly with [`install_global`] or implicitly from the
@@ -184,36 +186,13 @@ pub enum Event {
         /// Event fields.
         fields: Vec<Field>,
     },
-    /// A counter increment.
-    Counter {
-        /// Counter name.
-        name: &'static str,
-        /// Amount added.
-        delta: u64,
-        /// Reporting thread.
-        thread: u64,
-    },
-    /// A set-valued observation (queue depth, in-flight work). Unlike
-    /// a counter's delta, the value *replaces* the previous reading;
-    /// aggregators report last/min/max rather than a sum.
-    Gauge {
-        /// Gauge name.
-        name: &'static str,
-        /// The observed value.
-        value: u64,
-        /// Reporting thread.
-        thread: u64,
-    },
 }
 
 impl Event {
     /// The event's name, whatever its kind.
     pub fn name(&self) -> &'static str {
         match self {
-            Self::Span { name, .. }
-            | Self::Instant { name, .. }
-            | Self::Counter { name, .. }
-            | Self::Gauge { name, .. } => name,
+            Self::Span { name, .. } | Self::Instant { name, .. } => name,
         }
     }
 }
@@ -446,31 +425,6 @@ pub fn instant(name: &'static str, fields: Vec<Field>) {
     });
 }
 
-/// Adds `delta` to the named counter (skipped when tracing is disabled).
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    dispatch(&Event::Counter {
-        name,
-        delta,
-        thread: thread_id(),
-    });
-}
-
-/// Records a set-valued observation on the named gauge (skipped when
-/// tracing is disabled).
-pub fn gauge_set(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    dispatch(&Event::Gauge {
-        name,
-        value,
-        thread: thread_id(),
-    });
-}
-
 /// Opens a [`Span`] guard: `span!("spice.newton_solve")`, optionally
 /// with initial fields: `span!("runtime.chunk", "chunk" = c, "items" = n)`.
 ///
@@ -487,31 +441,6 @@ macro_rules! span {
         }
         span
     }};
-}
-
-/// Increments a named counter: `counter!("spice.sparse.replay")` adds 1,
-/// `counter!("name", n)` adds `n`.
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {
-        $crate::counter_add($name, 1)
-    };
-    ($name:expr, $delta:expr) => {
-        $crate::counter_add($name, $delta)
-    };
-}
-
-/// Records a set-valued gauge observation:
-/// `gauge!("serve.queue_depth", depth)`. The value expression is only
-/// evaluated when tracing is enabled.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr, $value:expr) => {
-        if $crate::enabled() {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_lossless)]
-            $crate::gauge_set($name, ($value) as u64);
-        }
-    };
 }
 
 /// Emits a point event with fields:
@@ -546,23 +475,8 @@ mod tests {
         assert!(!s.is_live());
         s.record("k", 1u64);
         drop(s);
-        counter!("unit.off.counter");
+        instant!("unit.off.bare");
         instant!("unit.off.instant", "v" = 1.0);
-        gauge!("unit.off.gauge", 3usize);
-    }
-
-    #[test]
-    fn gauges_record_set_values() {
-        let collector = Collector::new();
-        with_subscriber(collector.clone(), || {
-            gauge!("unit.depth", 5usize);
-            gauge!("unit.depth", 2u64);
-            gauge!("unit.depth", 9u32);
-        });
-        assert_eq!(collector.gauge_values("unit.depth"), vec![5, 2, 9]);
-        assert_eq!(collector.gauge_last("unit.depth"), Some(9));
-        assert_eq!(collector.gauge_minmax("unit.depth"), Some((2, 9)));
-        assert_eq!(collector.gauge_last("unit.absent"), None);
     }
 
     #[test]
@@ -610,30 +524,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_in_collector() {
-        let collector = Collector::new();
-        with_subscriber(collector.clone(), || {
-            counter!("unit.hits");
-            counter!("unit.hits", 4);
-            counter!("unit.other");
-        });
-        assert_eq!(collector.counter_total("unit.hits"), 5);
-        assert_eq!(collector.counter_total("unit.other"), 1);
-        assert_eq!(collector.counter_total("unit.absent"), 0);
-    }
-
-    #[test]
     fn with_subscriber_restores_previous_state() {
         let a = Collector::new();
         let b = Collector::new();
         with_subscriber(a.clone(), || {
-            with_subscriber(b.clone(), || counter!("unit.inner.only"));
-            counter!("unit.outer.only");
+            with_subscriber(b.clone(), || instant!("unit.inner.only"));
+            instant!("unit.outer.only");
         });
-        assert_eq!(b.counter_total("unit.inner.only"), 1);
-        assert_eq!(b.counter_total("unit.outer.only"), 0);
-        assert_eq!(a.counter_total("unit.outer.only"), 1);
-        assert_eq!(a.counter_total("unit.inner.only"), 0);
+        let names = |c: &Collector| c.events().iter().map(Event::name).collect::<Vec<_>>();
+        assert_eq!(names(&b), ["unit.inner.only"]);
+        assert_eq!(names(&a), ["unit.outer.only"]);
         assert!(!LOCAL_ENABLED.with(Cell::get));
     }
 
@@ -680,7 +580,7 @@ mod tests {
         let id_of = |name: &str| {
             collector.spans(name).first().map(|e| match e {
                 Event::Span { id, .. } => *id,
-                _ => unreachable!(),
+                Event::Instant { .. } => unreachable!(),
             })
         };
         let Event::Span { parent, .. } = collector.spans("unit.c")[0].clone() else {
