@@ -6,7 +6,7 @@ use carbon_runtime::bench::{black_box, Harness};
 
 use carbon_bench::{diode_chain, fet_cs_amp, log_freqs, rc_ladder, resistor_ladder};
 use carbon_spice::parser::parse_deck;
-use carbon_spice::{AcMethod, Circuit, Waveform};
+use carbon_spice::{AcMethod, Circuit, TranOptions, Waveform};
 
 fn main() {
     let mut h = Harness::group("solver");
@@ -57,7 +57,10 @@ fn main() {
     ckt.resistor("r", "in", "out", 1e3).expect("resistor");
     ckt.capacitor("c", "out", "0", 1e-9).expect("capacitor");
     h.bench("transient_rc_1000_steps", || {
-        black_box(ckt.transient(1e-9, 1e-6).expect("integrates"));
+        black_box(
+            ckt.transient(1e-9, 1e-6, TranOptions::default())
+                .expect("integrates"),
+        );
     });
 
     let mut ckt = Circuit::new();

@@ -15,6 +15,7 @@
 use carbon_runtime::bench::{black_box, Harness};
 
 use carbon_bench::{ring_osc, tran_ramp, TRAN_RAMP_TSTEP, TRAN_RAMP_TSTOP};
+use carbon_spice::TranOptions;
 
 fn main() {
     let mut h = Harness::group("tran");
@@ -22,14 +23,14 @@ fn main() {
     h.bench("tran_ramp_fixed", || {
         black_box(
             tran_ramp()
-                .transient(TRAN_RAMP_TSTEP, TRAN_RAMP_TSTOP)
+                .transient(TRAN_RAMP_TSTEP, TRAN_RAMP_TSTOP, TranOptions::default())
                 .expect("integrates"),
         );
     });
     h.bench("tran_ramp_adaptive", || {
         black_box(
             tran_ramp()
-                .transient_adaptive(TRAN_RAMP_TSTEP, TRAN_RAMP_TSTOP)
+                .transient(TRAN_RAMP_TSTEP, TRAN_RAMP_TSTOP, TranOptions::adaptive())
                 .expect("integrates"),
         );
     });
@@ -38,14 +39,14 @@ fn main() {
     h.bench("tran_ring_fixed/3", || {
         black_box(
             ring_osc(3, horizon)
-                .transient(horizon / 2000.0, horizon)
+                .transient(horizon / 2000.0, horizon, TranOptions::default())
                 .expect("integrates"),
         );
     });
     h.bench("tran_ring_adaptive/3", || {
         black_box(
             ring_osc(3, horizon)
-                .transient_adaptive(horizon / 2000.0, horizon)
+                .transient(horizon / 2000.0, horizon, TranOptions::adaptive())
                 .expect("integrates"),
         );
     });

@@ -10,8 +10,7 @@
 //! `target/carbon-bench/<group>.jsonl` by the bench binaries) and exits
 //! nonzero when any benchmark's median regressed more than the
 //! threshold (default 10 %) *and* escaped the baseline's recorded
-//! min..max noise band. `ci.sh` runs this against the committed
-//! baseline in `benches/baseline/` when `CARBON_BENCH_COMPARE=1`.
+//! min..max noise band.
 //!
 //! `trace-summary` folds a `CARBON_TRACE` JSONL event stream into the
 //! same schema `compare` consumes (span duration stats, integer-field
@@ -23,52 +22,46 @@
 //! `batch` evaluates every device model through both the scalar entry
 //! point and the structure-of-arrays batch kernel over fixed lanes,
 //! asserts the outputs are bit-identical, and prints one digest row per
-//! model plus one row for the adaptive §V Monte-Carlo campaign. The
-//! output is a pure function of the models, so `ci.sh` diffs it across
-//! `CARBON_THREADS` — the batch layer's and the adaptive campaign's
-//! determinism smoke test.
+//! model plus one row for the adaptive §V Monte-Carlo campaign.
 //!
-//! `fig2` runs the Fig. 2 experiment and prints its report — a small,
-//! deterministic traced-run target for the CI trace smoke test.
+//! `fig2` runs the Fig. 2 experiment and prints its report.
 //!
 //! `ac` runs a parallel sparse AC sweep of the 64-stage RC ladder and
-//! prints every phasor at full precision — the deterministic target
-//! the CI AC smoke test diffs across thread counts.
+//! prints every phasor at full precision.
 //!
-//! `fig7` runs the §V statistics experiment and prints its report —
-//! the pure-sampling traced-run target for the CI trace baselines.
+//! `fig7` runs the §V statistics experiment and prints its report.
 //!
 //! `tran` runs the `tran_ramp` (stiff power-on ramp) and `tran_ring`
 //! (3-stage ring oscillator) transient workloads under both stepping
 //! methods and prints one row per run: deck, method, accepted/rejected
 //! step counts, and an FNV-1a 64 digest over every time point's and
-//! voltage's exact bit pattern. The rows are a pure function of the
-//! decks, so `ci.sh` diffs them across `CARBON_THREADS` — and the
-//! fixed-vs-adaptive step ratio on the ramp deck is the adaptive
-//! method's speedup evidence.
+//! voltage's exact bit pattern. The fixed-vs-adaptive step ratio on
+//! the ramp deck is the adaptive method's speedup evidence.
 //!
 //! `econ` runs the §V wafer-economics campaign twice: once in-process
 //! through the chunked executor — a 512-cell node × area × defect ×
 //! purity grid in fixed mode plus the same grid in adaptive
 //! (CI-targeted) mode, each folded to an FNV-1a 64 digest over every
-//! cell's exact bit patterns, so `ci.sh` can diff the rows across
-//! `CARBON_THREADS` — and once over a loopback carbon-serve server,
-//! submitting an identical `econ_campaign` body on two passes and
-//! printing the second pass's cache hit rate in per-mille (1000 on a
-//! healthy server: a repeated campaign is served entirely from the
+//! cell's exact bit patterns — and once over a loopback carbon-serve
+//! server, submitting an identical `econ_campaign` body on two passes
+//! and printing the second pass's cache hit rate in per-mille (1000 on
+//! a healthy server: a repeated campaign is served entirely from the
 //! response cache).
 //!
 //! `serve-load` starts an in-process carbon-serve server on loopback
 //! and drives it with a deterministic mixed job load; latency rows go
 //! to stdout in the compare-JSONL schema, the human summary to stderr.
 //! The rows include the server's own `stats` snapshot (flattened as
-//! `serve/stats/*`), which `ci.sh` gates on for server-side health.
-//! `--digest` appends an FNV-1a 64 digest of the id-sorted response
-//! bodies, which `ci.sh` diffs across `CARBON_THREADS`. `--passes`
-//! replays the identical schedule over one server (warming its
-//! response cache) and prints one `pass<i>_digest=` line per pass;
-//! `--repeat-frac` switches to the parameter-varied repeat workload
-//! and `--cache-bytes` sizes or (at 0) disables the server's cache.
+//! `serve/stats/*`). `--digest` appends an FNV-1a 64 digest of the
+//! id-sorted response bodies. `--passes` replays the identical
+//! schedule over one server (warming its response cache) and prints
+//! one `pass<i>_digest=` line per pass; `--repeat-frac` switches to the
+//! parameter-varied repeat workload and `--cache-bytes` sizes or (at 0)
+//! disables the server's cache.
+//!
+//! Every report except serve-load's latency rows is a pure function of
+//! its inputs: the same bytes at any `CARBON_THREADS`, traced or not.
+//! `tests/digest_matrix.rs` pins each one to a golden digest.
 
 use std::process::ExitCode;
 
@@ -288,7 +281,7 @@ fn run_batch() -> ExitCode {
     batch_row("ballistic", &table_src, 64);
 
     // The executor-chunked entry point: this row is what makes the
-    // cross-thread diff in ci.sh meaningful for the batch layer.
+    // batch digest's thread-count independence meaningful.
     let (vgs, vds) = batch_lanes(4096);
     let par = carbon_devices::batch::par_ids_soa(&table, &vgs, &vds);
     let mut digest = carbon_bench::Fnv::new();
@@ -345,7 +338,7 @@ fn run_fig2() -> ExitCode {
 fn run_ac() -> ExitCode {
     // A sparse-path system (66 unknowns) swept in parallel chunks of 8:
     // the chunking is fixed, so this report is byte-identical at every
-    // CARBON_THREADS — which is exactly what ci.sh diffs.
+    // CARBON_THREADS.
     let ckt = carbon_bench::rc_ladder(64);
     let freqs = carbon_bench::log_freqs(40, 1e3, 1e9);
     match ckt.ac_sweep_par("vin", &freqs, 8) {
@@ -391,7 +384,7 @@ fn run_tran() -> ExitCode {
             ("fixed", TranOptions::default()),
             ("adaptive", TranOptions::adaptive()),
         ] {
-            let tran = match build().transient_with(tstep, tstop, opts) {
+            let tran = match build().transient(tstep, tstop, opts) {
                 Ok(t) => t,
                 Err(e) => {
                     eprintln!("carbon-bench: tran: {deck}/{method}: {e}");

@@ -1,13 +1,15 @@
-//! Shared workload builders for the Criterion benchmark harness.
-//!
-//! Three bench binaries regenerate the paper's evaluation (see
+//! Shared workload builders for the `harness = false` bench groups,
+//! which run on the in-tree `carbon_runtime::bench` harness (see
 //! `DESIGN.md` §3 for the experiment-to-bench mapping):
 //!
 //! * `figures` — one benchmark per paper figure/claim, timing the full
 //!   regeneration of each artifact (`carbon-core::figN::run`),
 //! * `solver` — scaling of the MNA circuit-simulation substrate,
 //! * `montecarlo` — the §V statistics workloads and the device-model
-//!   evaluation costs (live ballistic solve vs table lookup).
+//!   evaluation costs (live ballistic solve vs table lookup),
+//! * `tran` — fixed vs adaptive transient stepping,
+//! * `device_batch` — scalar vs structure-of-arrays device kernels,
+//! * `econ` — the wafer-economics campaign engine.
 
 #![deny(missing_docs)]
 
@@ -245,11 +247,10 @@ pub fn fet_cs_amp() -> Circuit {
     ckt
 }
 
-/// FNV-1a 64-bit hash — the digest every deterministic smoke target
-/// prints so `ci.sh` can diff runs across `CARBON_THREADS` with one
-/// line of shell. The implementation now lives in `carbon-json`
-/// (it also derives the serve cache's canonical job keys); this
-/// re-export keeps the historical `carbon_bench::Fnv` path working.
+/// FNV-1a 64-bit hash — the digest every deterministic `carbon-bench`
+/// report prints, and the one `tests/digest_matrix.rs` pins them with.
+/// The implementation lives in `carbon-json` (it also derives the
+/// serve cache's canonical job keys).
 pub use carbon_json::Fnv;
 
 /// `n` log-spaced frequencies over `lo..=hi` — the grid every AC
@@ -268,6 +269,7 @@ pub fn log_freqs(n: usize, lo: f64, hi: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carbon_spice::TranOptions;
 
     #[test]
     fn ladder_solves() {
@@ -317,7 +319,7 @@ mod tests {
     fn tran_ramp_is_stiff_and_adaptive_skips_the_tail() {
         let fixed_steps = (TRAN_RAMP_TSTOP / TRAN_RAMP_TSTEP).round() as usize;
         let tran = tran_ramp()
-            .transient_adaptive(TRAN_RAMP_TSTEP, TRAN_RAMP_TSTOP)
+            .transient(TRAN_RAMP_TSTEP, TRAN_RAMP_TSTOP, TranOptions::adaptive())
             .expect("integrates");
         let slow = tran.voltages("slow").expect("node");
         assert!(
@@ -344,11 +346,11 @@ mod tests {
                 .count()
         };
         let fixed = ring_osc(3, horizon)
-            .transient(horizon / 2000.0, horizon)
+            .transient(horizon / 2000.0, horizon, TranOptions::default())
             .expect("integrates");
         assert!(crossings(&fixed) >= 3, "fixed run must ring");
         let adaptive = ring_osc(3, horizon)
-            .transient_adaptive(horizon / 2000.0, horizon)
+            .transient(horizon / 2000.0, horizon, TranOptions::adaptive())
             .expect("integrates");
         assert!(crossings(&adaptive) >= 3, "adaptive run must ring");
     }

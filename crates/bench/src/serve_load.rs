@@ -13,9 +13,9 @@
 //!
 //! With `digest: true`, the report carries an FNV-1a 64 digest of the
 //! (id-sorted) successful response bodies. Responses are deterministic
-//! at the service boundary, so `ci.sh` diffs this digest across
-//! `CARBON_THREADS` values to catch any scheduling leak into the wire
-//! format.
+//! at the service boundary, so `tests/digest_matrix.rs` pins this
+//! digest across `CARBON_THREADS` values to catch any scheduling leak
+//! into the wire format.
 //!
 //! Two knobs exercise the server's response cache:
 //!

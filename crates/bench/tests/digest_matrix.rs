@@ -1,0 +1,168 @@
+//! The determinism oracle for every deterministic `carbon-bench`
+//! report: the same bytes at `CARBON_THREADS` 1, 2, 4 and 8, with and
+//! without the `CARBON_TRACE` exporter, pinned to golden FNV-1a 64
+//! digests; the report's spans in every traced run's `trace-summary`;
+//! and no growth past the baselines in `benches/baseline/`. Each run is
+//! a fresh process, so the thread count and the env-installed exporter
+//! behave exactly as on the command line. EXPERIMENTS.md says how to
+//! update the golden values.
+
+use std::process::Command;
+
+use carbon_bench::compare::{compare, parse_jsonl, BenchRecord};
+use carbon_bench::summary::summarize;
+use carbon_bench::Fnv;
+
+/// `carbon-bench` arguments, golden FNV-1a 64 of stdout, and the spans
+/// (space-separated) every traced run must record. serve-load's other
+/// rows are wall-clock latencies, so its golden is its `digest=` line.
+type Case = (&'static str, u64, &'static str);
+
+const CASES: [Case; 7] = [
+    ("fig2", 0x60ad_0fd8_d93c_9c0e, "spice.newton_solve"),
+    ("fig7", 0xdb78_5add_54d2_2a94, ""),
+    ("ac", 0x651a_5412_2c3e_6def, "spice.ac_sweep_par"),
+    ("tran", 0x2b79_e69d_7eba_0329, "spice.transient"),
+    ("batch", 0xe91c_00e0_1ee9_6c49, ""),
+    (
+        "econ",
+        0xaddf_d84a_aeff_030a,
+        "econ.campaign runtime.run_chunked",
+    ),
+    (
+        "serve-load --connections 8 --jobs 1000 --queue-depth 1024 --digest",
+        0xfdcd_6232_d9eb_0ced,
+        "serve.request",
+    ),
+];
+
+/// The thread count every baseline was captured at.
+const BASELINE_THREADS: &str = "2";
+
+/// The same 200-job schedule twice over one server, and both passes'
+/// golden digest: the cache may change latency, never bytes.
+const CACHE_ARGS: &str =
+    "serve-load --connections 4 --jobs 200 --passes 2 --queue-depth 1024 --digest";
+const CACHE_GOLDEN: u64 = 0x4ab8_1de0_ca61_841c;
+
+#[test]
+fn reports_are_pinned_at_every_thread_count_traced_or_not() {
+    let mut failures = Vec::new();
+    for case @ (args, ..) in CASES {
+        for threads in ["1", "2", "4", "8"] {
+            for traced in [false, true] {
+                if let Err(e) = check_run(case, threads, traced) {
+                    failures.push(format!(
+                        "`{args}` at {threads} threads, traced {traced}: {e}"
+                    ));
+                }
+            }
+        }
+    }
+    if let Err(e) = check_cache() {
+        failures.push(format!("`{CACHE_ARGS}`: {e}"));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+fn check_run((args, golden, spans): Case, threads: &str, traced: bool) -> Result<(), String> {
+    let (stdout, trace) = run(args, threads, traced)?;
+    let digest = if args.starts_with("serve-load") {
+        hex_line(&stdout, "digest=")?
+    } else {
+        let mut h = Fnv::new();
+        h.write(stdout.as_bytes());
+        h.finish()
+    };
+    if digest != golden {
+        return Err(format!("digest {digest:016x}, golden {golden:016x}"));
+    }
+    let Some(trace) = trace else { return Ok(()) };
+    let mut rows = parse_jsonl(&summarize(&trace).to_string()).map_err(|e| e.to_string())?;
+    for span in spans.split_whitespace() {
+        let id = format!("trace/{span}/dur_ns");
+        if !rows.iter().any(|r| r.id == id) {
+            return Err(format!("trace summary has no {id} row"));
+        }
+    }
+    let baseline = match (args, threads) {
+        ("fig2", BASELINE_THREADS) => include_str!("../../../benches/baseline/fig2-trace.jsonl"),
+        ("fig7", BASELINE_THREADS) => include_str!("../../../benches/baseline/fig7-trace.jsonl"),
+        _ => return Ok(()),
+    };
+    // The convergence rows: wall-clock `/dur_ns` rows differ run to run.
+    rows.retain(|r| !r.id.contains("/dur_ns"));
+    no_growth(baseline, &rows)
+}
+
+/// The two-pass cache run: both passes' digests, the server's
+/// accounting, and the hit/miss split against its baseline.
+fn check_cache() -> Result<(), String> {
+    let (stdout, _) = run(CACHE_ARGS, BASELINE_THREADS, false)?;
+    let passes = [
+        hex_line(&stdout, "pass0_digest=")?,
+        hex_line(&stdout, "pass1_digest=")?,
+    ];
+    if passes != [CACHE_GOLDEN; 2] {
+        return Err(format!("pass digests {passes:x?}, golden {CACHE_GOLDEN:x}"));
+    }
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with('{')).collect();
+    let mut rows = parse_jsonl(&rows.join("\n")).map_err(|e| e.to_string())?;
+    // A missing row reads as 0, which fails the check below.
+    let value = |id: &str| rows.iter().find(|r| r.id == id).map_or(0, |r| r.median_ns);
+    let accepted = value("serve/stats/serve.accepted");
+    let (hits, misses) = (value("serve/cache_hits"), value("serve/cache_misses"));
+    let rate = value("serve/cache_hit_rate");
+    if accepted != 400 || hits + misses != accepted || rate <= 900 {
+        let got = format!("{accepted} accepted, {hits} hits, {misses} misses, {rate} ‰");
+        return Err(format!("{got}: want 400 = hits + misses and above 900 ‰"));
+    }
+    rows.retain(|r| r.id.starts_with("serve/cache_"));
+    let baseline = include_str!("../../../benches/baseline/serve-cache.jsonl");
+    no_growth(baseline, &rows)
+}
+
+/// Runs `carbon-bench args` at `CARBON_THREADS = threads` and returns
+/// its stdout and, when `traced`, its trace.
+fn run(args: &str, threads: &str, traced: bool) -> Result<(String, Option<String>), String> {
+    let path = concat!(env!("CARGO_TARGET_TMPDIR"), "/digest_matrix.jsonl");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_carbon-bench"));
+    cmd.args(args.split(' '))
+        .env("CARBON_THREADS", threads)
+        .env_remove("CARBON_TRACE");
+    if traced {
+        cmd.env("CARBON_TRACE", path);
+    }
+    let out = cmd.output().expect("carbon-bench starts");
+    // Removed right after reading, so no trace stands in for a later
+    // run's and none of the megabyte-sized ones lingers.
+    let trace = traced.then(|| {
+        let text = std::fs::read_to_string(path);
+        let _ = std::fs::remove_file(path);
+        text.map_err(|e| format!("no trace at {path}: {e}"))
+    });
+    if !out.status.success() {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        return Err(format!("carbon-bench exited with {}: {stderr}", out.status));
+    }
+    let stdout = String::from_utf8(out.stdout).map_err(|e| e.to_string())?;
+    Ok((stdout, trace.transpose()?))
+}
+
+/// The hex value of the stdout line starting with `prefix`.
+fn hex_line(stdout: &str, prefix: &str) -> Result<u64, String> {
+    let hex = stdout.lines().find_map(|l| l.strip_prefix(prefix));
+    hex.and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| format!("printed no {prefix}<hex> line"))
+}
+
+/// Fails when any row's median grew past the committed baseline's
+/// (`carbon-bench compare --threshold 0`).
+fn no_growth(baseline: &str, rows: &[BenchRecord]) -> Result<(), String> {
+    let old = parse_jsonl(baseline).map_err(|e| e.to_string())?;
+    let cmp = compare(&old, rows, 0.0);
+    if cmp.regressions().is_empty() {
+        return Ok(());
+    }
+    Err(format!("rows grew past the committed baseline:\n{cmp}"))
+}

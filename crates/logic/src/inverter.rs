@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use carbon_devices::{AlphaPowerFet, Fet, LinearGnrFet};
-use carbon_spice::Circuit;
+use carbon_spice::{Circuit, TranOptions};
 use carbon_units::{Capacitance, Time, Voltage};
 
 use crate::error::LogicError;
@@ -192,7 +192,8 @@ impl Inverter {
         )?;
         ckt2.fet("mn", "out", "in", "0", Arc::new(FetRef(self.nfet.clone())))?;
         ckt2.capacitor("cl", "out", "0", load.farads())?;
-        let tran = ckt2.transient(horizon.seconds() / 2000.0, horizon.seconds())?;
+        let stop = horizon.seconds();
+        let tran = ckt2.transient(stop / 2000.0, stop, TranOptions::default())?;
         let t = tran.times();
         let vin = tran.voltages("in")?;
         let vout = tran.voltages("out")?;

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use carbon_devices::Fet;
-use carbon_spice::Circuit;
+use carbon_spice::{Circuit, TranOptions};
 use carbon_units::{Capacitance, Time, Voltage};
 
 use crate::error::LogicError;
@@ -134,7 +134,7 @@ impl RingOscillator {
             },
         )?;
         let h = horizon.seconds() / 4000.0;
-        let tran = ckt.transient(h, horizon.seconds())?;
+        let tran = ckt.transient(h, horizon.seconds(), TranOptions::default())?;
         let t = tran.times();
         let v = tran.voltages("n0")?;
         let mid = self.vdd / 2.0;

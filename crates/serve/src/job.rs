@@ -73,6 +73,14 @@ pub const QUEUED_JOB_KINDS: [&str; 9] = [
 /// can demand.
 pub const MAX_AC_POINTS: usize = 100_000;
 
+/// Largest accepted DC sweep grid, points. Bounds the work and memory
+/// a single request can demand.
+pub const MAX_SWEEP_POINTS: usize = 100_000;
+
+/// Largest accepted fixed-step transient horizon, `tstop / tstep`
+/// steps. Bounds the work a single request can demand.
+pub const MAX_TRAN_STEPS: usize = 10_000_000;
+
 /// Largest accepted `max_devices` for the adaptive fig7 campaign.
 /// Bounds the work a single request can demand.
 pub const MAX_CAMPAIGN_DEVICES: usize = 1_000_000;
@@ -320,6 +328,15 @@ impl Job {
                         "job.step = {step} must be positive"
                     )));
                 }
+                // Checked before the deck is parsed: the grid has
+                // round(|to − from| / step) + 1 points, at most this.
+                let points = (to - from).abs() / step + 1.0;
+                if points > MAX_SWEEP_POINTS as f64 {
+                    return Err(JobError::invalid(format!(
+                        "job.step = {step} over job.from = {from} .. job.to = {to} gives about \
+                         {points:.0} sweep points, more than the maximum {MAX_SWEEP_POINTS}"
+                    )));
+                }
                 Ok(Self::DcSweep {
                     circuit: deck_field(job)?,
                     source: str_field(job, "source")?,
@@ -387,11 +404,19 @@ impl Job {
                         "job.tstep = {tstep} exceeds job.tstop = {tstop}"
                     )));
                 }
+                let options = tran_options_fields(job)?;
+                let steps = tstop / tstep;
+                if options.method == TranMethod::FixedStep && steps > MAX_TRAN_STEPS as f64 {
+                    return Err(JobError::invalid(format!(
+                        "job.tstop / job.tstep = {tstop} / {tstep} gives about {steps:.0} \
+                         fixed steps, more than the maximum {MAX_TRAN_STEPS}"
+                    )));
+                }
                 Ok(Self::Transient {
                     circuit: deck_field(job)?,
                     tstep,
                     tstop,
-                    options: tran_options_fields(job)?,
+                    options,
                     nodes: nodes_field(job)?,
                 })
             }
@@ -551,7 +576,7 @@ impl Job {
                 nodes,
             } => {
                 let tran = circuit
-                    .transient_with(*tstep, *tstop, *options)
+                    .transient(*tstep, *tstop, *options)
                     .map_err(|e| JobError::from_spice(&e))?;
                 let mut traces = Json::obj();
                 for node in nodes {

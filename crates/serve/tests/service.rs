@@ -2,6 +2,7 @@
 //! boundary, backpressure, deadlines, and graceful drain.
 
 use carbon_json::Json;
+use carbon_serve::job::{MAX_SWEEP_POINTS, MAX_TRAN_STEPS};
 use carbon_serve::{Client, Server, ServerConfig};
 
 const RC_DECK: &str = "* rc low-pass\nV1 in 0 1\nR1 in out 1k\nC1 out 0 1u\n.end\n";
@@ -170,7 +171,30 @@ fn invalid_requests_get_structured_errors_and_the_connection_survives() {
     let message = resp.get("message").and_then(Json::as_str).unwrap();
     assert!(message.contains("job.tstep"), "{message}");
 
-    // The connection still works after every rejection.
+    // Over budget, so rejected before anything is built. Unchecked, the
+    // 1e18-point sweep aborts the server and the 1e15-step run never ends.
+    let sweep = r#"{"kind":"dc_sweep","source":"V1","from":0,"to":1e13,"step":1e-5}"#;
+    let tran = r#"{"kind":"transient","tstep":1e-15,"tstop":1}"#;
+    for (job, field, budget) in [
+        (sweep, "job.step", MAX_SWEEP_POINTS),
+        (tran, "job.tstep", MAX_TRAN_STEPS),
+    ] {
+        let job = Json::parse(job)
+            .unwrap()
+            .push("deck", RC_DECK)
+            .push("nodes", nodes(&["out"]));
+        let resp = client
+            .call(&Json::obj().push("id", 12).push("job", job))
+            .unwrap();
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(resp.get("stage").and_then(Json::as_str), Some("validate"));
+        let message = resp.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains(field), "{message}");
+        assert!(message.contains(&budget.to_string()), "{message}");
+    }
+
+    // The connection still works after every rejection, and the one
+    // worker survived to run the final job.
     let resp = client
         .call(
             &Json::obj()

@@ -184,6 +184,15 @@ impl SweepResult {
 
 /// Validates sweep bounds and materializes the inclusive value grid.
 fn sweep_grid(from: f64, to: f64, step: f64) -> Result<Vec<f64>, SpiceError> {
+    // An infinite bound would wrap the point count below, and a NaN
+    // one would clamp every point onto the other bound.
+    for (field, value) in [("from", from), ("to", to)] {
+        if !value.is_finite() {
+            return Err(SpiceError::InvalidSweep {
+                reason: format!("sweep {field} = {value} must be finite"),
+            });
+        }
+    }
     if !(step.is_finite() && step > 0.0) {
         return Err(SpiceError::InvalidSweep {
             reason: format!("step must be positive and finite, got {step}"),

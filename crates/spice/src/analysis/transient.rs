@@ -40,7 +40,7 @@ use crate::error::SpiceError;
 use crate::netlist::Circuit;
 use carbon_trace::{instant, span};
 
-/// Which time-stepping scheme [`Circuit::transient_with`] uses.
+/// Which time-stepping scheme [`Circuit::transient`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TranMethod {
     /// Uniform grid `k·tstep` (final sample exactly at `tstop`),
@@ -64,10 +64,10 @@ impl TranMethod {
     }
 }
 
-/// Tuning knobs for [`Circuit::transient_with`].
+/// Tuning knobs for [`Circuit::transient`].
 ///
 /// The defaults select [`TranMethod::FixedStep`], which preserves the
-/// historical `transient()` behaviour byte for byte; the LTE fields
+/// historical fixed-step behaviour byte for byte; the LTE fields
 /// only apply to the adaptive method.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranOptions {
@@ -277,44 +277,23 @@ fn fixed_step_count(tstep: f64, tstop: f64) -> Result<usize, SpiceError> {
 }
 
 impl Circuit {
-    /// Transient analysis from `t = 0` to `tstop` with the default
-    /// options — fixed-step integration (backward-Euler start-up step,
-    /// trapezoidal thereafter) on the uniform grid `k·tstep`, with the
-    /// final sample exactly at `tstop`. The initial condition is the DC
+    /// Transient analysis from `t = 0` to `tstop`, starting from the DC
     /// operating point with all sources at their `t = 0` values.
+    /// [`TranOptions::default()`] steps the uniform grid `k·tstep`
+    /// (backward-Euler start-up step, trapezoidal thereafter) with the
+    /// final sample exactly at `tstop`; [`TranOptions::adaptive()`]
+    /// controls the step by LTE, starting from `tstep`.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::InvalidSweep`] for non-positive steps or
-    /// horizons (naming the field) and for horizons that are not a
-    /// whole number of steps, [`SpiceError::TransientNonConvergence`]
-    /// for time points that refuse to converge, and solver errors from
-    /// the initial operating point.
-    pub fn transient(&self, tstep: f64, tstop: f64) -> Result<TranResult, SpiceError> {
-        self.transient_with(tstep, tstop, TranOptions::default())
-    }
-
-    /// [`transient`](Self::transient) with LTE-controlled adaptive
-    /// stepping at the default tolerances; `tstep` becomes the initial
-    /// step size.
-    ///
-    /// # Errors
-    ///
-    /// As [`transient_with`](Self::transient_with).
-    pub fn transient_adaptive(&self, tstep: f64, tstop: f64) -> Result<TranResult, SpiceError> {
-        self.transient_with(tstep, tstop, TranOptions::adaptive())
-    }
-
-    /// Transient analysis with explicit [`TranOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`transient`](Self::transient); the adaptive method
-    /// additionally reports [`SpiceError::TimestepCollapsed`] when the
-    /// step controller halves below `min_step` without an accepted
-    /// step, and [`SpiceError::InvalidSweep`] for non-finite or
-    /// non-positive LTE tolerances and step bounds.
-    pub fn transient_with(
+    /// [`SpiceError::InvalidSweep`], naming the field, for non-positive
+    /// steps or horizons, fixed-step horizons that are not a whole
+    /// number of steps, and bad LTE tolerances or step bounds;
+    /// [`SpiceError::TransientNonConvergence`] for time points that
+    /// refuse to converge; [`SpiceError::TimestepCollapsed`] when the
+    /// adaptive controller halves below `min_step` without an accepted
+    /// step; and solver errors from the initial operating point.
+    pub fn transient(
         &self,
         tstep: f64,
         tstop: f64,
@@ -757,7 +736,7 @@ mod tests {
         ckt.capacitor("c", "out", "0", 1e-9).unwrap();
         // 1000 · 1e-9 rounds one ulp away from 1e-6; the grid must end
         // on tstop itself regardless.
-        let tran = ckt.transient(1e-9, 1e-6).unwrap();
+        let tran = ckt.transient(1e-9, 1e-6, TranOptions::default()).unwrap();
         assert_eq!(
             tran.times().last().copied().unwrap().to_bits(),
             1e-6_f64.to_bits()
@@ -800,7 +779,7 @@ mod tests {
                 },
             ),
         ] {
-            match ckt.transient_with(1e-9, 1e-6, opts) {
+            match ckt.transient(1e-9, 1e-6, opts) {
                 Err(SpiceError::InvalidSweep { reason }) => {
                     assert!(reason.contains(field), "{reason}");
                 }
@@ -815,7 +794,7 @@ mod tests {
         ckt.voltage_source("v", "in", "0", 1.0);
         ckt.resistor("r", "in", "out", 1e3).unwrap();
         ckt.capacitor("c", "out", "0", 1e-9).unwrap();
-        let tran = ckt.transient_adaptive(1e-9, 1e-5).unwrap();
+        let tran = ckt.transient(1e-9, 1e-5, TranOptions::adaptive()).unwrap();
         let t = tran.times();
         assert_eq!(t[0], 0.0);
         assert_eq!(t.last().copied().unwrap().to_bits(), 1e-5_f64.to_bits());
@@ -835,7 +814,7 @@ mod tests {
         ckt.voltage_source("v", "in", "0", 1.0);
         ckt.resistor("r1", "in", "mid", 1e3).unwrap();
         ckt.resistor("r2", "mid", "0", 1e3).unwrap();
-        let tran = ckt.transient(1e-7, 1e-6).unwrap();
+        let tran = ckt.transient(1e-7, 1e-6, TranOptions::default()).unwrap();
         // Constant 0.5 everywhere (to within the solver's gmin leak):
         // interpolation and clamping reproduce it at any t.
         assert!((tran.sample_at("mid", 3.3e-7).unwrap() - 0.5).abs() < 1e-9);

@@ -234,6 +234,7 @@ pub fn parse_value(token: &str) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TranOptions;
 
     #[test]
     fn value_suffixes() {
@@ -286,7 +287,7 @@ mod tests {
              C1 out 0 1n",
         )
         .unwrap();
-        let tran = ckt.transient(1e-7, 1e-5).unwrap();
+        let tran = ckt.transient(1e-7, 1e-5, TranOptions::default()).unwrap();
         let v = tran.voltages("out").unwrap();
         assert!(v[0] < 0.01 && *v.last().unwrap() > 0.9);
     }

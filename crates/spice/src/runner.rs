@@ -2,6 +2,7 @@
 //! the simulator usable as a standalone tool (`.op`, `.dc`, `.tran`,
 //! `.ac`, `.print`) rather than only as a library.
 
+use crate::analysis::TranOptions;
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
 use crate::parser::{parse_card_into, parse_value};
@@ -198,7 +199,9 @@ impl Deck {
                     }
                 }
                 AnalysisCard::Tran { step, stop } => {
-                    let tran = self.circuit.transient(*step, *stop)?;
+                    let tran = self
+                        .circuit
+                        .transient(*step, *stop, TranOptions::default())?;
                     let _ = writeln!(out, "* .tran {step} {stop}");
                     let traces: Vec<(String, Vec<f64>)> = nodes
                         .iter()

@@ -120,7 +120,9 @@ fn rising_crossings(times: &[f64], v: &[f64], mid: f64, settle: f64) -> Vec<f64>
 #[test]
 fn adaptive_rc_matches_the_analytic_charge_curve() {
     let (ckt, tau, t0) = rc_step();
-    let tran = ckt.transient_adaptive(1e-8, 5.0 * tau).unwrap();
+    let tran = ckt
+        .transient(1e-8, 5.0 * tau, TranOptions::adaptive())
+        .unwrap();
     let v = tran.voltages("out").unwrap();
     for (&tk, &vk) in tran.times().iter().zip(v.iter()) {
         let exact = if tk <= t0 {
@@ -169,8 +171,12 @@ fn adaptive_rlc_matches_a_fine_fixed_reference() {
         ckt.capacitor("c", "out", "0", 1e-9).unwrap();
         ckt
     };
-    let fixed = build().transient(1e-8, 3e-5).unwrap();
-    let adaptive = build().transient_adaptive(1e-8, 3e-5).unwrap();
+    let fixed = build()
+        .transient(1e-8, 3e-5, TranOptions::default())
+        .unwrap();
+    let adaptive = build()
+        .transient(1e-8, 3e-5, TranOptions::adaptive())
+        .unwrap();
     let v = adaptive.voltages("out").unwrap();
     // Compare at the adaptive grid's own points against the fine fixed
     // reference (3000 uniform steps), so no coarse-grid interpolation
@@ -193,10 +199,10 @@ fn adaptive_rlc_matches_a_fine_fixed_reference() {
 fn adaptive_ring_reproduces_period_and_swing() {
     let horizon = 2e-9;
     let fixed = ring(3, horizon)
-        .transient(horizon / 4000.0, horizon)
+        .transient(horizon / 4000.0, horizon, TranOptions::default())
         .unwrap();
     let adaptive = ring(3, horizon)
-        .transient_with(
+        .transient(
             horizon / 4000.0,
             horizon,
             TranOptions {
@@ -233,7 +239,9 @@ fn adaptive_ring_reproduces_period_and_swing() {
 #[test]
 fn adaptive_lands_on_source_breakpoints_bitwise() {
     let (ckt, tau, t0) = rc_step();
-    let tran = ckt.transient_adaptive(1e-8, 5.0 * tau).unwrap();
+    let tran = ckt
+        .transient(1e-8, 5.0 * tau, TranOptions::adaptive())
+        .unwrap();
     assert!(
         tran.times().iter().any(|t| t.to_bits() == t0.to_bits()),
         "pulse edge at {t0} must be a grid point"
@@ -251,7 +259,7 @@ fn adaptive_lands_on_source_breakpoints_bitwise() {
     .unwrap();
     ckt.resistor("r", "in", "out", 1e3).unwrap();
     ckt.capacitor("c", "out", "0", 1e-10).unwrap();
-    let tran = ckt.transient_adaptive(1e-8, 2e-6).unwrap();
+    let tran = ckt.transient(1e-8, 2e-6, TranOptions::adaptive()).unwrap();
     for corner in [c0, c1] {
         assert!(
             tran.times().iter().any(|t| t.to_bits() == corner.to_bits()),
@@ -272,7 +280,9 @@ fn fixed_horizons_that_drop_a_step_are_rejected_by_name() {
     ckt.resistor("r", "a", "0", 1e3).unwrap();
     // 1e-6 / 3e-9 = 333.33 steps: rounding would silently retime the
     // final third of a step.
-    let err = ckt.transient(3e-9, 1e-6).unwrap_err();
+    let err = ckt
+        .transient(3e-9, 1e-6, TranOptions::default())
+        .unwrap_err();
     let SpiceError::InvalidSweep { reason } = err else {
         panic!("expected InvalidSweep");
     };
@@ -282,7 +292,7 @@ fn fixed_horizons_that_drop_a_step_are_rejected_by_name() {
     );
     // The adaptive method has no uniform grid, so the same horizon is
     // fine there.
-    assert!(ckt.transient_adaptive(3e-9, 1e-6).is_ok());
+    assert!(ckt.transient(3e-9, 1e-6, TranOptions::adaptive()).is_ok());
 }
 
 #[test]
@@ -303,7 +313,7 @@ fn mid_horizon_cancellation_returns_a_clean_timeout() {
             if adaptive {
                 // hmin pinned to the initial step so the controller
                 // cannot grow the grid coarse enough to finish early.
-                ckt.transient_with(
+                ckt.transient(
                     1e-9,
                     1e6 * tau,
                     TranOptions {
@@ -312,7 +322,7 @@ fn mid_horizon_cancellation_returns_a_clean_timeout() {
                     },
                 )
             } else {
-                ckt.transient(1e-9, 1e6 * tau)
+                ckt.transient(1e-9, 1e6 * tau, TranOptions::default())
             }
         });
         canceller.join().unwrap();

@@ -7,7 +7,7 @@
 //! the `CARBON_THREADS` environment variable is never mutated
 //! concurrently with another test.
 
-use carbon_spice::{Circuit, Waveform};
+use carbon_spice::{Circuit, TranOptions, Waveform};
 use carbon_trace::collect::Collector;
 use carbon_trace::with_subscriber;
 
@@ -40,7 +40,9 @@ fn deck() -> Circuit {
 
 /// The full result as raw bit patterns: times, then every node trace.
 fn run_bits() -> Vec<u64> {
-    let tran = deck().transient_adaptive(1e-9, 2e-6).unwrap();
+    let tran = deck()
+        .transient(1e-9, 2e-6, TranOptions::adaptive())
+        .unwrap();
     let mut bits: Vec<u64> = tran.times().iter().map(|t| t.to_bits()).collect();
     bits.push(tran.accepted_steps() as u64);
     bits.push(tran.rejected_steps() as u64);

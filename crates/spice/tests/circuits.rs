@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use carbon_spice::{Circuit, FetCurve, SpiceError, Waveform};
+use carbon_spice::{Circuit, FetCurve, SpiceError, TranOptions, Waveform};
 
 #[test]
 fn resistive_divider() {
@@ -198,6 +198,10 @@ fn sweep_rejects_bad_step() {
         ckt.dc_sweep("nope", 0.0, 1.0, 0.1),
         Err(SpiceError::UnknownSource { .. })
     ));
+    for (from, to, field) in [(0.0, f64::INFINITY, "to ="), (f64::NAN, 1.0, "from =")] {
+        let err = ckt.dc_sweep("v", from, to, 0.1).unwrap_err();
+        assert!(matches!(&err, SpiceError::InvalidSweep { reason } if reason.contains(field)));
+    }
 }
 
 #[test]
@@ -226,7 +230,7 @@ fn rc_charging_transient() {
     .unwrap();
     ckt.resistor("r", "in", "out", 1e3).unwrap();
     ckt.capacitor("c", "out", "0", 1e-9).unwrap();
-    let tran = ckt.transient(h, 5.0 * tau).unwrap();
+    let tran = ckt.transient(h, 5.0 * tau, TranOptions::default()).unwrap();
     let v = tran.voltages("out").unwrap();
     let t = tran.times();
     for (k, (&tk, &vk)) in t.iter().zip(v.iter()).enumerate() {
@@ -260,7 +264,7 @@ fn lc_free_of_caps_transient_follows_source() {
     .unwrap();
     ckt.resistor("r", "in", "out", 1e3).unwrap();
     ckt.resistor("r2", "out", "0", 1e3).unwrap();
-    let tran = ckt.transient(1e-8, 1e-6).unwrap();
+    let tran = ckt.transient(1e-8, 1e-6, TranOptions::default()).unwrap();
     let v = tran.voltages("out").unwrap();
     // Pure resistive divider follows the sine at half amplitude.
     let quarter = 25; // t = 0.25 µs, sin peak
@@ -272,9 +276,9 @@ fn transient_rejects_bad_grid() {
     let mut ckt = Circuit::new();
     ckt.voltage_source("v", "a", "0", 1.0);
     ckt.resistor("r", "a", "0", 1e3).unwrap();
-    assert!(ckt.transient(0.0, 1e-6).is_err());
-    assert!(ckt.transient(1e-6, 0.0).is_err());
-    assert!(ckt.transient(1e-6, 1e-9).is_err());
+    assert!(ckt.transient(0.0, 1e-6, TranOptions::default()).is_err());
+    assert!(ckt.transient(1e-6, 0.0, TranOptions::default()).is_err());
+    assert!(ckt.transient(1e-6, 1e-9, TranOptions::default()).is_err());
 }
 
 #[test]
@@ -364,7 +368,7 @@ fn rl_current_rises_exponentially() {
     .unwrap();
     ckt.resistor("r", "in", "mid", 1e3).unwrap();
     ckt.inductor("l", "mid", "0", 1e-3).unwrap();
-    let tran = ckt.transient(h, 5.0 * tau).unwrap();
+    let tran = ckt.transient(h, 5.0 * tau, TranOptions::default()).unwrap();
     // Probe the inductor current through the mid-node voltage:
     // v(mid) = v_L = V − i·R → i = (v(in) − v(mid))/R.
     let vin = tran.voltages("in").unwrap();
@@ -440,7 +444,7 @@ fn transient_rejects_bad_horizons_naming_the_field() {
         (1e-6, -1e-3, "tstop"),
     ];
     for (tstep, tstop, field) in cases {
-        match ckt.transient(tstep, tstop) {
+        match ckt.transient(tstep, tstop, TranOptions::default()) {
             Err(SpiceError::InvalidSweep { reason }) => assert!(
                 reason.contains(field),
                 "transient({tstep}, {tstop}): expected '{field}' in '{reason}'"
@@ -449,7 +453,7 @@ fn transient_rejects_bad_horizons_naming_the_field() {
         }
     }
     // A step longer than the horizon is named with both values.
-    match ckt.transient(2e-3, 1e-3) {
+    match ckt.transient(2e-3, 1e-3, TranOptions::default()) {
         Err(SpiceError::InvalidSweep { reason }) => {
             assert!(
                 reason.contains("tstep") && reason.contains("tstop"),
@@ -481,11 +485,11 @@ fn pre_cancelled_token_stops_every_analysis() {
             Err(SpiceError::Cancelled { .. })
         ));
         assert!(matches!(
-            ckt.transient(1e-7, 1e-5),
+            ckt.transient(1e-7, 1e-5, TranOptions::default()),
             Err(SpiceError::Cancelled { .. })
         ));
     });
     // Outside the scope the same analyses run to completion.
     assert!(ckt.op().is_ok());
-    assert!(ckt.transient(1e-7, 1e-6).is_ok());
+    assert!(ckt.transient(1e-7, 1e-6, TranOptions::default()).is_ok());
 }

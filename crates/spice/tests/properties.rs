@@ -3,7 +3,7 @@
 
 use carbon_runtime::prop::prelude::*;
 use carbon_spice::parser::{parse_deck, parse_value};
-use carbon_spice::{Circuit, Waveform};
+use carbon_spice::{Circuit, TranOptions, Waveform};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -119,7 +119,7 @@ proptest! {
         ).expect("source");
         ckt.resistor("r1", "in", "out", 1e3).expect("r1");
         ckt.resistor("r2", "out", "0", 1e3).expect("r2");
-        let tran = ckt.transient(1e-8, 1e-6).expect("integrates");
+        let tran = ckt.transient(1e-8, 1e-6, TranOptions::default()).expect("integrates");
         let t = tran.times();
         let v = tran.voltages("out").expect("node");
         for k in (0..t.len()).step_by(17) {

@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use carbon_spice::{Circuit, FetCurve, SpiceError, Waveform};
+use carbon_spice::{Circuit, FetCurve, SpiceError, TranOptions, Waveform};
 use carbon_trace::collect::Collector;
 use carbon_trace::{with_subscriber, Event, Value};
 
@@ -371,9 +371,9 @@ fn transient_factors_once_and_replays_every_newton_iteration() {
                 with_subscriber(collector.clone(), || {
                     let ckt = build();
                     let tran = if adaptive {
-                        ckt.transient_adaptive(1e-9, 1e-7).unwrap()
+                        ckt.transient(1e-9, 1e-7, TranOptions::adaptive()).unwrap()
                     } else {
-                        ckt.transient(1e-9, 1e-7).unwrap()
+                        ckt.transient(1e-9, 1e-7, TranOptions::default()).unwrap()
                     };
                     tran.accepted_steps()
                 })

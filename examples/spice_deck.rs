@@ -6,7 +6,7 @@
 //! cargo run --release --example spice_deck
 //! ```
 
-use carbon_electronics::spice::parser::parse_deck;
+use carbon_electronics::spice::{parser::parse_deck, TranOptions};
 
 const DECK: &str = "
 * full-wave-ish diode clipper with an RC tail
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Transient: the clipper limits the 2 V sine to the diode drops.
-    let tran = ckt.transient(5e-9, 3e-6)?;
+    let tran = ckt.transient(5e-9, 3e-6, TranOptions::default())?;
     let va = tran.voltages("a")?;
     let peak = va.iter().cloned().fold(f64::MIN, f64::max);
     let trough = va.iter().cloned().fold(f64::MAX, f64::min);
