@@ -17,6 +17,9 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
+# Only rustdoc resolves intra-doc links, so a deleted item that a doc
+# comment still names fails here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --workspace --release --offline
 run cargo test --workspace -q --offline
 # Bench targets in run-once smoke mode: keeps the six harness=false

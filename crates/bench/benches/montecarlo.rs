@@ -4,7 +4,7 @@
 //! table-model lookup that makes transient simulation affordable.
 
 use carbon_runtime::bench::{black_box, Harness};
-use carbon_runtime::Xoshiro256pp;
+use carbon_runtime::{Executor, Xoshiro256pp};
 
 use carbon_devices::{BallisticFet, TableFet};
 use carbon_fab::{SortingProcess, VariabilityModel};
@@ -22,7 +22,7 @@ fn main() {
         // The same campaign through the deterministic parallel
         // executor — the speedup (if any) is the multi-core win.
         h.bench(&format!("device_montecarlo_par/{n}"), || {
-            black_box(model.sample_population_par(5, n));
+            black_box(model.sample_population_with(&Executor::new(), 5, n));
         });
     }
 

@@ -341,7 +341,11 @@ fn run_ac() -> ExitCode {
     // CARBON_THREADS.
     let ckt = carbon_bench::rc_ladder(64);
     let freqs = carbon_bench::log_freqs(40, 1e3, 1e9);
-    match ckt.ac_sweep_par("vin", &freqs, 8) {
+    let chunked = carbon_spice::AcOptions {
+        chunk: Some(8),
+        ..Default::default()
+    };
+    match ckt.ac_sweep("vin", &freqs, chunked) {
         Ok(ac) => {
             for (f, sol) in freqs.iter().zip(ac.solutions()) {
                 print!("f={f:.17e}");

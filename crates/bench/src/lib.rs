@@ -269,7 +269,7 @@ pub fn log_freqs(n: usize, lo: f64, hi: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carbon_spice::TranOptions;
+    use carbon_spice::{AcOptions, TranOptions};
 
     #[test]
     fn ladder_solves() {
@@ -295,7 +295,9 @@ mod tests {
     fn rc_ladder_sweeps_and_rolls_off() {
         let ckt = rc_ladder(20);
         let freqs = log_freqs(10, 1e3, 1e9);
-        let ac = ckt.ac_sweep("vin", &freqs).expect("sweeps");
+        let ac = ckt
+            .ac_sweep("vin", &freqs, AcOptions::default())
+            .expect("sweeps");
         let mag = ac.magnitude("n20").expect("node");
         assert!((mag[0] - 1.0).abs() < 1e-3, "passband gain 1");
         assert!(*mag.last().expect("points") < 1e-3, "stopband rolls off");
@@ -305,7 +307,9 @@ mod tests {
     fn fet_cs_amp_has_midband_gain_and_corner() {
         let ckt = fet_cs_amp();
         let freqs = log_freqs(40, 1e3, 1e9);
-        let ac = ckt.ac_sweep("vin", &freqs).expect("sweeps");
+        let ac = ckt
+            .ac_sweep("vin", &freqs, AcOptions::default())
+            .expect("sweeps");
         let mag = ac.magnitude("d").expect("node");
         // |Av| = gm·(R_L ∥ 1/gds) = 1e-3·(1e5 ∥ 1e5) = 50 at low f.
         assert!((mag[0] - 50.0).abs() < 1.0, "midband |Av| = {}", mag[0]);

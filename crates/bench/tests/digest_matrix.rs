@@ -14,14 +14,20 @@ use carbon_bench::summary::summarize;
 use carbon_bench::Fnv;
 
 /// `carbon-bench` arguments, golden FNV-1a 64 of stdout, and the spans
-/// (space-separated) every traced run must record. serve-load's other
-/// rows are wall-clock latencies, so its golden is its `digest=` line.
+/// (space-separated) every traced run must record; `name=k` also pins
+/// the number of `name` spans to `k`. serve-load's other rows are
+/// wall-clock latencies, so its golden is its `digest=` line.
 type Case = (&'static str, u64, &'static str);
 
 const CASES: [Case; 7] = [
     ("fig2", 0x60ad_0fd8_d93c_9c0e, "spice.newton_solve"),
     ("fig7", 0xdb78_5add_54d2_2a94, ""),
-    ("ac", 0x651a_5412_2c3e_6def, "spice.ac_sweep_par"),
+    // 40 points in chunks of 8.
+    (
+        "ac",
+        0x651a_5412_2c3e_6def,
+        "spice.ac_sweep spice.ac_chunk=5",
+    ),
     ("tran", 0x2b79_e69d_7eba_0329, "spice.transient"),
     ("batch", 0xe91c_00e0_1ee9_6c49, ""),
     (
@@ -78,13 +84,18 @@ fn check_run((args, golden, spans): Case, threads: &str, traced: bool) -> Result
         return Err(format!("digest {digest:016x}, golden {golden:016x}"));
     }
     let Some(trace) = trace else { return Ok(()) };
-    let mut rows = parse_jsonl(&summarize(&trace).to_string()).map_err(|e| e.to_string())?;
-    for span in spans.split_whitespace() {
+    let summary = summarize(&trace);
+    for want in spans.split_whitespace() {
+        let (span, count) = want.split_once('=').unwrap_or((want, ""));
         let id = format!("trace/{span}/dur_ns");
-        if !rows.iter().any(|r| r.id == id) {
+        let Some(stat) = summary.stats.iter().find(|s| s.id == id) else {
             return Err(format!("trace summary has no {id} row"));
+        };
+        if !count.is_empty() && stat.count.to_string() != count {
+            return Err(format!("{} {span} spans, want {count}", stat.count));
         }
     }
+    let mut rows = parse_jsonl(&summary.to_string()).map_err(|e| e.to_string())?;
     let baseline = match (args, threads) {
         ("fig2", BASELINE_THREADS) => include_str!("../../../benches/baseline/fig2-trace.jsonl"),
         ("fig7", BASELINE_THREADS) => include_str!("../../../benches/baseline/fig7-trace.jsonl"),

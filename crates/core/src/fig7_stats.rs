@@ -52,7 +52,8 @@ pub const CAMPAIGN_SEED: u64 = 2014;
 pub fn run() -> Result<Fig7Stats, CoreError> {
     let mut campaign_span = carbon_trace::span!("core.fig7_campaign");
     let model = VariabilityModel::park_experiment();
-    let population = model.sample_population_par(CAMPAIGN_SEED, CAMPAIGN_SIZE);
+    let ex = carbon_runtime::Executor::new();
+    let population = model.sample_population_with(&ex, CAMPAIGN_SEED, CAMPAIGN_SIZE);
     let stats = stats_from(population);
     if campaign_span.is_live() {
         campaign_span.record("devices", CAMPAIGN_SIZE);

@@ -145,20 +145,15 @@ impl VariabilityModel {
         }
     }
 
-    /// Samples a whole array in parallel from a seed.
+    /// Samples a whole array in parallel from a seed, on `ex`
+    /// ([`Executor::new`] sizes it from `CARBON_THREADS`).
     ///
-    /// Runs on the runtime executor's deterministic chunked schedule:
-    /// the result is bit-identical to itself at every thread count
-    /// (though not to the sequential [`sample_population`] draw order,
-    /// since each chunk owns an independent RNG stream).
+    /// Runs on the executor's deterministic chunked schedule: the
+    /// result is bit-identical to itself at every thread count (though
+    /// not to the sequential [`sample_population`] draw order, since
+    /// each chunk owns an independent RNG stream).
     ///
     /// [`sample_population`]: Self::sample_population
-    pub fn sample_population_par(&self, seed: u64, n: usize) -> DevicePopulation {
-        self.sample_population_with(&Executor::new(), seed, n)
-    }
-
-    /// Samples a whole array on an explicit executor (for pinning the
-    /// thread count, e.g. in determinism tests).
     pub fn sample_population_with(&self, ex: &Executor, seed: u64, n: usize) -> DevicePopulation {
         DevicePopulation {
             outcomes: ex.par_mc(seed, n, |_, rng| self.sample_device(rng)),
@@ -172,12 +167,13 @@ impl VariabilityModel {
     /// Each round appends exactly one [`MC_CHUNK`] of devices through
     /// [`Executor::par_mc_extend`], so round `r` of the campaign is
     /// bit-identical to items `r·MC_CHUNK..` of a fixed-size
-    /// [`sample_population_with`] run with the same seed — at any
-    /// thread count. The growth schedule depends only on the sampled
-    /// outcomes (never on the schedule), so the final population is
-    /// byte-identical across `CARBON_THREADS` settings and stops within
-    /// one chunk of the smallest n meeting the target. A final partial
-    /// chunk occurs only when `max_devices` is not chunk-aligned.
+    /// [`sample_population_with`](Self::sample_population_with) run
+    /// with the same seed — at any thread count. The growth schedule
+    /// depends only on the sampled outcomes (never on the schedule), so
+    /// the final population is byte-identical across `CARBON_THREADS`
+    /// settings and stops within one chunk of the smallest n meeting
+    /// the target. A final partial chunk occurs only when `max_devices`
+    /// is not chunk-aligned.
     ///
     /// # Panics
     ///
@@ -454,9 +450,11 @@ mod tests {
             let pop = model.sample_population_with(&Executor::with_threads(threads), 2014, 4000);
             assert_eq!(pop, reference, "divergence at {threads} threads");
         }
-        // And the public seeded entry point matches the same contract.
+        // And the env-sized executor matches the same contract.
         assert_eq!(
-            model.sample_population_par(2014, 4000).vt_statistics(),
+            model
+                .sample_population_with(&Executor::new(), 2014, 4000)
+                .vt_statistics(),
             reference.vt_statistics()
         );
     }
@@ -465,7 +463,11 @@ mod tests {
     fn parallel_population_statistics_match_sequential() {
         // Different draw order than the sequential path, but the same
         // model: summary statistics must agree within Monte-Carlo noise.
-        let par = VariabilityModel::park_experiment().sample_population_par(11, 10_000);
+        let par = VariabilityModel::park_experiment().sample_population_with(
+            &Executor::new(),
+            11,
+            10_000,
+        );
         let seq = population(10_000, 11);
         assert!((par.functional_yield() - seq.functional_yield()).abs() < 0.02);
         let (pm, ps) = par.vt_statistics();

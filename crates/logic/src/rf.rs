@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use carbon_devices::Fet;
-use carbon_spice::Circuit;
+use carbon_spice::{AcOptions, Circuit};
 use carbon_units::{Capacitance, Resistance, Voltage};
 
 use crate::error::LogicError;
@@ -140,7 +140,7 @@ impl RfStage {
         ckt.capacitor("cgs", "g", "0", self.cgs)?;
         ckt.capacitor("cgd", "g", "d", self.cgd)?;
         ckt.fet("m1", "d", "g", "0", Arc::new(FetRef(self.fet.clone())))?;
-        let ac = ckt.ac_sweep("vg", &[1e3])?;
+        let ac = ckt.ac_sweep("vg", &[1e3], AcOptions::default())?;
         Ok(ac.magnitude("d")?[0])
     }
 }

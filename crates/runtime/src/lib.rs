@@ -15,7 +15,7 @@
 //!   campaigns and bias sweeps: bit-identical results at any thread
 //!   count;
 //! * [`prop`] — a `proptest`-shaped property-test macro and harness;
-//! * [`bench`] — a median-of-N timing harness with JSON output for
+//! * [`bench`](mod@bench) — a median-of-N timing harness with JSON output for
 //!   `harness = false` bench targets.
 //!
 //! # Determinism contract

@@ -35,7 +35,7 @@
 use carbon_econ::{CampaignGrid, CostModel, EconConfig, EconError, McMode, NodeSpec, YieldModel};
 use carbon_json::Json;
 use carbon_spice::parser::parse_deck;
-use carbon_spice::{Circuit, SpiceError, TranMethod, TranOptions};
+use carbon_spice::{AcOptions, Circuit, SpiceError, TranMethod, TranOptions};
 
 /// The job kinds the service accepts, in the order error messages list
 /// them.
@@ -77,8 +77,10 @@ pub const MAX_AC_POINTS: usize = 100_000;
 /// a single request can demand.
 pub const MAX_SWEEP_POINTS: usize = 100_000;
 
-/// Largest accepted fixed-step transient horizon, `tstop / tstep`
-/// steps. Bounds the work a single request can demand.
+/// Largest accepted transient horizon in steps: `tstop / tstep` for
+/// the fixed method, `tstop / options.max_step` (a floor on the step
+/// count) for the adaptive one. Bounds the work a single request can
+/// demand.
 pub const MAX_TRAN_STEPS: usize = 10_000_000;
 
 /// Largest accepted `max_devices` for the adaptive fig7 campaign.
@@ -405,12 +407,20 @@ impl Job {
                     )));
                 }
                 let options = tran_options_fields(job)?;
-                let steps = tstop / tstep;
-                if options.method == TranMethod::FixedStep && steps > MAX_TRAN_STEPS as f64 {
-                    return Err(JobError::invalid(format!(
-                        "job.tstop / job.tstep = {tstop} / {tstep} gives about {steps:.0} \
-                         fixed steps, more than the maximum {MAX_TRAN_STEPS}"
-                    )));
+                let least_steps = match options.method {
+                    TranMethod::FixedStep => Some(("job.tstep", tstep, "fixed")),
+                    TranMethod::Adaptive => options
+                        .max_step
+                        .map(|h| ("job.options.max_step", h, "adaptive")),
+                };
+                if let Some((field, step, method)) = least_steps {
+                    let steps = tstop / step;
+                    if steps > MAX_TRAN_STEPS as f64 {
+                        return Err(JobError::invalid(format!(
+                            "job.tstop / {field} = {tstop} / {step} gives at least {steps:.0} \
+                             {method} steps, more than the maximum {MAX_TRAN_STEPS}"
+                        )));
+                    }
                 }
                 Ok(Self::Transient {
                     circuit: deck_field(job)?,
@@ -551,7 +561,7 @@ impl Job {
                 nodes,
             } => {
                 let ac = circuit
-                    .ac_sweep(source, freqs)
+                    .ac_sweep(source, freqs, AcOptions::default())
                     .map_err(|e| JobError::from_spice(&e))?;
                 let mut traces = Json::obj();
                 for node in nodes {
@@ -1282,6 +1292,19 @@ mod tests {
         .unwrap_err();
         assert!(
             matches!(&err, JobError::Invalid { reason } if reason.contains("job.options.max_step")),
+            "{err:?}"
+        );
+        // A max_step that forces more than MAX_TRAN_STEPS adaptive
+        // steps is rejected by name.
+        let err = Job::from_json(
+            &base()
+                .push("method", "adaptive")
+                .push("options", Json::obj().push("max_step", 1e-15)),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, JobError::Invalid { reason }
+                if reason.contains("job.options.max_step") && reason.contains("10000000")),
             "{err:?}"
         );
         // Valid knobs pass validation and thread into the solver.

@@ -54,7 +54,7 @@ use carbon_runtime::CancelToken;
 use crate::cache::{FlightGuard, Lookup, ResponseCache, WaitOutcome};
 use crate::job::{Job, JobError};
 use crate::metrics::ServeMetrics;
-use crate::protocol::{write_frame, FrameError, MAX_FRAME_LEN};
+use crate::protocol::{read_frame, write_frame};
 use crate::queue::Bounded;
 
 /// How long a blocked socket read waits before re-checking the
@@ -316,7 +316,11 @@ fn connection_loop(
         return;
     }
     loop {
-        let body = match read_frame_interruptible(&mut stream, shutdown) {
+        let mut reader = UntilShutdown {
+            stream: &mut stream,
+            shutdown,
+        };
+        let body = match read_frame(&mut reader) {
             Ok(Some(body)) => body,
             Ok(None) | Err(_) => return,
         };
@@ -697,73 +701,26 @@ fn busy_response(id: &Json, depth: usize, capacity: usize) -> Vec<u8> {
         .into_bytes()
 }
 
-/// Like [`crate::protocol::read_frame`], but built for a socket with a
-/// short read timeout: between frames a timeout re-checks the shutdown
-/// flag (and abandons the connection once it is set); inside a frame
-/// the read keeps waiting unless the server is shutting down.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut header = [0u8; 4];
-    let mut filled = 0;
-    while filled < header.len() {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof inside frame header",
-                )
-                .into())
+/// A socket with a short read timeout, read as if it blocked: each
+/// timeout re-checks the shutdown flag, and once the flag is set the
+/// timeout ends the read as an error. [`read_frame`] over it waits for
+/// a whole frame unless the server is shutting down.
+struct UntilShutdown<'a> {
+    stream: &'a mut TcpStream,
+    shutdown: &'a AtomicBool,
+}
+
+impl Read for UntilShutdown<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) && !self.shutdown.load(Ordering::SeqCst) => {}
+                other => return other,
             }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    if filled == 0 {
-                        return Ok(None); // clean: between frames
-                    }
-                    return Err(e.into()); // drain cut a partial frame
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
         }
     }
-    let declared = u32::from_be_bytes(header) as usize;
-    if declared > MAX_FRAME_LEN {
-        return Err(FrameError::TooLarge { declared });
-    }
-    let mut body = vec![0u8; declared];
-    let mut got = 0;
-    while got < declared {
-        match stream.read(&mut body[got..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "eof inside frame body",
-                )
-                .into())
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shutdown.load(Ordering::SeqCst) {
-                    return Err(e.into());
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Some(body))
 }

@@ -172,12 +172,16 @@ fn invalid_requests_get_structured_errors_and_the_connection_survives() {
     assert!(message.contains("job.tstep"), "{message}");
 
     // Over budget, so rejected before anything is built. Unchecked, the
-    // 1e18-point sweep aborts the server and the 1e15-step run never ends.
+    // 1e18-point sweep aborts the server and the 1e15-step runs never
+    // end (the adaptive one's max_step forces at least 1e15 steps).
     let sweep = r#"{"kind":"dc_sweep","source":"V1","from":0,"to":1e13,"step":1e-5}"#;
     let tran = r#"{"kind":"transient","tstep":1e-15,"tstop":1}"#;
+    let adaptive = r#"{"kind":"transient","method":"adaptive","tstep":1e-15,"tstop":1,
+        "options":{"max_step":1e-15}}"#;
     for (job, field, budget) in [
         (sweep, "job.step", MAX_SWEEP_POINTS),
         (tran, "job.tstep", MAX_TRAN_STEPS),
+        (adaptive, "job.options.max_step", MAX_TRAN_STEPS),
     ] {
         let job = Json::parse(job)
             .unwrap()

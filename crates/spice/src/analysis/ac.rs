@@ -7,34 +7,41 @@
 //! oscillation frequency — "this only enables very low values of
 //! f_max".
 //!
-//! # Solver selection
+//! # One stamp, two solvers
 //!
-//! Small systems use dense complex Gaussian elimination
-//! ([`ComplexMatrix`]); at and above the sparse threshold the sweep
-//! switches to the scalar-generic sparse LU
-//! ([`SparseLu<Complex>`](crate::sparse::SparseLu)). The `G + jωC`
+//! A sweep stamps the ω-independent part of the system once, at the
+//! operating point: conductances (the FET and diode small-signal
+//! parameters included), source incidences and the unit stimulus. The
+//! `jωC` part is a list of `(row, col, coeff)` triples. Each frequency
+//! point restores the static snapshot, adds `jω·coeff` per triple, and
+//! solves.
+//!
+//! Small systems solve by dense elimination
+//! ([`DenseMatrix<Complex>`](crate::linalg::DenseMatrix)); at and above
+//! the sparse threshold the sweep switches to the scalar-generic sparse
+//! LU ([`SparseLu<Complex>`](crate::sparse::SparseLu)). The `G + jωC`
 //! sparsity pattern is frequency-independent — it is the union of the
-//! conductance and susceptance patterns, which
-//! [`collect_pattern`](super::engine::collect_pattern) already
-//! produces for the transient companions — so the symbolic analysis
-//! and fill-reducing ordering are computed once per circuit, the
-//! ω-independent stamps are snapshotted once per sweep, and each
-//! frequency point only restamps `jωC` and runs a numeric
-//! [`replay`](crate::sparse::SparseLu::refactor) with the same
+//! conductance and susceptance patterns, which the Newton engine's
+//! `collect_pattern` already produces for the transient companions —
+//! so the symbolic analysis and fill-reducing ordering are computed
+//! once per circuit, and each frequency point after the first runs a
+//! numeric [`replay`](crate::sparse::SparseLu::refactor) with the same
 //! pivot-growth staleness fallback as the DC path.
 //!
-//! [`Circuit::ac_sweep_par`] fans the frequency grid out over the
+//! [`AcOptions::chunk`] fans the frequency grid out over the
 //! deterministic executor in fixed-size chunks; each chunk factors at
 //! its head frequency and replays the rest, so the result is
 //! **byte-identical at every `CARBON_THREADS`** and — because the
-//! serial sparse sweep follows the same factor-then-replay schedule —
-//! byte-identical to [`Circuit::ac_sweep`] when `chunk` covers the
-//! whole grid.
+//! serial sweep follows the same factor-then-replay schedule —
+//! byte-identical to the serial sweep when one chunk covers the whole
+//! grid.
 
 use super::engine::{collect_pattern, SPARSE_THRESHOLD};
-use crate::complex::{Complex, ComplexMatrix};
+use super::OpResult;
+use crate::complex::Complex;
 use crate::element::{diode_iv, ElementKind};
 use crate::error::SpiceError;
+use crate::linalg::{DenseMatrix, Stamp};
 use crate::netlist::{Circuit, NodeId};
 use crate::sparse::{Refactor, SparseLu, SparseMatrix};
 use carbon_runtime::executor::Executor;
@@ -69,24 +76,97 @@ impl AcMethod {
     }
 }
 
-/// Cached sparse AC solve state for one circuit topology: the
-/// `G + jωC` matrix with its fixed pattern and the complex LU with its
-/// fill-reducing ordering. Rebuilding one is cheap (the ordering is
-/// O(nnz)), but caching it lets repeated sweeps on one circuit skip
-/// the symbolic setup and reuse the factor allocations.
-pub(crate) struct AcWorkspace {
-    a: SparseMatrix<Complex>,
-    lu: Box<SparseLu<Complex>>,
+/// Options for [`Circuit::ac_sweep`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AcOptions {
+    /// Which complex linear solver the sweep uses.
+    pub method: AcMethod,
+    /// `None` (the default) sweeps serially on the circuit's cached
+    /// workspace and never touches the executor. `Some(c)` cuts the
+    /// grid into `c`-point chunks (at least 1) and runs them over
+    /// [`Executor::new`], each on a private workspace. The chunking
+    /// depends only on `c`, never on the thread count.
+    pub chunk: Option<usize>,
+}
+
+/// One sweep's complex solve state: a dense matrix, or the `G + jωC`
+/// sparse matrix with its fixed pattern plus the complex LU with its
+/// fill-reducing ordering. The circuit caches one, so repeated serial
+/// sweeps skip the symbolic setup and reuse the factor allocations.
+pub(crate) enum AcWorkspace {
+    Dense(DenseMatrix<Complex>),
+    Sparse {
+        a: SparseMatrix<Complex>,
+        lu: Box<SparseLu<Complex>>,
+    },
 }
 
 impl AcWorkspace {
-    /// Builds the workspace from the circuit's full stamp pattern —
-    /// the union of the conductance and susceptance patterns.
-    fn for_circuit(circuit: &Circuit) -> Self {
+    /// A zeroed workspace for the circuit; a sparse one takes its
+    /// pattern from the circuit's full stamp pattern.
+    fn new(circuit: &Circuit, sparse: bool) -> Self {
         let n = circuit.num_unknowns();
+        if !sparse {
+            return Self::Dense(DenseMatrix::zeros(n));
+        }
         let a = SparseMatrix::from_entries(n, &collect_pattern(circuit));
         let lu = Box::new(SparseLu::new(&a));
-        Self { a, lu }
+        Self::Sparse { a, lu }
+    }
+
+    fn values(&self) -> &[Complex] {
+        match self {
+            Self::Dense(a) => a.values(),
+            Self::Sparse { a, .. } => a.values(),
+        }
+    }
+
+    fn set_values(&mut self, vals: &[Complex]) {
+        match self {
+            Self::Dense(a) => a.set_values(vals),
+            Self::Sparse { a, .. } => a.set_values(vals),
+        }
+    }
+
+    /// Solves the stamped system in place of `x`, the `k`-th point
+    /// (frequency `f`) of a sweep. The sparse LU takes a full pivoting
+    /// factorization at `k == 0`, so the factor schedule — and hence
+    /// every bit of the output — is independent of whatever a cached
+    /// workspace solved before; later points replay it.
+    fn solve(&mut self, k: usize, f: f64, x: &mut [Complex]) -> Result<(), SpiceError> {
+        let (a, lu) = match self {
+            Self::Dense(a) => return a.solve_in_place(x),
+            Self::Sparse { a, lu } => (a, lu),
+        };
+        if k == 0 {
+            lu.factor(a)?;
+            carbon_metrics::global_counter!("spice.sparse.ac_factor").incr();
+        } else {
+            match lu.refactor(a)? {
+                Refactor::Replayed => {
+                    carbon_metrics::global_counter!("spice.sparse.ac_replay").incr()
+                }
+                Refactor::Repivoted => {
+                    // The pivot order chosen at the head frequency went
+                    // stale as ω moved the susceptances — rare, but
+                    // campaigns watch the fallback rate.
+                    carbon_metrics::global_counter!("spice.sparse.ac_repivot").incr();
+                    instant!("spice.sparse.ac_stale_pivot", "freq" = f, "n" = a.dim());
+                }
+            }
+        }
+        lu.solve(x);
+        Ok(())
+    }
+}
+
+impl Stamp<Complex> for AcWorkspace {
+    #[inline]
+    fn add(&mut self, row: usize, col: usize, value: Complex) {
+        match self {
+            Self::Dense(a) => a.add(row, col, value),
+            Self::Sparse { a, .. } => a.add(row, col, value),
+        }
     }
 }
 
@@ -177,7 +257,8 @@ impl AcResult {
 impl Circuit {
     /// AC sweep: the named voltage or current source becomes the unit
     /// AC stimulus; all other independent sources are AC-quiet (but set
-    /// the DC operating point). Solver choice is [`AcMethod::Auto`].
+    /// the DC operating point). [`AcOptions`] picks the solver and
+    /// whether the grid runs serially or in chunks over the executor.
     ///
     /// # Errors
     ///
@@ -186,94 +267,23 @@ impl Circuit {
     /// [`SpiceError::InvalidSweep`] for an empty frequency list or any
     /// non-finite / non-positive frequency (rejected up front, naming
     /// the offending entry), and solver errors from the operating point
-    /// or any frequency point.
-    pub fn ac_sweep(&self, source: &str, freqs: &[f64]) -> Result<AcResult, SpiceError> {
-        self.ac_sweep_with(source, freqs, AcMethod::default())
-    }
-
-    /// [`ac_sweep`](Self::ac_sweep) with an explicit [`AcMethod`] —
-    /// chiefly so tests can pin the dense oracle against the sparse
-    /// path on the same circuit.
-    ///
-    /// # Errors
-    ///
-    /// As [`ac_sweep`](Self::ac_sweep).
-    pub fn ac_sweep_with(
+    /// or any frequency point — with several failing chunks, the error
+    /// of the lowest-indexed one.
+    pub fn ac_sweep(
         &self,
         source: &str,
         freqs: &[f64],
-        method: AcMethod,
+        opts: AcOptions,
     ) -> Result<AcResult, SpiceError> {
         let stimulus = self.validate_ac(source, freqs)?;
         // Linearization point first: op() takes the same solver-cache
-        // lock the sparse AC workspace lives behind.
+        // lock the AC workspace lives behind.
         let op = self.op()?;
         let n = self.num_unknowns();
-        let sparse = method.sparse_for(n);
-        let mut sweep_span = span!("spice.ac_sweep");
-        if sweep_span.is_live() {
-            sweep_span.record("source", stimulus.as_str());
-            sweep_span.record("n", n);
-            sweep_span.record("points", freqs.len());
-            sweep_span.record("method", if sparse { "sparse" } else { "dense" });
-        }
-        let solutions = if sparse {
-            let mut cache = self.solver_cache.lock();
-            let ws = cache
-                .ac
-                .get_or_insert_with(|| AcWorkspace::for_circuit(self));
-            sparse_sweep_points(self, &stimulus, freqs, &op, ws)?
-        } else {
-            dense_sweep_points(self, &stimulus, freqs, &op)?
-        };
-        Ok(self.ac_result(freqs, solutions))
-    }
-
-    /// [`ac_sweep`](Self::ac_sweep) fanned out over the deterministic
-    /// executor: the frequency grid is cut into chunks of `chunk`
-    /// points and each chunk factors once at its head frequency, then
-    /// replays the rest — exactly the serial schedule, restarted per
-    /// chunk.
-    ///
-    /// The chunking depends only on `chunk` (never on the thread
-    /// count), and frequency points are independent solves, so the
-    /// result is **byte-identical at every `CARBON_THREADS`**, and
-    /// byte-identical to the serial sweep when `chunk ≥ freqs.len()`.
-    ///
-    /// # Errors
-    ///
-    /// As [`ac_sweep`](Self::ac_sweep); with several failing chunks the
-    /// error of the lowest-indexed one is reported.
-    pub fn ac_sweep_par(
-        &self,
-        source: &str,
-        freqs: &[f64],
-        chunk: usize,
-    ) -> Result<AcResult, SpiceError> {
-        self.ac_sweep_par_on(&Executor::new(), source, freqs, chunk)
-    }
-
-    /// [`ac_sweep_par`](Self::ac_sweep_par) on an explicit [`Executor`]
-    /// — so tests can pin the worker count without racing on the
-    /// `CARBON_THREADS` environment variable.
-    ///
-    /// # Errors
-    ///
-    /// As [`ac_sweep_par`](Self::ac_sweep_par).
-    pub fn ac_sweep_par_on(
-        &self,
-        executor: &Executor,
-        source: &str,
-        freqs: &[f64],
-        chunk: usize,
-    ) -> Result<AcResult, SpiceError> {
-        let stimulus = self.validate_ac(source, freqs)?;
-        let op = self.op()?;
-        let n = self.num_unknowns();
-        let sparse = AcMethod::Auto.sparse_for(n);
-        let chunk = chunk.max(1);
+        let sparse = opts.method.sparse_for(n);
+        let chunk = opts.chunk.map_or(freqs.len(), |c| c.max(1));
         let n_chunks = freqs.len().div_ceil(chunk);
-        let mut sweep_span = span!("spice.ac_sweep_par");
+        let mut sweep_span = span!("spice.ac_sweep");
         if sweep_span.is_live() {
             sweep_span.record("source", stimulus.as_str());
             sweep_span.record("n", n);
@@ -282,29 +292,37 @@ impl Circuit {
             sweep_span.record("n_chunks", n_chunks);
             sweep_span.record("method", if sparse { "sparse" } else { "dense" });
         }
-        type ChunkResult = Result<Vec<Vec<Complex>>, SpiceError>;
-        let chunks: Vec<ChunkResult> = executor.par_map(n_chunks, |c| -> ChunkResult {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(freqs.len());
-            let mut chunk_span = span!("spice.ac_chunk");
-            if chunk_span.is_live() {
-                chunk_span.record("chunk", c);
-                chunk_span.record("points", hi - lo);
-            }
-            if sparse {
+        let solutions = if opts.chunk.is_none() {
+            let mut cache = self.solver_cache.lock();
+            let ws = match &mut cache.ac {
+                Some(ws) if matches!(ws, AcWorkspace::Sparse { .. }) == sparse => ws,
+                slot => slot.insert(AcWorkspace::new(self, sparse)),
+            };
+            sweep_points(self, &stimulus, freqs, &op, ws)?
+        } else {
+            let chunks = Executor::new().par_map(n_chunks, |c| {
+                let lo = c * chunk;
+                let hi = (lo + chunk).min(freqs.len());
+                let mut chunk_span = span!("spice.ac_chunk");
+                if chunk_span.is_live() {
+                    chunk_span.record("chunk", c);
+                    chunk_span.record("points", hi - lo);
+                }
                 // A private workspace per chunk: no shared factor state,
                 // so scheduling cannot influence any bit of the result.
-                let mut ws = AcWorkspace::for_circuit(self);
-                sparse_sweep_points(self, &stimulus, &freqs[lo..hi], &op, &mut ws)
-            } else {
-                dense_sweep_points(self, &stimulus, &freqs[lo..hi], &op)
-            }
-        });
-        let mut solutions = Vec::with_capacity(freqs.len());
-        for chunk_result in chunks {
-            solutions.extend(chunk_result?);
-        }
-        Ok(self.ac_result(freqs, solutions))
+                let mut ws = AcWorkspace::new(self, sparse);
+                sweep_points(self, &stimulus, &freqs[lo..hi], &op, &mut ws)
+            });
+            chunks.into_iter().collect::<Result<Vec<_>, _>>()?.concat()
+        };
+        let node_names = (1..=self.num_nodes())
+            .map(|i| self.node_name(NodeId(i)).to_owned())
+            .collect();
+        Ok(AcResult {
+            freqs: freqs.to_vec(),
+            node_names,
+            solutions,
+        })
     }
 
     /// Validates the stimulus name and frequency grid, returning the
@@ -342,102 +360,24 @@ impl Circuit {
         }
         Ok(stimulus)
     }
-
-    /// Packs per-frequency solutions into an [`AcResult`].
-    fn ac_result(&self, freqs: &[f64], solutions: Vec<Vec<Complex>>) -> AcResult {
-        let node_names = (1..=self.num_nodes())
-            .map(|i| self.node_name(NodeId(i)).to_owned())
-            .collect();
-        AcResult {
-            freqs: freqs.to_vec(),
-            node_names,
-            solutions,
-        }
-    }
 }
 
-/// Dense sweep: per frequency, stamp the full `G + jωC` system and run
-/// complex Gaussian elimination — the PR 1 path, kept bit-for-bit as
-/// the oracle for small circuits and property tests.
-fn dense_sweep_points(
+/// Solves `(G + jωC)·x = b` at each of `freqs` on `ws`: the static
+/// stamps once, then per point a restore of their snapshot, the `jωC`
+/// triples, and a solve.
+fn sweep_points(
     circuit: &Circuit,
     stimulus: &str,
     freqs: &[f64],
-    op: &super::OpResult,
-) -> Result<Vec<Vec<Complex>>, SpiceError> {
-    let op_v = |id: NodeId| -> f64 {
-        match id.unknown_index() {
-            Some(i) => op.node_voltage_by_index(i),
-            None => 0.0,
-        }
-    };
-    let n_nodes = circuit.num_nodes();
-    let n_unknowns = circuit.num_unknowns();
-    let mut solutions = Vec::with_capacity(freqs.len());
-    for &f in freqs {
-        if carbon_runtime::cancel::cancelled() {
-            return Err(SpiceError::Cancelled {
-                analysis: "ac sweep",
-            });
-        }
-        let omega = 2.0 * std::f64::consts::PI * f;
-        let mut a = ComplexMatrix::zeros(n_unknowns);
-        let mut b = vec![Complex::ZERO; n_unknowns];
-        for e in &circuit.elements {
-            stamp_ac(e, circuit, stimulus, omega, &op_v, &mut a, &mut b);
-        }
-        for i in 0..n_nodes {
-            a.add(i, i, Complex::new(AC_GMIN, 0.0));
-        }
-        a.solve_in_place(&mut b)?;
-        solutions.push(b);
-    }
-    Ok(solutions)
-}
-
-/// Sparse sweep: stamp the ω-independent part once, snapshot its
-/// values, and per frequency restamp only `jωC` (capacitor
-/// susceptances and inductor branch reactances) before a numeric
-/// replay. The first frequency always takes a full pivoting
-/// factorization, so the factor schedule — and hence every bit of the
-/// output — is independent of whatever a cached workspace solved
-/// before.
-fn sparse_sweep_points(
-    circuit: &Circuit,
-    stimulus: &str,
-    freqs: &[f64],
-    op: &super::OpResult,
+    op: &OpResult,
     ws: &mut AcWorkspace,
 ) -> Result<Vec<Vec<Complex>>, SpiceError> {
-    let op_v = |id: NodeId| -> f64 {
-        match id.unknown_index() {
-            Some(i) => op.node_voltage_by_index(i),
-            None => 0.0,
-        }
-    };
-    let n_nodes = circuit.num_nodes();
-    let n_unknowns = circuit.num_unknowns();
-    ws.a.clear();
-    let mut b0 = vec![Complex::ZERO; n_unknowns];
-    let mut dynamic: Vec<(usize, usize, f64)> = Vec::new();
-    for e in &circuit.elements {
-        stamp_ac_static(
-            e,
-            circuit,
-            stimulus,
-            &op_v,
-            &mut ws.a,
-            &mut b0,
-            &mut dynamic,
-        );
-    }
-    for i in 0..n_nodes {
-        ws.a.add(i, i, Complex::new(AC_GMIN, 0.0));
-    }
-    // The static stamps are shared by every frequency point: snapshot
-    // them so each point restarts from `G` with one memcpy instead of a
-    // full restamp.
-    let static_vals = ws.a.values().to_vec();
+    // The static stamps accumulate from zero; their snapshot `g` then
+    // restores `G` per point with one memcpy instead of a full restamp.
+    let mut g = vec![Complex::ZERO; ws.values().len()];
+    ws.set_values(&g);
+    let (b, jwc) = stamp_ac_static(circuit, stimulus, op, ws);
+    g.copy_from_slice(ws.values());
     let mut solutions = Vec::with_capacity(freqs.len());
     for (k, &f) in freqs.iter().enumerate() {
         if carbon_runtime::cancel::cancelled() {
@@ -446,51 +386,38 @@ fn sparse_sweep_points(
             });
         }
         let omega = 2.0 * std::f64::consts::PI * f;
-        ws.a.set_values(&static_vals);
-        for &(r, c, coeff) in &dynamic {
-            ws.a.add(r, c, Complex::imag(omega * coeff));
+        ws.set_values(&g);
+        for &(r, c, coeff) in &jwc {
+            ws.add(r, c, Complex::imag(omega * coeff));
         }
-        if k == 0 {
-            ws.lu.factor(&ws.a)?;
-            carbon_metrics::global_counter!("spice.sparse.ac_factor").incr();
-        } else {
-            match ws.lu.refactor(&ws.a)? {
-                Refactor::Replayed => {
-                    carbon_metrics::global_counter!("spice.sparse.ac_replay").incr()
-                }
-                Refactor::Repivoted => {
-                    // The pivot order chosen at the head frequency went
-                    // stale as ω moved the susceptances — rare, but
-                    // campaigns watch the fallback rate.
-                    carbon_metrics::global_counter!("spice.sparse.ac_repivot").incr();
-                    instant!("spice.sparse.ac_stale_pivot", "freq" = f, "n" = n_unknowns);
-                }
-            }
-        }
-        let mut x = b0.clone();
-        ws.lu.solve(&mut x);
+        let mut x = b.clone();
+        ws.solve(k, f, &mut x)?;
         solutions.push(x);
     }
     Ok(solutions)
 }
 
-/// Stamps the ω-independent part of one element into `(a, b)`:
-/// conductances linearized at the operating point, source incidences,
-/// and the unit stimulus. Frequency-dependent stamps are *described*
-/// instead of stamped: `dynamic` collects `(row, col, coeff)` triples
-/// meaning "add `j·ω·coeff` here per frequency" — `+c` patterns for
-/// capacitor susceptances, `−l` on inductor branch diagonals.
-fn stamp_ac_static<F: Fn(NodeId) -> f64>(
-    e: &crate::element::Element,
+/// Stamps the ω-independent part of the circuit's AC system into `a`
+/// and returns its right-hand side with the `jωC` triples: conductances
+/// linearized at the operating point, source incidences, the unit
+/// stimulus and the `AC_GMIN` diagonal are stamped; each triple
+/// `(row, col, coeff)` means "add `j·ω·coeff` here per frequency" —
+/// `±c` patterns for capacitor susceptances, `−l` on inductor branch
+/// diagonals.
+fn stamp_ac_static<A: Stamp<Complex>>(
     circuit: &Circuit,
     stimulus: &str,
-    op_v: &F,
-    a: &mut SparseMatrix<Complex>,
-    b: &mut [Complex],
-    dynamic: &mut Vec<(usize, usize, f64)>,
-) {
+    op: &OpResult,
+    a: &mut A,
+) -> (Vec<Complex>, Vec<(usize, usize, f64)>) {
+    let op_v = |id: NodeId| {
+        id.unknown_index()
+            .map_or(0.0, |i| op.node_voltage_by_index(i))
+    };
     let n_nodes = circuit.num_nodes();
-    let stamp_g = |a: &mut SparseMatrix<Complex>, p: NodeId, n: NodeId, g: f64| {
+    let mut b = vec![Complex::ZERO; circuit.num_unknowns()];
+    let mut jwc = Vec::new();
+    let stamp_g = |a: &mut A, p: NodeId, n: NodeId, g: f64| {
         let y = Complex::new(g, 0.0);
         if let Some(i) = p.unknown_index() {
             a.add(i, i, y);
@@ -503,7 +430,7 @@ fn stamp_ac_static<F: Fn(NodeId) -> f64>(
             a.add(j, j, y);
         }
     };
-    let incidence = |a: &mut SparseMatrix<Complex>, p: NodeId, n: NodeId, bi: usize| {
+    let incidence = |a: &mut A, p: NodeId, n: NodeId, bi: usize| {
         if let Some(i) = p.unknown_index() {
             a.add(i, bi, Complex::ONE);
             a.add(bi, i, Complex::ONE);
@@ -513,195 +440,87 @@ fn stamp_ac_static<F: Fn(NodeId) -> f64>(
             a.add(bi, j, -Complex::ONE);
         }
     };
-    match &e.kind {
-        ElementKind::Resistor { p, n, g } => stamp_g(a, *p, *n, *g),
-        ElementKind::Capacitor { p, n, c } => {
-            // jωC conductance pattern, deferred to the per-frequency
-            // restamp.
-            if let Some(i) = p.unknown_index() {
-                dynamic.push((i, i, *c));
-                if let Some(j) = n.unknown_index() {
-                    dynamic.push((i, j, -*c));
-                    dynamic.push((j, i, -*c));
-                }
-            }
-            if let Some(j) = n.unknown_index() {
-                dynamic.push((j, j, *c));
-            }
-        }
-        ElementKind::VoltageSource { p, n, branch, .. } => {
-            let bi = n_nodes + branch;
-            incidence(a, *p, *n, bi);
-            if e.name == stimulus {
-                b[bi] += Complex::ONE;
-            }
-        }
-        ElementKind::Inductor { p, n, branch, l } => {
-            let bi = n_nodes + branch;
-            incidence(a, *p, *n, bi);
-            // −jωL on the branch diagonal, deferred.
-            dynamic.push((bi, bi, -*l));
-        }
-        ElementKind::CurrentSource { p, n, .. } => {
-            if e.name == stimulus {
-                // Unit AC current from n into p.
-                if let Some(i) = p.unknown_index() {
-                    b[i] += Complex::ONE;
-                }
-                if let Some(j) = n.unknown_index() {
-                    b[j] -= Complex::ONE;
-                }
-            }
-        }
-        ElementKind::Diode {
-            p,
-            n,
-            i_s,
-            n_ideality,
-        } => {
-            let v = op_v(*p) - op_v(*n);
-            let (_i, g) = diode_iv(v, *i_s, *n_ideality);
-            stamp_g(a, *p, *n, g);
-        }
-        ElementKind::Vccs { p, n, cp, cn, gm } => {
-            let mut add = |row: Option<usize>, col: Option<usize>, v: f64| {
-                if let (Some(r), Some(c)) = (row, col) {
-                    a.add(r, c, Complex::new(v, 0.0));
-                }
-            };
-            let (pi, ni) = (p.unknown_index(), n.unknown_index());
-            let (cpi, cni) = (cp.unknown_index(), cn.unknown_index());
-            add(pi, cpi, -gm);
-            add(pi, cni, *gm);
-            add(ni, cpi, *gm);
-            add(ni, cni, -gm);
-        }
-        ElementKind::Fet { d, g, s, model } => {
-            let vgs = op_v(*g) - op_v(*s);
-            let vds = op_v(*d) - op_v(*s);
-            let (gm, gds) = model.gm_gds(vgs, vds);
-            let gds = gds.max(1e-12);
-            let mut add = |row: Option<usize>, col: Option<usize>, v: f64| {
-                if let (Some(r), Some(c)) = (row, col) {
-                    a.add(r, c, Complex::new(v, 0.0));
-                }
-            };
-            let (di, gi, si) = (d.unknown_index(), g.unknown_index(), s.unknown_index());
-            add(di, gi, gm);
-            add(di, di, gds);
-            add(di, si, -(gm + gds));
-            add(si, gi, -gm);
-            add(si, di, -gds);
-            add(si, si, gm + gds);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn stamp_ac<F: Fn(NodeId) -> f64>(
-    e: &crate::element::Element,
-    circuit: &Circuit,
-    stimulus: &str,
-    omega: f64,
-    op_v: &F,
-    a: &mut ComplexMatrix,
-    b: &mut [Complex],
-) {
-    let n_nodes = circuit.num_nodes();
-    let stamp_y = |a: &mut ComplexMatrix, p: NodeId, n: NodeId, y: Complex| {
-        if let Some(i) = p.unknown_index() {
-            a.add(i, i, y);
-            if let Some(j) = n.unknown_index() {
-                a.add(i, j, -y);
-                a.add(j, i, -y);
-            }
-        }
-        if let Some(j) = n.unknown_index() {
-            a.add(j, j, y);
+    // A real entry at (row, col) when both are unknowns (not ground).
+    let add = |a: &mut A, row: Option<usize>, col: Option<usize>, v: f64| {
+        if let (Some(r), Some(c)) = (row, col) {
+            a.add(r, c, Complex::new(v, 0.0));
         }
     };
-    match &e.kind {
-        ElementKind::Resistor { p, n, g } => stamp_y(a, *p, *n, Complex::new(*g, 0.0)),
-        ElementKind::Capacitor { p, n, c } => stamp_y(a, *p, *n, Complex::imag(omega * c)),
-        ElementKind::VoltageSource { p, n, branch, .. } => {
-            let bi = n_nodes + branch;
-            if let Some(i) = p.unknown_index() {
-                a.add(i, bi, Complex::ONE);
-                a.add(bi, i, Complex::ONE);
-            }
-            if let Some(j) = n.unknown_index() {
-                a.add(j, bi, -Complex::ONE);
-                a.add(bi, j, -Complex::ONE);
-            }
-            if e.name == stimulus {
-                b[bi] += Complex::ONE;
-            }
-        }
-        ElementKind::Inductor { p, n, branch, l } => {
-            let bi = n_nodes + branch;
-            if let Some(i) = p.unknown_index() {
-                a.add(i, bi, Complex::ONE);
-                a.add(bi, i, Complex::ONE);
-            }
-            if let Some(j) = n.unknown_index() {
-                a.add(j, bi, -Complex::ONE);
-                a.add(bi, j, -Complex::ONE);
-            }
-            a.add(bi, bi, -Complex::imag(omega * l));
-        }
-        ElementKind::CurrentSource { p, n, .. } => {
-            if e.name == stimulus {
-                // Unit AC current from n into p.
+    for e in &circuit.elements {
+        match &e.kind {
+            ElementKind::Resistor { p, n, g } => stamp_g(a, *p, *n, *g),
+            ElementKind::Capacitor { p, n, c } => {
                 if let Some(i) = p.unknown_index() {
-                    b[i] += Complex::ONE;
+                    jwc.push((i, i, *c));
+                    if let Some(j) = n.unknown_index() {
+                        jwc.push((i, j, -*c));
+                        jwc.push((j, i, -*c));
+                    }
                 }
                 if let Some(j) = n.unknown_index() {
-                    b[j] -= Complex::ONE;
+                    jwc.push((j, j, *c));
                 }
             }
-        }
-        ElementKind::Diode {
-            p,
-            n,
-            i_s,
-            n_ideality,
-        } => {
-            let v = op_v(*p) - op_v(*n);
-            let (_i, g) = diode_iv(v, *i_s, *n_ideality);
-            stamp_y(a, *p, *n, Complex::new(g, 0.0));
-        }
-        ElementKind::Vccs { p, n, cp, cn, gm } => {
-            let mut add = |row: Option<usize>, col: Option<usize>, v: f64| {
-                if let (Some(r), Some(c)) = (row, col) {
-                    a.add(r, c, Complex::new(v, 0.0));
+            ElementKind::VoltageSource { p, n, branch, .. } => {
+                let bi = n_nodes + branch;
+                incidence(a, *p, *n, bi);
+                if e.name == stimulus {
+                    b[bi] += Complex::ONE;
                 }
-            };
-            let (pi, ni) = (p.unknown_index(), n.unknown_index());
-            let (cpi, cni) = (cp.unknown_index(), cn.unknown_index());
-            add(pi, cpi, -gm);
-            add(pi, cni, *gm);
-            add(ni, cpi, *gm);
-            add(ni, cni, -gm);
-        }
-        ElementKind::Fet { d, g, s, model } => {
-            let vgs = op_v(*g) - op_v(*s);
-            let vds = op_v(*d) - op_v(*s);
-            let (gm, gds) = model.gm_gds(vgs, vds);
-            let gds = gds.max(1e-12);
-            let mut add = |row: Option<usize>, col: Option<usize>, v: f64| {
-                if let (Some(r), Some(c)) = (row, col) {
-                    a.add(r, c, Complex::new(v, 0.0));
+            }
+            ElementKind::Inductor { p, n, branch, l } => {
+                let bi = n_nodes + branch;
+                incidence(a, *p, *n, bi);
+                jwc.push((bi, bi, -*l));
+            }
+            ElementKind::CurrentSource { p, n, .. } => {
+                if e.name == stimulus {
+                    // Unit AC current from n into p.
+                    if let Some(i) = p.unknown_index() {
+                        b[i] += Complex::ONE;
+                    }
+                    if let Some(j) = n.unknown_index() {
+                        b[j] -= Complex::ONE;
+                    }
                 }
-            };
-            let (di, gi, si) = (d.unknown_index(), g.unknown_index(), s.unknown_index());
-            add(di, gi, gm);
-            add(di, di, gds);
-            add(di, si, -(gm + gds));
-            add(si, gi, -gm);
-            add(si, di, -gds);
-            add(si, si, gm + gds);
+            }
+            ElementKind::Diode {
+                p,
+                n,
+                i_s,
+                n_ideality,
+            } => {
+                let v = op_v(*p) - op_v(*n);
+                let (_i, g) = diode_iv(v, *i_s, *n_ideality);
+                stamp_g(a, *p, *n, g);
+            }
+            ElementKind::Vccs { p, n, cp, cn, gm } => {
+                let (pi, ni) = (p.unknown_index(), n.unknown_index());
+                let (cpi, cni) = (cp.unknown_index(), cn.unknown_index());
+                add(a, pi, cpi, -gm);
+                add(a, pi, cni, *gm);
+                add(a, ni, cpi, *gm);
+                add(a, ni, cni, -gm);
+            }
+            ElementKind::Fet { d, g, s, model } => {
+                let vgs = op_v(*g) - op_v(*s);
+                let vds = op_v(*d) - op_v(*s);
+                let (gm, gds) = model.gm_gds(vgs, vds);
+                let gds = gds.max(1e-12);
+                let (di, gi, si) = (d.unknown_index(), g.unknown_index(), s.unknown_index());
+                add(a, di, gi, gm);
+                add(a, di, di, gds);
+                add(a, di, si, -(gm + gds));
+                add(a, si, gi, -gm);
+                add(a, si, di, -gds);
+                add(a, si, si, gm + gds);
+            }
         }
     }
+    for i in 0..n_nodes {
+        a.add(i, i, Complex::new(AC_GMIN, 0.0));
+    }
+    (b, jwc)
 }
 
 #[cfg(test)]
@@ -716,7 +535,7 @@ mod tests {
         ckt.resistor("r", "in", "out", 1e3).unwrap();
         ckt.capacitor("c", "out", "0", 1e-9).unwrap();
         let freqs: Vec<f64> = (0..60).map(|k| 1e3 * 10f64.powf(k as f64 / 10.0)).collect();
-        let ac = ckt.ac_sweep("vin", &freqs).unwrap();
+        let ac = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
         let mag = ac.magnitude("out").unwrap();
         assert!((mag[0] - 1.0).abs() < 1e-3, "passband gain 1");
         assert!(*mag.last().unwrap() < 0.01, "stopband rolls off");
@@ -734,7 +553,9 @@ mod tests {
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.vccs("g1", "0", "out", "in", "0", 2e-3).unwrap();
         ckt.resistor("rl", "out", "0", 10e3).unwrap();
-        let ac = ckt.ac_sweep("vin", &[1e3, 1e6, 1e9]).unwrap();
+        let ac = ckt
+            .ac_sweep("vin", &[1e3, 1e6, 1e9], AcOptions::default())
+            .unwrap();
         let mag = ac.magnitude("out").unwrap();
         for m in mag {
             assert!((m - 20.0).abs() < 0.1, "|Av| = {m}");
@@ -756,7 +577,7 @@ mod tests {
         ckt.resistor("rl", "vdd", "d", 1e5).unwrap();
         ckt.fet("m1", "d", "g", "0", std::sync::Arc::new(LinearFet))
             .unwrap();
-        let ac = ckt.ac_sweep("vin", &[1e6]).unwrap();
+        let ac = ckt.ac_sweep("vin", &[1e6], AcOptions::default()).unwrap();
         let gain = ac.magnitude("d").unwrap()[0];
         // |Av| = gm·(R_L ∥ 1/gds) = 1e-3·(1e5 ∥ 1e5) = 50.
         assert!((gain - 50.0).abs() < 1.0, "|Av| = {gain}");
@@ -768,7 +589,7 @@ mod tests {
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.resistor("r", "in", "0", 1e3).unwrap();
         // Unknown stimulus names the request and lists the candidates.
-        match ckt.ac_sweep("nope", &[1e3]) {
+        match ckt.ac_sweep("nope", &[1e3], AcOptions::default()) {
             Err(SpiceError::UnknownAcSource { name, available }) => {
                 assert_eq!(name, "nope");
                 assert_eq!(available, vec!["vin".to_owned()]);
@@ -777,17 +598,17 @@ mod tests {
         }
         // An element that exists but is not a source is rejected the
         // same way.
-        match ckt.ac_sweep("r", &[1e3]) {
+        match ckt.ac_sweep("r", &[1e3], AcOptions::default()) {
             Err(SpiceError::UnknownAcSource { name, .. }) => assert_eq!(name, "r"),
             other => panic!("expected UnknownAcSource, got {other:?}"),
         }
         assert!(matches!(
-            ckt.ac_sweep("vin", &[]),
+            ckt.ac_sweep("vin", &[], AcOptions::default()),
             Err(SpiceError::InvalidSweep { .. })
         ));
         // Bad frequencies are rejected up front, naming the entry.
         for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
-            match ckt.ac_sweep("vin", &[1e3, bad]) {
+            match ckt.ac_sweep("vin", &[1e3, bad], AcOptions::default()) {
                 Err(SpiceError::InvalidSweep { reason }) => {
                     assert!(reason.contains("f[1]"), "{reason}");
                 }
@@ -802,14 +623,20 @@ mod tests {
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.current_source("ibias", "in", "0", 1e-6).unwrap();
         ckt.resistor("r", "in", "0", 1e3).unwrap();
-        let msg = ckt.ac_sweep("vx", &[1e3]).unwrap_err().to_string();
+        let msg = ckt
+            .ac_sweep("vx", &[1e3], AcOptions::default())
+            .unwrap_err()
+            .to_string();
         assert!(msg.contains("'vx'"), "{msg}");
         assert!(msg.contains("vin") && msg.contains("ibias"), "{msg}");
         // No sources at all: the message says so instead of listing an
         // empty set.
         let mut bare = Circuit::new();
         bare.resistor("r", "a", "0", 1e3).unwrap();
-        let msg = bare.ac_sweep("vin", &[1e3]).unwrap_err().to_string();
+        let msg = bare
+            .ac_sweep("vin", &[1e3], AcOptions::default())
+            .unwrap_err()
+            .to_string();
         assert!(msg.contains("no independent sources"), "{msg}");
     }
 
@@ -818,7 +645,7 @@ mod tests {
         let mut ckt = Circuit::new();
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.resistor("r", "in", "0", 1e3).unwrap();
-        let ac = ckt.ac_sweep("vin", &[1e3]).unwrap();
+        let ac = ckt.ac_sweep("vin", &[1e3], AcOptions::default()).unwrap();
         assert_eq!(ac.magnitude("0").unwrap(), vec![0.0]);
         assert!(ac.magnitude("ghost").is_err());
     }
@@ -842,12 +669,23 @@ mod tests {
         ckt
     }
 
+    fn with_method(method: AcMethod) -> AcOptions {
+        AcOptions {
+            method,
+            ..AcOptions::default()
+        }
+    }
+
     #[test]
     fn sparse_path_matches_dense_oracle_on_ladder() {
         let ckt = rc_ladder(24);
         let freqs: Vec<f64> = (0..20).map(|k| 1e4 * 10f64.powf(k as f64 / 4.0)).collect();
-        let dense = ckt.ac_sweep_with("vin", &freqs, AcMethod::Dense).unwrap();
-        let sparse = ckt.ac_sweep_with("vin", &freqs, AcMethod::Sparse).unwrap();
+        let dense = ckt
+            .ac_sweep("vin", &freqs, with_method(AcMethod::Dense))
+            .unwrap();
+        let sparse = ckt
+            .ac_sweep("vin", &freqs, with_method(AcMethod::Sparse))
+            .unwrap();
         for (d, s) in dense.solutions.iter().zip(&sparse.solutions) {
             for (dv, sv) in d.iter().zip(s) {
                 let err = (*dv - *sv).abs();
@@ -861,8 +699,8 @@ mod tests {
     fn repeated_sweeps_reuse_the_cached_workspace_bit_for_bit() {
         let ckt = rc_ladder(20);
         let freqs: Vec<f64> = (0..10).map(|k| 1e5 * 10f64.powf(k as f64 / 3.0)).collect();
-        let first = ckt.ac_sweep("vin", &freqs).unwrap();
-        let second = ckt.ac_sweep("vin", &freqs).unwrap();
+        let first = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
+        let second = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
         assert_eq!(first.solutions, second.solutions);
     }
 }

@@ -80,14 +80,14 @@ enum MnaMatrix {
 }
 
 /// The per-topology workspaces an analysis can cache on a circuit:
-/// the DC/transient Newton workspace and the sparse AC sweep
-/// workspace. Both hang off the circuit's one [`SolverCache`] lock
-/// and are dropped together on topology changes.
+/// the DC/transient Newton workspace and the AC sweep workspace. Both
+/// hang off the circuit's one [`SolverCache`] lock and are dropped
+/// together on topology changes.
 #[derive(Default)]
 pub(crate) struct Workspaces {
     /// Newton MNA state for `op()`/`transient()`.
     pub dc: Option<MnaWorkspace>,
-    /// Complex pattern + LU for `ac_sweep()`.
+    /// Dense or sparse complex solve state for serial `ac_sweep()`s.
     pub ac: Option<super::ac::AcWorkspace>,
 }
 

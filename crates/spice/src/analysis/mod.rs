@@ -18,7 +18,7 @@
 //!   LTE-adaptive, see [`transient`]), used for ring oscillators and
 //!   the inverter's dynamic behaviour with its 10 fF load.
 //!
-//! All of them share one [`MnaWorkspace`] per analysis, so the sparse
+//! All of them share one `MnaWorkspace` per analysis, so the sparse
 //! symbolic analysis and pivot order are discovered once and re-used by
 //! every Newton iteration at every bias point.
 

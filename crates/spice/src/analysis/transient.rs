@@ -1,6 +1,6 @@
 //! Transient analysis: fixed-step and adaptive implicit integration.
 //!
-//! Two methods share one Newton/MNA core ([`super::engine`]) and one
+//! Two methods share one Newton/MNA core (the `engine` module) and one
 //! per-topology workspace, so the sparse symbolic analysis and
 //! fill-reducing ordering are discovered **once per deck** and every
 //! Newton iteration at every time point runs a numeric

@@ -1,16 +1,11 @@
-//! Minimal complex arithmetic and a complex dense solver for AC
-//! small-signal analysis.
+//! Minimal complex arithmetic for AC small-signal analysis.
 //!
-//! Kept in-tree (like [`linalg`](crate::linalg)) rather than pulling a
-//! numerics crate: AC analysis needs exactly one operation — solving the
-//! complex MNA system `(G + jωC)·x = b` — and the phasor type below is
-//! sufficient for it.
-//!
-//! Gaussian elimination is written index-based on purpose; the
-//! iterator forms clippy suggests obscure the row/column structure.
-#![allow(clippy::needless_range_loop)]
-
-use crate::error::SpiceError;
+//! Kept in-tree rather than pulling a numerics crate: AC analysis needs
+//! exactly one operation — solving the complex MNA system
+//! `(G + jωC)·x = b` — and the phasor type below, as a
+//! [`Scalar`](crate::sparse::Scalar), lets the dense
+//! ([`linalg`](crate::linalg)) and sparse ([`sparse`](crate::sparse))
+//! LU solvers run over it unchanged.
 
 /// A complex number (phasor) with `f64` parts.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -50,24 +45,18 @@ impl Complex {
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
     }
-
-    /// Cheap magnitude proxy `|re| + |im|` used for pivoting.
-    #[inline]
-    pub(crate) fn norm1(self) -> f64 {
-        self.re.abs() + self.im.abs()
-    }
 }
 
-/// [`Scalar`](crate::sparse::Scalar) instance so the sparse
-/// Gilbert–Peierls solver works over complex MNA systems. Pivot
-/// magnitudes use the same `norm1` proxy as the dense complex
-/// elimination, keeping the two paths' pivot choices comparable.
+/// [`Scalar`](crate::sparse::Scalar) instance so the dense and sparse
+/// LU solvers work over complex MNA systems. Both pivot on the same
+/// 1-norm magnitude `|re| + |im|`, keeping their pivot choices
+/// comparable.
 impl crate::sparse::Scalar for Complex {
     const ZERO: Self = Complex::ZERO;
 
     #[inline]
     fn mag(self) -> f64 {
-        self.norm1()
+        self.re.abs() + self.im.abs()
     }
 
     #[inline]
@@ -145,115 +134,11 @@ impl From<f64> for Complex {
     }
 }
 
-/// A dense complex matrix with LU solve (partial pivoting, row
-/// equilibration), mirroring [`DenseMatrix`](crate::linalg::DenseMatrix).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComplexMatrix {
-    n: usize,
-    data: Vec<Complex>,
-}
-
-impl ComplexMatrix {
-    /// Creates a zeroed `n × n` matrix.
-    pub fn zeros(n: usize) -> Self {
-        Self {
-            n,
-            data: vec![Complex::ZERO; n * n],
-        }
-    }
-
-    /// Adds `value` at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-bounds indices.
-    #[inline]
-    pub fn add(&mut self, row: usize, col: usize, value: Complex) {
-        assert!(row < self.n && col < self.n, "index out of bounds");
-        self.data[row * self.n + col] += value;
-    }
-
-    /// Solves `A·x = b` in place, overwriting `b` with the solution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::SingularMatrix`] when the (equilibrated)
-    /// pivot magnitude falls below `1e-13`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve_in_place(&mut self, b: &mut [Complex]) -> Result<(), SpiceError> {
-        let n = self.n;
-        assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
-        if n == 0 {
-            return Ok(());
-        }
-        for r in 0..n {
-            let row_max = self.data[r * n..(r + 1) * n]
-                .iter()
-                .fold(0.0_f64, |m, v| m.max(v.norm1()));
-            if row_max == 0.0 {
-                return Err(SpiceError::SingularMatrix { row: r, pivot: 0.0 });
-            }
-            let inv = Complex::new(1.0 / row_max, 0.0);
-            for v in &mut self.data[r * n..(r + 1) * n] {
-                *v = *v * inv;
-            }
-            b[r] = b[r] * inv;
-        }
-        for k in 0..n {
-            let mut pivot_row = k;
-            let mut pivot_val = self.data[k * n + k].norm1();
-            for r in (k + 1)..n {
-                let v = self.data[r * n + k].norm1();
-                if v > pivot_val {
-                    pivot_val = v;
-                    pivot_row = r;
-                }
-            }
-            if pivot_val < 1e-13 {
-                return Err(SpiceError::SingularMatrix {
-                    row: k,
-                    pivot: pivot_val,
-                });
-            }
-            if pivot_row != k {
-                for c in 0..n {
-                    self.data.swap(k * n + c, pivot_row * n + c);
-                }
-                b.swap(k, pivot_row);
-            }
-            let pivot = self.data[k * n + k];
-            for r in (k + 1)..n {
-                let factor = self.data[r * n + k] / pivot;
-                if factor == Complex::ZERO {
-                    continue;
-                }
-                self.data[r * n + k] = Complex::ZERO;
-                for c in (k + 1)..n {
-                    let sub = factor * self.data[k * n + c];
-                    self.data[r * n + c] -= sub;
-                }
-                let sub = factor * b[k];
-                b[r] -= sub;
-            }
-        }
-        for k in (0..n).rev() {
-            let mut sum = b[k];
-            for c in (k + 1)..n {
-                let sub = self.data[k * n + c] * b[c];
-                sum -= sub;
-            }
-            b[k] = sum / self.data[k * n + k];
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SpiceError;
+    use crate::linalg::DenseMatrix;
 
     #[test]
     fn complex_arithmetic() {
@@ -270,10 +155,12 @@ mod tests {
         assert!((Complex::imag(1.0).arg() - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 
+    // The phasor type solves through the generic dense LU.
+
     #[test]
     fn solves_complex_system() {
         // (1 + j)x = 2 → x = 1 − j.
-        let mut a = ComplexMatrix::zeros(1);
+        let mut a = DenseMatrix::zeros(1);
         a.add(0, 0, Complex::new(1.0, 1.0));
         let mut b = vec![Complex::new(2.0, 0.0)];
         a.solve_in_place(&mut b).unwrap();
@@ -284,7 +171,7 @@ mod tests {
     fn solves_rc_divider_phasor() {
         // Series R with shunt C at ω = 1/RC: v_out = 1/(1 + j).
         let (r, c, w) = (1e3, 1e-9, 1e6);
-        let mut a = ComplexMatrix::zeros(1);
+        let mut a = DenseMatrix::zeros(1);
         a.add(0, 0, Complex::new(1.0 / r, w * c));
         let mut b = vec![Complex::new(1.0 / r, 0.0)];
         a.solve_in_place(&mut b).unwrap();
@@ -294,7 +181,7 @@ mod tests {
 
     #[test]
     fn detects_singular() {
-        let mut a = ComplexMatrix::zeros(2);
+        let mut a = DenseMatrix::zeros(2);
         a.add(0, 0, Complex::ONE);
         a.add(0, 1, Complex::ONE);
         a.add(1, 0, Complex::new(2.0, 0.0));
@@ -308,7 +195,7 @@ mod tests {
 
     #[test]
     fn pivoting_on_zero_diagonal() {
-        let mut a = ComplexMatrix::zeros(2);
+        let mut a = DenseMatrix::zeros(2);
         a.add(0, 1, Complex::ONE);
         a.add(1, 0, Complex::ONE);
         let mut b = vec![Complex::new(2.0, 0.0), Complex::new(3.0, 0.0)];

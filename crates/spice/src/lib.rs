@@ -8,11 +8,13 @@
 //! * dense LU factorization with partial pivoting ([`linalg`]) plus a
 //!   sparse LU path with cached symbolic analysis and numeric
 //!   refactorization that takes over for larger systems ([`sparse`]),
+//!   both generic over real and [`Complex`] scalars,
 //! * Newton–Raphson iteration with voltage-step damping, gmin stepping
 //!   and source stepping for hard operating points, warm-started across
 //!   sweep points with step-halving source continuation ([`analysis`]),
-//! * DC operating point, DC sweeps, and transient analysis
-//!   (backward-Euler start-up, trapezoidal integration thereafter),
+//! * DC operating point, DC sweeps, transient analysis (fixed or
+//!   LTE-adaptive stepping), and AC small-signal sweeps through one
+//!   entry point, [`Circuit::ac_sweep`] with [`AcOptions`],
 //! * element stamps for resistors, capacitors, independent sources
 //!   (DC/pulse/PWL/sine), diodes, controlled sources, and an arbitrary
 //!   three-terminal FET driven by any [`FetCurve`] compact model
@@ -53,7 +55,7 @@ pub mod runner;
 pub mod sparse;
 pub mod waveform;
 
-pub use analysis::ac::{AcMethod, AcResult};
+pub use analysis::ac::{AcMethod, AcOptions, AcResult};
 pub use analysis::{OpResult, SweepOptions, SweepResult, TranMethod, TranOptions, TranResult};
 pub use complex::Complex;
 pub use element::{batch_lanes_match, FetCurve};

@@ -1,5 +1,7 @@
 //! Dense linear algebra for the MNA system: an `n × n` matrix with LU
-//! factorization and partial pivoting.
+//! factorization and partial pivoting, generic over the [`Scalar`] of
+//! the system — `f64` for DC/transient Newton steps,
+//! [`Complex`](crate::complex::Complex) for AC sweeps.
 //!
 //! The dense solver is the workhorse for small circuits (an inverter is
 //! 4 unknowns) and the reference oracle for the sparse path in
@@ -12,38 +14,38 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::error::SpiceError;
+use crate::sparse::Scalar;
 
 /// The MNA *stamp* sink: anything element stamps can accumulate into.
 ///
 /// Implemented by [`DenseMatrix`] and
 /// [`SparseMatrix`](crate::sparse::SparseMatrix) so the element-stamping
-/// code in the Newton engine is written once and works against either
-/// backend.
-pub trait Stamp {
+/// code is written once and works against either backend.
+pub trait Stamp<S = f64> {
     /// Adds `value` to entry `(row, col)`.
-    fn add(&mut self, row: usize, col: usize, value: f64);
+    fn add(&mut self, row: usize, col: usize, value: S);
 }
 
-impl Stamp for DenseMatrix {
+impl<S: Scalar> Stamp<S> for DenseMatrix<S> {
     #[inline]
-    fn add(&mut self, row: usize, col: usize, value: f64) {
+    fn add(&mut self, row: usize, col: usize, value: S) {
         DenseMatrix::add(self, row, col, value);
     }
 }
 
 /// A dense square matrix stored row-major.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix {
+pub struct DenseMatrix<S: Scalar = f64> {
     n: usize,
-    data: Vec<f64>,
+    data: Vec<S>,
 }
 
-impl DenseMatrix {
+impl<S: Scalar> DenseMatrix<S> {
     /// Creates a zeroed `n × n` matrix.
     pub fn zeros(n: usize) -> Self {
         Self {
             n,
-            data: vec![0.0; n * n],
+            data: vec![S::ZERO; n * n],
         }
     }
 
@@ -59,7 +61,7 @@ impl DenseMatrix {
     ///
     /// Panics if either index is out of bounds.
     #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f64 {
+    pub fn get(&self, row: usize, col: usize) -> S {
         assert!(
             row < self.n && col < self.n,
             "index ({row}, {col}) out of bounds"
@@ -73,7 +75,7 @@ impl DenseMatrix {
     ///
     /// Panics if either index is out of bounds.
     #[inline]
-    pub fn add(&mut self, row: usize, col: usize, value: f64) {
+    pub fn add(&mut self, row: usize, col: usize, value: S) {
         assert!(
             row < self.n && col < self.n,
             "index ({row}, {col}) out of bounds"
@@ -83,7 +85,25 @@ impl DenseMatrix {
 
     /// Resets all entries to zero, keeping the allocation.
     pub fn clear(&mut self) {
-        self.data.fill(0.0);
+        self.data.fill(S::ZERO);
+    }
+
+    /// The entries in row-major order — pairs with
+    /// [`set_values`](Self::set_values), as on
+    /// [`SparseMatrix`](crate::sparse::SparseMatrix::values).
+    #[inline]
+    pub fn values(&self) -> &[S] {
+        &self.data
+    }
+
+    /// Overwrites every entry (row-major) — the restore half of
+    /// [`values`](Self::values).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals` does not have exactly `n²` entries.
+    pub fn set_values(&mut self, vals: &[S]) {
+        self.data.copy_from_slice(vals);
     }
 
     /// Solves `A·x = b` in place by LU factorization with partial
@@ -92,7 +112,10 @@ impl DenseMatrix {
     /// Rows are equilibrated (scaled to unit max-norm) first: MNA
     /// matrices legitimately span many decades between conductance and
     /// source rows, and equilibration keeps the singularity test
-    /// meaningful.
+    /// meaningful. Magnitudes are [`Scalar::mag`], and the scale
+    /// multiplies as `v * S::from(inv)`: for phasors a full complex
+    /// product, which can differ from [`Scalar::scale`] in the sign of a
+    /// zero part.
     ///
     /// # Errors
     ///
@@ -102,7 +125,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `b.len()` differs from the matrix dimension.
-    pub fn solve_in_place(&mut self, b: &mut [f64]) -> Result<(), SpiceError> {
+    pub fn solve_in_place(&mut self, b: &mut [S]) -> Result<(), SpiceError> {
         let n = self.n;
         assert_eq!(b.len(), n, "rhs length must equal matrix dimension");
         if n == 0 {
@@ -112,23 +135,23 @@ impl DenseMatrix {
         for r in 0..n {
             let row_max = self.data[r * n..(r + 1) * n]
                 .iter()
-                .fold(0.0_f64, |m, &v| m.max(v.abs()));
+                .fold(0.0_f64, |m, v| m.max(v.mag()));
             if row_max == 0.0 {
                 return Err(SpiceError::SingularMatrix { row: r, pivot: 0.0 });
             }
-            let inv = 1.0 / row_max;
+            let inv = S::from(1.0 / row_max);
             for v in &mut self.data[r * n..(r + 1) * n] {
-                *v *= inv;
+                *v = *v * inv;
             }
-            b[r] *= inv;
+            b[r] = b[r] * inv;
         }
         let tol = 1e-13;
         for k in 0..n {
             // Partial pivot: largest |entry| in column k at/below row k.
             let mut pivot_row = k;
-            let mut pivot_val = self.data[k * n + k].abs();
+            let mut pivot_val = self.data[k * n + k].mag();
             for r in (k + 1)..n {
-                let v = self.data[r * n + k].abs();
+                let v = self.data[r * n + k].mag();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_row = r;
@@ -149,21 +172,24 @@ impl DenseMatrix {
             let pivot = self.data[k * n + k];
             for r in (k + 1)..n {
                 let factor = self.data[r * n + k] / pivot;
-                if factor == 0.0 {
+                if factor == S::ZERO {
                     continue;
                 }
-                self.data[r * n + k] = 0.0;
+                self.data[r * n + k] = S::ZERO;
                 for c in (k + 1)..n {
-                    self.data[r * n + c] -= factor * self.data[k * n + c];
+                    let sub = factor * self.data[k * n + c];
+                    self.data[r * n + c] -= sub;
                 }
-                b[r] -= factor * b[k];
+                let sub = factor * b[k];
+                b[r] -= sub;
             }
         }
         // Back substitution.
         for k in (0..n).rev() {
             let mut sum = b[k];
             for c in (k + 1)..n {
-                sum -= self.data[k * n + c] * b[c];
+                let sub = self.data[k * n + c] * b[c];
+                sum -= sub;
             }
             b[k] = sum / self.data[k * n + k];
         }

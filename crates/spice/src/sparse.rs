@@ -40,13 +40,14 @@
 use crate::error::SpiceError;
 use crate::linalg::Stamp;
 
-/// The scalar field a sparse system is solved over.
+/// The scalar field a dense or sparse system is solved over.
 ///
 /// Implemented for `f64` (the DC/transient Newton path) and for
 /// [`Complex`](crate::complex::Complex) (the AC system `G + jωC`). The
-/// trait deliberately exposes only what Gilbert–Peierls needs: ring
+/// trait deliberately exposes only what the two LU solvers need: ring
 /// arithmetic, a **real** magnitude proxy for pivot decisions, and
-/// multiplication by a real equilibration scale.
+/// multiplication by a real equilibration scale — [`Scalar::scale`]
+/// here, a full product with `Self::from(s)` in the dense solver.
 pub trait Scalar:
     Copy
     + PartialEq
@@ -59,6 +60,7 @@ pub trait Scalar:
     + std::ops::Neg<Output = Self>
     + std::ops::AddAssign
     + std::ops::SubAssign
+    + From<f64>
     + Send
     + Sync
     + 'static
@@ -257,9 +259,9 @@ impl<T: Scalar> SparseMatrix<T> {
     }
 }
 
-impl Stamp for SparseMatrix<f64> {
+impl<T: Scalar> Stamp<T> for SparseMatrix<T> {
     #[inline]
-    fn add(&mut self, row: usize, col: usize, value: f64) {
+    fn add(&mut self, row: usize, col: usize, value: T) {
         SparseMatrix::add(self, row, col, value);
     }
 }

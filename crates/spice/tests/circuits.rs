@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use carbon_spice::{Circuit, FetCurve, SpiceError, TranOptions, Waveform};
+use carbon_spice::{AcOptions, Circuit, FetCurve, SpiceError, TranOptions, Waveform};
 
 #[test]
 fn resistive_divider() {
@@ -400,7 +400,7 @@ fn lc_tank_resonates_in_ac() {
     let freqs: Vec<f64> = (0..161)
         .map(|k| 1e4 * 10f64.powf(k as f64 / 40.0))
         .collect();
-    let ac = ckt.ac_sweep("vin", &freqs).unwrap();
+    let ac = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
     let mag = ac.magnitude("tank").unwrap();
     let (k_peak, peak) =
         mag.iter().enumerate().fold(
@@ -481,7 +481,7 @@ fn pre_cancelled_token_stops_every_analysis() {
             Err(SpiceError::Cancelled { .. })
         ));
         assert!(matches!(
-            ckt.ac_sweep("v", &[1e3, 1e4]),
+            ckt.ac_sweep("v", &[1e3, 1e4], AcOptions::default()),
             Err(SpiceError::Cancelled { .. })
         ));
         assert!(matches!(

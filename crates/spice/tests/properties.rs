@@ -3,7 +3,7 @@
 
 use carbon_runtime::prop::prelude::*;
 use carbon_spice::parser::{parse_deck, parse_value};
-use carbon_spice::{Circuit, TranOptions, Waveform};
+use carbon_spice::{AcMethod, AcOptions, Circuit, TranOptions, Waveform};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -152,12 +152,10 @@ proptest! {
         let freqs: Vec<f64> = (0..8)
             .map(|k| 10f64.powf(f_lo_exp) * 10f64.powf(k as f64 / 2.0))
             .collect();
-        let dense = ckt
-            .ac_sweep_with("vin", &freqs, carbon_spice::AcMethod::Dense)
-            .expect("dense solves");
-        let sparse = ckt
-            .ac_sweep_with("vin", &freqs, carbon_spice::AcMethod::Sparse)
-            .expect("sparse solves");
+        let [dense, sparse] = [AcMethod::Dense, AcMethod::Sparse].map(|method| {
+            ckt.ac_sweep("vin", &freqs, AcOptions { method, ..AcOptions::default() })
+                .expect("solves")
+        });
         for (fd, fs) in dense.solutions().iter().zip(sparse.solutions()) {
             for (d, s) in fd.iter().zip(fs) {
                 let err = (*d - *s).abs();
@@ -178,7 +176,7 @@ proptest! {
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.resistor("r", "in", "out", r).expect("r");
         ckt.capacitor("c", "out", "0", c).expect("c");
-        let ac = ckt.ac_sweep("vin", &[f]).expect("solves");
+        let ac = ckt.ac_sweep("vin", &[f], AcOptions::default()).expect("solves");
         let mag = ac.magnitude("out").expect("node")[0];
         let w = 2.0 * std::f64::consts::PI * f;
         let expect = 1.0 / (1.0 + (w * r * c).powi(2)).sqrt();

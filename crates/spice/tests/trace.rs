@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use carbon_spice::{Circuit, FetCurve, SpiceError, TranOptions, Waveform};
+use carbon_spice::{AcOptions, Circuit, FetCurve, SpiceError, TranOptions, Waveform};
 use carbon_trace::collect::Collector;
 use carbon_trace::{with_subscriber, Event, Value};
 
@@ -184,7 +184,9 @@ fn ac_sweep_traces_one_factor_and_replays_the_rest() {
 
     let collector = Collector::new();
     let (traced, [factors, replays, repivots]) = deltas(AC_COUNTERS, || {
-        with_subscriber(collector.clone(), || ckt.ac_sweep("vin", &freqs))
+        with_subscriber(collector.clone(), || {
+            ckt.ac_sweep("vin", &freqs, AcOptions::default())
+        })
     });
     let traced = traced.expect("sweeps");
 
@@ -216,41 +218,40 @@ fn ac_sweep_traces_one_factor_and_replays_the_rest() {
     );
 
     // Observation must not participate.
-    let untraced = ckt.ac_sweep("vin", &freqs).expect("sweeps");
+    let untraced = ckt
+        .ac_sweep("vin", &freqs, AcOptions::default())
+        .expect("sweeps");
     assert_eq!(traced.solutions(), untraced.solutions());
 }
 
 #[test]
-fn ac_sweep_par_traces_chunk_spans() {
+fn chunked_ac_sweep_traces_chunk_spans() {
     let _lock = lock();
     let ckt = rc_ladder(20);
     let freqs: Vec<f64> = (0..10).map(|k| 1e5 * 10f64.powf(k as f64 / 3.0)).collect();
+    let chunked = AcOptions {
+        chunk: Some(4),
+        ..AcOptions::default()
+    };
 
     let collector = Collector::new();
-    // One worker keeps every span on the subscriber's thread.
-    let ex = carbon_runtime::executor::Executor::with_threads(1);
     let (traced, [factors, replays, repivots]) = deltas(AC_COUNTERS, || {
-        with_subscriber(collector.clone(), || {
-            ckt.ac_sweep_par_on(&ex, "vin", &freqs, 4)
-        })
+        with_subscriber(collector.clone(), || ckt.ac_sweep("vin", &freqs, chunked))
     });
     let traced = traced.expect("sweeps");
 
-    assert_eq!(collector.spans("spice.ac_sweep_par").len(), 1);
+    // The sweep span is the caller's; the `spice.ac_chunk` spans run on
+    // executor workers, so the `digest_matrix` test counts them.
+    assert_eq!(collector.spans("spice.ac_sweep").len(), 1);
     assert_eq!(
-        collector.span_field("spice.ac_sweep_par", "n_chunks"),
+        collector.span_field("spice.ac_sweep", "n_chunks"),
         vec![Value::U64(3)]
-    );
-    assert_eq!(
-        collector.spans("spice.ac_chunk").len(),
-        3,
-        "one span per chunk"
     );
     // Each chunk factors at its own head frequency, then replays.
     assert_eq!(factors, 3);
     assert_eq!(replays + repivots, (freqs.len() - 3) as u64);
 
-    let untraced = ckt.ac_sweep_par_on(&ex, "vin", &freqs, 4).expect("sweeps");
+    let untraced = ckt.ac_sweep("vin", &freqs, chunked).expect("sweeps");
     assert_eq!(traced.solutions(), untraced.solutions());
 }
 

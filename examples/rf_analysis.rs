@@ -7,7 +7,7 @@
 //! ```
 
 use carbon_electronics::experiments::rf;
-use carbon_electronics::spice::Circuit;
+use carbon_electronics::spice::{AcOptions, Circuit};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cmp = rf::run()?;
@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ckt.resistor("r", "in", "out", 1e3)?;
     ckt.capacitor("c", "out", "0", 1e-12)?;
     let freqs: Vec<f64> = (0..9).map(|k| 1e6 * 10f64.powf(k as f64 / 2.0)).collect();
-    let ac = ckt.ac_sweep("vin", &freqs)?;
+    let ac = ckt.ac_sweep("vin", &freqs, AcOptions::default())?;
     println!("RC low-pass Bode sweep (R = 1 kΩ, C = 1 pF, f_c ≈ 159 MHz):");
     println!("{:>12} {:>10} {:>10}", "f [Hz]", "|H| [dB]", "∠H [deg]");
     let mag = ac.magnitude("out")?;
