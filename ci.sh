@@ -5,8 +5,11 @@
 # dependencies (the in-tree carbon-runtime crate supplies the PRNG,
 # property-test, and bench substrates), so a bare checkout must build
 # and test with no network at all. Any step that tries to reach a
-# registry is itself a regression.
-# Determinism and baseline gates: crates/bench/tests/digest_matrix.rs.
+# registry is itself a regression. The workspace steps also run
+# --locked, so a committed Cargo.lock that no longer matches the
+# manifests fails here instead of being rewritten.
+# Determinism and baseline gates: crates/bench/tests/digest_matrix.rs
+# and crates/serve/tests/determinism.rs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -16,16 +19,16 @@ run() {
 }
 
 run cargo fmt --all -- --check
-run cargo clippy --workspace --all-targets --offline -- -D warnings
+run cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 # Only rustdoc resolves intra-doc links, so a deleted item that a doc
 # comment still names fails here.
-run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-run cargo build --workspace --release --offline
-run cargo test --workspace -q --offline
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
+run cargo build --workspace --release --locked --offline
+run cargo test --workspace -q --locked --offline
 # Bench targets in run-once smoke mode: keeps the six harness=false
 # binaries compiling and their workloads alive without paying
 # measurement cost.
-run cargo bench --offline -- --test
+run cargo bench --locked --offline -- --test
 # servebench is a workspace of its own, built against the crates by
 # path: only this step compiles it before the benchmark runs.
 run cargo test --release --offline -q --manifest-path servebench/Cargo.toml --target-dir target/servebench

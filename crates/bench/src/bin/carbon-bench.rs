@@ -38,35 +38,19 @@
 //! voltage's exact bit pattern. The fixed-vs-adaptive step ratio on
 //! the ramp deck is the adaptive method's speedup evidence.
 //!
-//! `econ` runs the §V wafer-economics campaign twice: once in-process
-//! through the chunked executor — a 512-cell node × area × defect ×
-//! purity grid in fixed mode plus the same grid in adaptive
-//! (CI-targeted) mode, each folded to an FNV-1a 64 digest over every
-//! cell's exact bit patterns — and once over a loopback carbon-serve
-//! server, submitting an identical `econ_campaign` body on two passes
-//! and printing the second pass's cache hit rate in per-mille (1000 on
-//! a healthy server: a repeated campaign is served entirely from the
-//! response cache).
+//! `econ` runs the §V wafer-economics campaign in-process through the
+//! chunked executor: a 512-cell node × area × defect × purity grid in
+//! fixed mode, then the same grid in adaptive (CI-targeted) mode, each
+//! folded to an FNV-1a 64 digest over every cell's exact bit patterns.
 //!
-//! `serve-load` starts an in-process carbon-serve server on loopback
-//! and drives it with a deterministic mixed job load; latency rows go
-//! to stdout in the compare-JSONL schema, the human summary to stderr.
-//! The rows include the server's own `stats` snapshot (flattened as
-//! `serve/stats/*`). `--digest` appends an FNV-1a 64 digest of the
-//! id-sorted response bodies. `--passes` replays the identical
-//! schedule over one server (warming its response cache) and prints
-//! one `pass<i>_digest=` line per pass; `--repeat-frac` switches to the
-//! parameter-varied repeat workload and `--cache-bytes` sizes or (at 0)
-//! disables the server's cache.
-//!
-//! Every report except serve-load's latency rows is a pure function of
-//! its inputs: the same bytes at any `CARBON_THREADS`, traced or not.
-//! `tests/digest_matrix.rs` pins each one to a golden digest.
+//! Every report is a pure function of its inputs: the same bytes at
+//! any `CARBON_THREADS`, traced or not. `tests/digest_matrix.rs` pins
+//! each one to a golden digest. This binary starts no server; the
+//! carbon-serve service is load-tested by `servebench`.
 
 use std::process::ExitCode;
 
 use carbon_bench::compare::{compare, parse_jsonl};
-use carbon_bench::serve_load;
 use carbon_bench::summary::summarize;
 
 fn usage() -> ExitCode {
@@ -78,10 +62,7 @@ fn usage() -> ExitCode {
          carbon-bench fig7\n       \
          carbon-bench ac\n       \
          carbon-bench tran\n       \
-         carbon-bench econ\n       \
-         carbon-bench serve-load [--connections <n>] [--jobs <n>] [--workers <n>]\n                               \
-         [--queue-depth <n>] [--passes <n>] [--repeat-frac <f>]\n                               \
-         [--cache-bytes <n>] [--digest]"
+         carbon-bench econ"
     );
     ExitCode::from(2)
 }
@@ -97,7 +78,6 @@ fn main() -> ExitCode {
         Some("ac") => run_ac(),
         Some("tran") => run_tran(),
         Some("econ") => run_econ(),
-        Some("serve-load") => run_serve_load(&args[1..]),
         _ => usage(),
     }
 }
@@ -110,72 +90,6 @@ fn run_fig7() -> ExitCode {
         }
         Err(e) => {
             eprintln!("carbon-bench: fig7: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_serve_load(args: &[String]) -> ExitCode {
-    let mut config = serve_load::LoadConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut parse_next = |target: &mut usize| -> bool {
-            match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => {
-                    *target = n;
-                    true
-                }
-                _ => false,
-            }
-        };
-        let ok = match a.as_str() {
-            "--connections" => parse_next(&mut config.connections),
-            "--jobs" => parse_next(&mut config.jobs),
-            "--workers" => parse_next(&mut config.workers),
-            "--queue-depth" => parse_next(&mut config.queue_depth),
-            "--passes" => parse_next(&mut config.passes),
-            // Zero is meaningful here (it disables the cache), so this
-            // flag does not go through the positive-only parser.
-            "--cache-bytes" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => {
-                    config.cache_bytes = n;
-                    true
-                }
-                None => false,
-            },
-            "--repeat-frac" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if (0.0..=1.0).contains(&f) => {
-                    config.repeat_frac = f;
-                    true
-                }
-                _ => false,
-            },
-            "--digest" => {
-                config.digest = true;
-                true
-            }
-            _ => false,
-        };
-        if !ok {
-            return usage();
-        }
-    }
-    match serve_load::run(&config) {
-        Ok(report) => {
-            print!("{}", report.jsonl);
-            if report.pass_digests.len() > 1 {
-                for (i, digest) in report.pass_digests.iter().enumerate() {
-                    println!("pass{i}_digest={digest:016x}");
-                }
-            }
-            if let Some(digest) = report.digest {
-                println!("digest={digest:016x}");
-            }
-            eprint!("{}", report.summary);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("carbon-bench: serve-load: {e}");
             ExitCode::FAILURE
         }
     }
@@ -486,64 +400,6 @@ fn econ_row(label: &str, mc: carbon_econ::McMode) -> Result<(), String> {
     Ok(())
 }
 
-/// Submits the same small `econ_campaign` body twice over a loopback
-/// server and returns the second pass's cache hit rate in per-mille.
-fn econ_cache_smoke() -> Result<u64, String> {
-    use carbon_json::Json;
-    use carbon_serve::{Client, Server, ServerConfig, DEFAULT_CACHE_BYTES};
-
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers: 2,
-            queue_depth: 16,
-            default_timeout_ms: None,
-            cache_bytes: DEFAULT_CACHE_BYTES,
-        },
-    )
-    .map_err(|e| format!("cannot bind loopback server: {e}"))?;
-    let mut client = Client::connect(server.local_addr()).map_err(|e| e.to_string())?;
-    let job = Json::obj()
-        .push("kind", "econ_campaign")
-        .push(
-            "nodes",
-            Json::Arr(vec![
-                Json::Str("cnt90".to_owned()),
-                Json::Str("cnt28".to_owned()),
-            ]),
-        )
-        .push("areas_cm2", Json::Arr(vec![Json::Num(0.5), Json::Num(1.0)]))
-        .push("d0", Json::Arr(vec![Json::Num(0.1), Json::Num(0.3)]))
-        .push(
-            "purities",
-            Json::Arr(vec![Json::Num(0.95), Json::Num(0.99), Json::Num(0.999)]),
-        )
-        .push("yield_model", "negative_binomial")
-        .push("alpha", 2.0)
-        .push("devices", 128)
-        .push("seed", 2014);
-    let mut second_pass_rate = 0u64;
-    for pass in 0..2u32 {
-        let before = server.stats();
-        let request = Json::obj()
-            .push("id", format!("econ-pass-{pass}"))
-            .push("job", job.clone());
-        let response = client.call(&request).map_err(|e| e.to_string())?;
-        if response.get("status").and_then(Json::as_str) != Some("ok") {
-            return Err(format!("pass {pass} answered {}", response.render()));
-        }
-        let after = server.stats();
-        let admitted = after.accepted - before.accepted;
-        let hits = after.cache_hits - before.cache_hits;
-        if pass == 1 {
-            second_pass_rate = (hits * 1000).checked_div(admitted).unwrap_or(0);
-        }
-    }
-    drop(client);
-    server.shutdown();
-    Ok(second_pass_rate)
-}
-
 fn run_econ() -> ExitCode {
     let rows = [
         ("fixed", carbon_econ::McMode::Fixed { devices: 256 }),
@@ -561,16 +417,7 @@ fn run_econ() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    match econ_cache_smoke() {
-        Ok(rate) => {
-            println!("econ cache second_pass_hit_rate_permille={rate}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("carbon-bench: econ: cache smoke: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    ExitCode::SUCCESS
 }
 
 fn run_compare(args: &[String]) -> ExitCode {

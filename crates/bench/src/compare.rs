@@ -11,6 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use carbon_json::{string_field, u64_field};
+
 /// One benchmark record parsed from a JSONL line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchRecord {
@@ -41,11 +43,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-// The flat-field scanners moved to the shared `carbon-json` module
-// (they are also what `carbon-serve`'s tooling reads frames with);
-// re-exported here so the rest of the crate keeps its call sites.
-pub(crate) use carbon_json::{string_field, u64_field};
 
 /// Parses a benchmark snapshot (one JSON object per non-empty line).
 ///

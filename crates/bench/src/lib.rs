@@ -14,7 +14,6 @@
 #![deny(missing_docs)]
 
 pub mod compare;
-pub mod serve_load;
 pub mod summary;
 
 use carbon_spice::Circuit;

@@ -22,9 +22,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use carbon_json::find_string_end;
-
-use crate::compare::{string_field, u64_field};
+use carbon_json::{find_string_end, string_field, u64_field};
 
 /// One aggregated statistic from a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]

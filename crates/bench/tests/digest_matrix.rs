@@ -15,11 +15,10 @@ use carbon_bench::Fnv;
 
 /// `carbon-bench` arguments, golden FNV-1a 64 of stdout, and the spans
 /// (space-separated) every traced run must record; `name=k` also pins
-/// the number of `name` spans to `k`. serve-load's other rows are
-/// wall-clock latencies, so its golden is its `digest=` line.
+/// the number of `name` spans to `k`.
 type Case = (&'static str, u64, &'static str);
 
-const CASES: [Case; 7] = [
+const CASES: [Case; 6] = [
     ("fig2", 0x60ad_0fd8_d93c_9c0e, "spice.newton_solve"),
     ("fig7", 0xdb78_5add_54d2_2a94, ""),
     // 40 points in chunks of 8.
@@ -32,24 +31,13 @@ const CASES: [Case; 7] = [
     ("batch", 0xe91c_00e0_1ee9_6c49, ""),
     (
         "econ",
-        0xaddf_d84a_aeff_030a,
+        0x41f0_9b30_5329_cfcf,
         "econ.campaign runtime.run_chunked",
-    ),
-    (
-        "serve-load --connections 8 --jobs 1000 --queue-depth 1024 --digest",
-        0xfdcd_6232_d9eb_0ced,
-        "serve.request",
     ),
 ];
 
 /// The thread count every baseline was captured at.
 const BASELINE_THREADS: &str = "2";
-
-/// The same 200-job schedule twice over one server, and both passes'
-/// golden digest: the cache may change latency, never bytes.
-const CACHE_ARGS: &str =
-    "serve-load --connections 4 --jobs 200 --passes 2 --queue-depth 1024 --digest";
-const CACHE_GOLDEN: u64 = 0x4ab8_1de0_ca61_841c;
 
 #[test]
 fn reports_are_pinned_at_every_thread_count_traced_or_not() {
@@ -65,21 +53,14 @@ fn reports_are_pinned_at_every_thread_count_traced_or_not() {
             }
         }
     }
-    if let Err(e) = check_cache() {
-        failures.push(format!("`{CACHE_ARGS}`: {e}"));
-    }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 fn check_run((args, golden, spans): Case, threads: &str, traced: bool) -> Result<(), String> {
     let (stdout, trace) = run(args, threads, traced)?;
-    let digest = if args.starts_with("serve-load") {
-        hex_line(&stdout, "digest=")?
-    } else {
-        let mut h = Fnv::new();
-        h.write(stdout.as_bytes());
-        h.finish()
-    };
+    let mut h = Fnv::new();
+    h.write(stdout.as_bytes());
+    let digest = h.finish();
     if digest != golden {
         return Err(format!("digest {digest:016x}, golden {golden:016x}"));
     }
@@ -103,33 +84,6 @@ fn check_run((args, golden, spans): Case, threads: &str, traced: bool) -> Result
     };
     // The convergence rows: wall-clock `/dur_ns` rows differ run to run.
     rows.retain(|r| !r.id.contains("/dur_ns"));
-    no_growth(baseline, &rows)
-}
-
-/// The two-pass cache run: both passes' digests, the server's
-/// accounting, and the hit/miss split against its baseline.
-fn check_cache() -> Result<(), String> {
-    let (stdout, _) = run(CACHE_ARGS, BASELINE_THREADS, false)?;
-    let passes = [
-        hex_line(&stdout, "pass0_digest=")?,
-        hex_line(&stdout, "pass1_digest=")?,
-    ];
-    if passes != [CACHE_GOLDEN; 2] {
-        return Err(format!("pass digests {passes:x?}, golden {CACHE_GOLDEN:x}"));
-    }
-    let rows: Vec<&str> = stdout.lines().filter(|l| l.starts_with('{')).collect();
-    let mut rows = parse_jsonl(&rows.join("\n")).map_err(|e| e.to_string())?;
-    // A missing row reads as 0, which fails the check below.
-    let value = |id: &str| rows.iter().find(|r| r.id == id).map_or(0, |r| r.median_ns);
-    let accepted = value("serve/stats/serve.accepted");
-    let (hits, misses) = (value("serve/cache_hits"), value("serve/cache_misses"));
-    let rate = value("serve/cache_hit_rate");
-    if accepted != 400 || hits + misses != accepted || rate <= 900 {
-        let got = format!("{accepted} accepted, {hits} hits, {misses} misses, {rate} ‰");
-        return Err(format!("{got}: want 400 = hits + misses and above 900 ‰"));
-    }
-    rows.retain(|r| r.id.starts_with("serve/cache_"));
-    let baseline = include_str!("../../../benches/baseline/serve-cache.jsonl");
     no_growth(baseline, &rows)
 }
 
@@ -158,13 +112,6 @@ fn run(args: &str, threads: &str, traced: bool) -> Result<(String, Option<String
     }
     let stdout = String::from_utf8(out.stdout).map_err(|e| e.to_string())?;
     Ok((stdout, trace.transpose()?))
-}
-
-/// The hex value of the stdout line starting with `prefix`.
-fn hex_line(stdout: &str, prefix: &str) -> Result<u64, String> {
-    let hex = stdout.lines().find_map(|l| l.strip_prefix(prefix));
-    hex.and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .ok_or_else(|| format!("printed no {prefix}<hex> line"))
 }
 
 /// Fails when any row's median grew past the committed baseline's

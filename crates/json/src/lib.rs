@@ -129,12 +129,12 @@ pub fn find_string_end(s: &str) -> Option<usize> {
 
 /// FNV-1a 64-bit hash — the workspace's standard content digest.
 ///
-/// Grown out of `carbon-bench`, where it fingerprints deterministic
-/// smoke-target output; shared here so `carbon-serve` can derive
-/// content-addressed cache keys from canonical JSON renderings without
-/// a dependency cycle (bench depends on serve). `carbon_bench::Fnv`
-/// re-exports this type, so every digest in the workspace is the same
-/// algorithm with the same reference vectors.
+/// It fingerprints `carbon-bench`'s deterministic report output, derives
+/// `carbon-serve`'s content-addressed cache keys from canonical JSON
+/// renderings, and digests the serve determinism goldens. It lives
+/// here, below both crates, so neither depends on the other for it.
+/// `carbon_bench::Fnv` re-exports this type, so every digest in the
+/// workspace is the same algorithm with the same reference vectors.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 

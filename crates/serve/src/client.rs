@@ -1,9 +1,10 @@
 //! A minimal blocking client: one connection, one request in flight.
 //!
-//! Used by the integration tests and by `carbon-bench serve-load`. The
-//! client is intentionally dumb — it frames, sends, and waits — so that
-//! load-generator concurrency comes from running many clients on many
-//! threads, mirroring how real callers would drive the service.
+//! Used by the integration tests and by the `servebench` load
+//! generator. The client is intentionally dumb — it frames, sends, and
+//! waits — so that load-generator concurrency comes from running many
+//! clients on many threads, mirroring how real callers would drive the
+//! service.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};

@@ -18,8 +18,8 @@
 //! - [`server`] — acceptor + worker pool with graceful drain shutdown,
 //!   plus the admission-free fast path answering `ping`/`stats` on the
 //!   connection thread;
-//! - [`client`] — a minimal blocking client used by tests and the
-//!   `carbon-bench serve-load` load generator.
+//! - [`client`] — a minimal blocking client used by the tests and by
+//!   the `servebench` load generator.
 //!
 //! Every server also owns an always-on `carbon-metrics` registry
 //! (per-kind latency and queue-wait histograms, admission counters,
@@ -48,7 +48,13 @@ pub mod job;
 mod metrics;
 pub mod protocol;
 pub mod queue;
+#[cfg(test)]
+mod serve_load;
 pub mod server;
+
+// Lets test code shared with the integration tests name this crate.
+#[cfg(test)]
+extern crate self as carbon_serve;
 
 pub use client::Client;
 pub use job::{Job, JobError};

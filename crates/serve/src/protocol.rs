@@ -82,8 +82,22 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
 }
 
 /// Write one frame (header + body) and flush.
+///
+/// # Errors
+///
+/// A body over [`MAX_FRAME_LEN`] is an [`io::ErrorKind::InvalidInput`]
+/// error, returned before any byte is written: the peer's reader would
+/// reject the frame anyway. Otherwise, the stream's own errors.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME_LEN, "oversized outgoing frame");
+    if body.len() > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame body of {} bytes exceeds maximum {MAX_FRAME_LEN}",
+                body.len()
+            ),
+        ));
+    }
     let header = (body.len() as u32).to_be_bytes();
     w.write_all(&header)?;
     w.write_all(body)?;
@@ -93,6 +107,72 @@ pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carbon_runtime::prop::prelude::*;
+    use carbon_runtime::prop::vec;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any body round-trips, and the reader stops exactly at the
+        /// end of its frame.
+        #[test]
+        fn random_bodies_round_trip(body in vec(0u8..=255, 0..=4096)) {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &body).unwrap();
+            prop_assert_eq!(buf.len(), 4 + body.len());
+            let mut r = buf.as_slice();
+            match read_frame(&mut r) {
+                Ok(Some(got)) => prop_assert_eq!(got, body),
+                other => return Err(TestCaseError::fail(format!("read back {other:?}"))),
+            }
+            prop_assert!(matches!(read_frame(&mut r), Ok(None)), "clean eof after the frame");
+        }
+
+        /// Every strict prefix of a frame reads as nothing at zero
+        /// bytes and as `UnexpectedEof` otherwise, never as a body.
+        #[test]
+        fn strict_prefixes_are_none_or_unexpected_eof(body in vec(0u8..=255, 0..=4096)) {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &body).unwrap();
+            for cut in 0..frame.len() {
+                let mut r = &frame[..cut];
+                match read_frame(&mut r) {
+                    Ok(None) if cut == 0 => {}
+                    Err(FrameError::Io(e))
+                        if cut > 0 && e.kind() == io::ErrorKind::UnexpectedEof => {}
+                    other => {
+                        return Err(TestCaseError::fail(format!(
+                            "{cut}-byte prefix read as {other:?}"
+                        )))
+                    }
+                }
+            }
+        }
+
+        /// Every length prefix above the maximum is refused before any
+        /// body byte is read.
+        #[test]
+        fn oversized_headers_are_too_large(
+            declared in (u32::try_from(MAX_FRAME_LEN).unwrap() + 1)..=u32::MAX,
+        ) {
+            let header = declared.to_be_bytes();
+            match read_frame(&mut header.as_slice()) {
+                Err(FrameError::TooLarge { declared: d }) => {
+                    prop_assert_eq!(d, declared as usize);
+                }
+                other => return Err(TestCaseError::fail(format!("read as {other:?}"))),
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_body_is_refused_before_any_byte_is_written() {
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &vec![b' '; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("16777217"), "{err}");
+        assert!(out.is_empty(), "wrote {} bytes", out.len());
+    }
 
     #[test]
     fn round_trips_frames() {

@@ -54,7 +54,7 @@ use carbon_runtime::CancelToken;
 use crate::cache::{FlightGuard, Lookup, ResponseCache, WaitOutcome};
 use crate::job::{Job, JobError};
 use crate::metrics::ServeMetrics;
-use crate::protocol::{read_frame, write_frame};
+use crate::protocol::{read_frame, write_frame, MAX_FRAME_LEN};
 use crate::queue::Bounded;
 
 /// How long a blocked socket read waits before re-checking the
@@ -116,7 +116,8 @@ pub struct ServerStats {
     /// Jobs that answered `ok` — freshly solved or served from the
     /// response cache.
     pub completed: u64,
-    /// Jobs that failed in validation or execution (`error` responses).
+    /// Admitted jobs that failed in execution or in rendering a
+    /// response over [`MAX_FRAME_LEN`] (`error` responses).
     pub errored: u64,
     /// Frames that were not valid request envelopes.
     pub protocol_errors: u64,
@@ -591,10 +592,20 @@ fn worker_loop(
         metrics
             .worker_busy_ns
             .add(u64::try_from(exec_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        let (status, response) = match outcome {
-            Ok(result) => {
+        let rendered = outcome.map(|result| ok_response(&ticket.id, kind, &result));
+        let (status, response) = match rendered {
+            // No client could read a frame this large: the result
+            // becomes an error, and its leader fails the flight below.
+            Ok(response) if response.len() > MAX_FRAME_LEN => {
+                metrics.errored.incr();
+                let message = format!(
+                    "response of {} bytes exceeds the maximum frame length {MAX_FRAME_LEN}",
+                    response.len()
+                );
+                ("error", error_response(&ticket.id, "render", &message))
+            }
+            Ok(response) => {
                 metrics.completed.incr();
-                let response = ok_response(&ticket.id, kind, &result);
                 // Only `ok` responses enter the cache: the stored value
                 // is everything after the `{"id":<id>` prefix, so a
                 // later hit splices its own id in front and is

@@ -20,22 +20,32 @@
 //! must all produce responses byte-identical (modulo the echoed id) to
 //! one shared reference across the whole matrix.
 //!
+//! Two golden digests pin those bytes across PRs:
+//!
+//! - the 1000-job mixed schedule over 8 connections, at every
+//!   `CARBON_THREADS`, untraced and then traced; a traced run must
+//!   record one `serve.request` span per admitted request;
+//! - the schedule's first 200 jobs run twice over one server, where
+//!   both passes must match and the cache's hit/miss split and latency
+//!   histograms are exact.
+//!
+//! The schedule and its loopback runner live in `load/mod.rs`, which
+//! the library's `serve_load` unit tests share.
+//!
 //! Kept as its own integration-test binary with a single `#[test]` so
-//! the `CARBON_THREADS` environment variable is never mutated
-//! concurrently with another test.
+//! the `CARBON_THREADS` environment variable and the global trace
+//! subscriber are never touched concurrently with another test.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use carbon_json::Json;
-use carbon_serve::{Client, Server, ServerConfig, DEFAULT_CACHE_BYTES};
+use carbon_serve::{Server, ServerConfig, DEFAULT_CACHE_BYTES};
+use carbon_trace::collect::Collector;
 
-const RC_DECK: &str = "* rc low-pass\nV1 in 0 1\nR1 in out 1k\nC1 out 0 1u\n.end\n";
-const DIVIDER_DECK: &str =
-    "* loaded divider\nV1 top 0 2\nR1 top mid 2k\nR2 mid 0 2k\nC1 mid 0 10n\n.end\n";
-
-fn nodes(names: &[&str]) -> Json {
-    Json::Arr(names.iter().map(|n| Json::Str((*n).to_owned())).collect())
-}
+mod load;
+use load::{
+    digest_of, fetch_stats, floats, nodes, request_body, run_set, schedule, DIVIDER_DECK, RC_DECK,
+};
 
 /// The mixed job bodies (no ids). Every kind that can complete quickly
 /// is represented, over two different decks.
@@ -112,8 +122,111 @@ fn jobs() -> Vec<Json> {
     ]
 }
 
-fn floats(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::Num(v)).collect())
+/// FNV-1a 64 of the 1000-job schedule's responses.
+const SCHEDULE_GOLDEN: u64 = 0xfdcd_6232_d9eb_0ced;
+
+/// FNV-1a 64 of each pass when the schedule's first 200 jobs run twice
+/// over one server: the cache may change latency, never bytes.
+const CACHE_GOLDEN: u64 = 0x4ab8_1de0_ca61_841c;
+
+/// The server the golden runs use. With 1024 queue slots, no request
+/// of 8 one-in-flight connections can be answered `busy`.
+fn golden_server() -> Server {
+    let config = ServerConfig {
+        workers: 2,
+        queue_depth: 1024,
+        default_timeout_ms: None,
+        cache_bytes: DEFAULT_CACHE_BYTES,
+    };
+    Server::start("127.0.0.1:0", config).expect("bind loopback")
+}
+
+/// The 1000-job schedule over 8 connections matches its golden; with
+/// `collector` installed as the global subscriber, the run records one
+/// `serve.request` span per admitted request.
+fn check_schedule_golden(collector: Option<&Collector>, context: &str) {
+    let server = golden_server();
+    let responses = run_set(server.local_addr(), &schedule(1000), 8);
+    let stats = server.shutdown();
+    assert_eq!(responses.len(), 1000, "every job answered once ({context})");
+    let digest = digest_of(&responses);
+    assert!(
+        digest == SCHEDULE_GOLDEN,
+        "schedule digest {digest:016x}, golden {SCHEDULE_GOLDEN:016x} ({context})"
+    );
+    assert_eq!(stats.accepted, 1000, "{context}");
+    assert_eq!(stats.protocol_errors, 0, "{context}");
+    if let Some(collector) = collector {
+        assert_eq!(
+            collector.spans("serve.request").len() as u64,
+            stats.accepted,
+            "one serve.request span per admitted request ({context})"
+        );
+    }
+}
+
+/// The schedule's first 200 jobs, twice over one server on 4
+/// connections: both passes match the golden, the first solves each
+/// of the 11 distinct bodies once, the second is all hits, and the
+/// `stats` snapshot keeps hits and misses in separate histograms.
+fn check_cache_golden() {
+    let (jobs, connections, passes) = (200, 4, 2);
+    let kinds: BTreeSet<&str> = (0..jobs).map(|i| request_body(i).0).collect();
+    let want = [
+        "ac_sweep",
+        "dc_sweep",
+        "econ_campaign",
+        "econ_point",
+        "fig7",
+        "op",
+        "transient",
+    ];
+    assert_eq!(kinds, BTreeSet::from(want), "the schedule mixes every kind");
+
+    let server = golden_server();
+    let requests = schedule(jobs);
+    let mut pass_hits = Vec::new();
+    for pass in 0..passes {
+        let before = server.stats().cache_hits;
+        let responses = run_set(server.local_addr(), &requests, connections);
+        assert_eq!(responses.len(), jobs, "pass {pass}");
+        let digest = digest_of(&responses);
+        assert!(
+            digest == CACHE_GOLDEN,
+            "pass {pass} digest {digest:016x}, golden {CACHE_GOLDEN:016x}"
+        );
+        pass_hits.push(server.stats().cache_hits - before);
+    }
+    let snapshot = fetch_stats(server.local_addr());
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, 400);
+    assert_eq!((stats.cache_hits, stats.cache_misses), (389, 11));
+    assert_eq!(pass_hits, [189, 200], "the warm pass is all hits");
+
+    // Hits record only to the hit histogram, misses only to the
+    // per-kind solve histograms, and the fast path to neither.
+    let Some(Json::Obj(histograms)) = snapshot.get("histograms") else {
+        panic!("stats snapshot without histograms");
+    };
+    let count = |name: &str| -> Option<u64> {
+        let (_, histogram) = histograms.iter().find(|(n, _)| n == name)?;
+        histogram.get("count")?.as_u64()
+    };
+    assert_eq!(count("serve.cache.hit_latency_ns"), Some(stats.cache_hits));
+    let solved: u64 = histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("serve.latency_ns."))
+        .map(|(name, _)| count(name).unwrap())
+        .sum();
+    assert_eq!(solved, stats.cache_misses);
+    assert_eq!(count("serve.latency_ns.ping"), None);
+    assert_eq!(count("serve.latency_ns.stats"), None);
+    let pings = snapshot.get("counters").and_then(|c| c.get("serve.ping"));
+    assert_eq!(
+        pings.and_then(Json::as_u64),
+        Some((connections * passes) as u64),
+        "one ping per connection per pass"
+    );
 }
 
 /// One pass over the job set: ids `0..n`, one request per job.
@@ -154,71 +267,6 @@ fn suffix(body: &[u8]) -> &[u8] {
         .position(|&b| b == b',')
         .expect("response has fields beyond id");
     &body[comma..]
-}
-
-/// Runs `requests` against one server over `connections` parallel
-/// connections (round-robin assignment) and returns the raw response
-/// bytes keyed by job id.
-///
-/// Each connection also exercises the metrics fast path — a `ping`
-/// before its jobs and a `stats` snapshot after — interleaved with the
-/// queued work. Those responses carry uptime and latency aggregates
-/// (the documented determinism exception), so they are checked for
-/// `ok` but excluded from the byte comparison.
-fn run_set(
-    addr: std::net::SocketAddr,
-    requests: &[String],
-    connections: usize,
-) -> BTreeMap<u64, Vec<u8>> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|c| {
-                let mine: Vec<&String> = requests.iter().skip(c).step_by(connections).collect();
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    fast_path_call(&mut client, "ping");
-                    let responses: Vec<(u64, Vec<u8>)> = mine
-                        .into_iter()
-                        .map(|body| {
-                            let raw = client.call_raw(body.as_bytes()).expect("response");
-                            let id = carbon_json::u64_field(
-                                std::str::from_utf8(&raw).expect("utf-8 response"),
-                                "id",
-                            )
-                            .expect("response carries the job id");
-                            (id, raw)
-                        })
-                        .collect();
-                    fast_path_call(&mut client, "stats");
-                    responses
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    })
-}
-
-/// Sends one fast-path request (`ping` or `stats`) and asserts it is
-/// answered `ok` on the connection thread. The body is intentionally
-/// not returned: fast-path responses are operational state, not
-/// simulation output, and never enter the determinism comparison.
-fn fast_path_call(client: &mut Client, kind: &str) {
-    let response = client
-        .call(
-            &Json::obj()
-                .push("id", format!("fast-{kind}"))
-                .push("job", Json::obj().push("kind", kind)),
-        )
-        .expect("fast-path response");
-    assert_eq!(
-        response.get("status").and_then(Json::as_str),
-        Some("ok"),
-        "{kind} answered {}",
-        response.render()
-    );
 }
 
 /// Asserts one pass's responses are all `ok` and byte-identical
@@ -342,6 +390,22 @@ fn responses_are_byte_identical_cold_warm_and_interleaved() {
                     assert_eq!(stats.cache_misses, 2 * n, "{context}");
                 }
             }
+        }
+    }
+
+    std::env::set_var("CARBON_THREADS", "2");
+    check_cache_golden();
+    // Untraced first: an installed global subscriber cannot be removed.
+    for traced in [false, true] {
+        for threads in ["1", "2", "4", "8"] {
+            std::env::set_var("CARBON_THREADS", threads);
+            let collector = traced.then(|| {
+                let collector = Collector::new();
+                carbon_trace::install_global(collector.clone());
+                collector
+            });
+            let context = format!("CARBON_THREADS={threads} traced={traced}");
+            check_schedule_golden(collector.as_deref(), &context);
         }
     }
     std::env::remove_var("CARBON_THREADS");

@@ -125,6 +125,53 @@ fn ac_response_shows_the_rc_corner() {
 }
 
 #[test]
+fn oversized_response_is_a_render_error_and_the_worker_serves_on() {
+    let server = start(1, 4);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // 99 999 points (under the AC point budget) × 4 probed nodes
+    // render about 18 MB, more than one frame holds.
+    let ladder = "* rc ladder\nV1 n0 0 1\nR1 n0 n1 1k\nC1 n1 0 1n\nR2 n1 n2 1k\nC2 n2 0 1n\n\
+                  R3 n2 n3 1k\nC3 n3 0 1n\nR4 n3 n4 1k\nC4 n4 0 1n\n.end\n";
+    let response = client
+        .call(
+            &Json::obj().push("id", "big").push(
+                "job",
+                Json::obj()
+                    .push("kind", "ac_sweep")
+                    .push("deck", ladder)
+                    .push("source", "V1")
+                    .push("fstart", 1.0)
+                    .push("fstop", 1e9)
+                    .push("points_per_decade", 11_111)
+                    .push("nodes", nodes(&["n1", "n2", "n3", "n4"])),
+            ),
+        )
+        .expect("the connection survives");
+    assert_eq!(response.get("status").and_then(Json::as_str), Some("error"));
+    assert_eq!(response.get("stage").and_then(Json::as_str), Some("render"));
+    let message = response.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("16777216"), "{message}");
+
+    // Same connection, same single worker: an ordinary job is `ok`.
+    let response = client
+        .call(
+            &Json::obj().push("id", "small").push(
+                "job",
+                Json::obj()
+                    .push("kind", "op")
+                    .push("deck", RC_DECK)
+                    .push("nodes", nodes(&["out"])),
+            ),
+        )
+        .unwrap();
+    assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
+    let stats = server.shutdown();
+    assert_eq!(stats.errored, 1);
+    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.cache_insertions, 1, "the render error is not cached");
+}
+
+#[test]
 fn invalid_requests_get_structured_errors_and_the_connection_survives() {
     let server = start(1, 4);
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -36,7 +36,9 @@
 //! byte-identical to the serial sweep when one chunk covers the whole
 //! grid.
 
-use super::engine::{collect_pattern, SPARSE_THRESHOLD};
+use std::sync::Arc;
+
+use super::engine::{collect_pattern, NameTable, SPARSE_THRESHOLD};
 use super::OpResult;
 use crate::complex::Complex;
 use crate::element::{diode_iv, ElementKind};
@@ -174,7 +176,8 @@ impl Stamp<Complex> for AcWorkspace {
 #[derive(Debug, Clone)]
 pub struct AcResult {
     freqs: Vec<f64>,
-    node_names: Vec<String>,
+    /// Unknown-name tables of the operating point the sweep linearized.
+    names: Arc<NameTable>,
     /// One phasor vector (nodes then branches) per frequency.
     solutions: Vec<Vec<Complex>>,
 }
@@ -198,17 +201,12 @@ impl AcResult {
     ///
     /// Returns [`SpiceError::UnknownNode`] for unknown names.
     pub fn phasors(&self, node: &str) -> Result<Vec<Complex>, SpiceError> {
-        let lower = node.to_ascii_lowercase();
-        if lower == "0" || lower == "gnd" {
+        if node == "0" || node.eq_ignore_ascii_case("gnd") {
             return Ok(vec![Complex::ZERO; self.freqs.len()]);
         }
-        let idx =
-            self.node_names
-                .iter()
-                .position(|n| *n == lower)
-                .ok_or(SpiceError::UnknownNode {
-                    name: node.to_owned(),
-                })?;
+        let idx = self.names.node(node).ok_or(SpiceError::UnknownNode {
+            name: node.to_owned(),
+        })?;
         Ok(self.solutions.iter().map(|s| s[idx]).collect())
     }
 
@@ -315,12 +313,9 @@ impl Circuit {
             });
             chunks.into_iter().collect::<Result<Vec<_>, _>>()?.concat()
         };
-        let node_names = (1..=self.num_nodes())
-            .map(|i| self.node_name(NodeId(i)).to_owned())
-            .collect();
         Ok(AcResult {
             freqs: freqs.to_vec(),
-            node_names,
+            names: op.names,
             solutions,
         })
     }

@@ -1,5 +1,6 @@
 //! The Newton–Raphson MNA core shared by all analyses.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::element::{diode_iv, diode_vcrit, pnjlim, ElementKind, FetCurve};
@@ -43,34 +44,57 @@ pub(crate) struct MnaWorkspace {
     vcrit: Vec<f64>,
 }
 
-/// Names of the node-voltage and branch-current unknowns, in unknown
-/// order — the lookup tables behind `OpResult::voltage` and
-/// `OpResult::source_current`.
+/// Names of the node-voltage and branch-current unknowns: the node
+/// names in unknown order, and one hash lookup from a name to its
+/// unknown index behind every result probe (`OpResult::voltage`,
+/// `OpResult::source_current`, `TranResult::voltages`,
+/// `AcResult::phasors`).
 #[derive(Debug)]
 pub(crate) struct NameTable {
     pub node_names: Vec<String>,
-    pub branch_names: Vec<String>,
+    nodes: HashMap<String, usize>,
+    /// Voltage-source and inductor names to their branch-current
+    /// unknown (node count + branch).
+    branches: HashMap<String, usize>,
 }
 
 impl NameTable {
     fn for_circuit(circuit: &Circuit) -> Self {
-        let node_names = (1..=circuit.num_nodes())
+        let node_names: Vec<String> = (1..=circuit.num_nodes())
             .map(|i| circuit.node_name(NodeId(i)).to_owned())
             .collect();
-        let mut branch_names = vec![String::new(); circuit.num_branches];
-        for e in &circuit.elements {
-            match e.kind {
+        let nodes = node_names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.clone(), i))
+            .collect();
+        let branches = circuit
+            .elements
+            .iter()
+            .filter_map(|e| match e.kind {
                 ElementKind::VoltageSource { branch, .. }
                 | ElementKind::Inductor { branch, .. } => {
-                    branch_names[branch] = e.name.clone();
+                    Some((e.name.clone(), node_names.len() + branch))
                 }
-                _ => {}
-            }
-        }
+                _ => None,
+            })
+            .collect();
         Self {
             node_names,
-            branch_names,
+            nodes,
+            branches,
         }
+    }
+
+    /// Unknown index of a node voltage, by case-insensitive name.
+    pub fn node(&self, name: &str) -> Option<usize> {
+        self.nodes.get(&name.to_ascii_lowercase()).copied()
+    }
+
+    /// Unknown index of a voltage source's or inductor's branch
+    /// current, by case-insensitive name.
+    pub fn branch(&self, name: &str) -> Option<usize> {
+        self.branches.get(&name.to_ascii_lowercase()).copied()
     }
 }
 
@@ -280,7 +304,6 @@ impl Default for NewtonOptions {
 /// Companion model of one capacitor for the implicit integrators.
 #[derive(Debug, Clone)]
 pub(crate) struct CapCompanion {
-    pub element_index: usize,
     p: NodeId,
     n: NodeId,
     c: f64,
@@ -297,10 +320,9 @@ pub(crate) struct CapCompanion {
 
 impl CapCompanion {
     /// Builds the companion from the DC initial condition (zero current).
-    pub fn at_rest(element_index: usize, p: NodeId, n: NodeId, c: f64, x: &[f64]) -> Self {
+    pub fn at_rest(p: NodeId, n: NodeId, c: f64, x: &[f64]) -> Self {
         let v = node_v(p, x) - node_v(n, x);
         Self {
-            element_index,
             p,
             n,
             c,
@@ -335,7 +357,6 @@ impl CapCompanion {
 /// branch equation becomes `v − R_eq·i = E_eq`.
 #[derive(Debug, Clone)]
 pub(crate) struct IndCompanion {
-    pub element_index: usize,
     p: NodeId,
     n: NodeId,
     branch: usize,
@@ -353,17 +374,8 @@ pub(crate) struct IndCompanion {
 impl IndCompanion {
     /// Builds the companion from the DC initial condition (the DC
     /// solution's branch current, zero voltage).
-    pub fn at_rest(
-        element_index: usize,
-        p: NodeId,
-        n: NodeId,
-        branch: usize,
-        l: f64,
-        x: &[f64],
-        n_nodes: usize,
-    ) -> Self {
+    pub fn at_rest(p: NodeId, n: NodeId, branch: usize, l: f64, x: &[f64], n_nodes: usize) -> Self {
         Self {
-            element_index,
             p,
             n,
             branch,
@@ -407,8 +419,8 @@ fn node_v(id: NodeId, x: &[f64]) -> f64 {
 ///   [`MnaWorkspace::for_circuit`] (matrix, factors, buffers), reused
 ///   across iterations, bias points, and time steps;
 /// * `time = None` → DC (capacitors open);
-/// * `caps = Some(..)` → transient companions (must cover every
-///   capacitor, prepared for the current step);
+/// * `caps = Some(..)` → transient companions (one per capacitor and
+///   per inductor, in element order, prepared for the current step);
 /// * `source_scale` multiplies all independent sources (source stepping);
 /// * `gmin` is the node-to-ground leak used on this attempt.
 ///
@@ -670,15 +682,14 @@ fn stamp_all<S: Stamp>(
         }
     };
 
+    // The companions are built in element order, so one cursor per
+    // list pairs each capacitor and inductor with its own.
+    let mut companions = caps.map(|(caps, inds)| (caps.iter(), inds.iter()));
     for (idx, e) in circuit.elements.iter().enumerate() {
         match &e.kind {
             ElementKind::Resistor { p, n, g } => stamp_g(a, *p, *n, *g),
             ElementKind::Capacitor { .. } => {
-                if let Some((caps, _)) = caps {
-                    let cap = caps
-                        .iter()
-                        .find(|c| c.element_index == idx)
-                        .expect("companion exists for every capacitor");
+                if let Some(cap) = companions.as_mut().and_then(|(caps, _)| caps.next()) {
                     stamp_g(a, cap.p, cap.n, cap.geq);
                     stamp_i(z, cap.p, cap.n, cap.ieq);
                 }
@@ -694,11 +705,7 @@ fn stamp_all<S: Stamp>(
                     a.add(j, bi, -1.0);
                     a.add(bi, j, -1.0);
                 }
-                if let Some((_, inds)) = caps {
-                    let ind = inds
-                        .iter()
-                        .find(|c| c.element_index == idx)
-                        .expect("companion exists for every inductor");
+                if let Some(ind) = companions.as_mut().and_then(|(_, inds)| inds.next()) {
                     a.add(bi, bi, -ind.r_eq);
                     z[bi] += ind.e_eq;
                 }

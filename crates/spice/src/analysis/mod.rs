@@ -61,14 +61,11 @@ impl OpResult {
     ///
     /// Returns [`SpiceError::UnknownNode`] for unknown names.
     pub fn voltage(&self, node: &str) -> Result<f64, SpiceError> {
-        let lower = node.to_ascii_lowercase();
-        if lower == "0" || lower == "gnd" {
+        if node == "0" || node.eq_ignore_ascii_case("gnd") {
             return Ok(0.0);
         }
         self.names
-            .node_names
-            .iter()
-            .position(|n| *n == lower)
+            .node(node)
             .map(|i| self.x[i])
             .ok_or(SpiceError::UnknownNode {
                 name: node.to_owned(),
@@ -83,12 +80,9 @@ impl OpResult {
     /// Returns [`SpiceError::UnknownSource`] if no voltage source has
     /// that name.
     pub fn source_current(&self, source: &str) -> Result<f64, SpiceError> {
-        let source_lower = source.to_ascii_lowercase();
         self.names
-            .branch_names
-            .iter()
-            .position(|n| *n == source_lower)
-            .map(|i| self.x[self.names.node_names.len() + i])
+            .branch(source)
+            .map(|i| self.x[i])
             .ok_or(SpiceError::UnknownSource {
                 name: source.to_owned(),
             })

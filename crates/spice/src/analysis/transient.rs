@@ -152,11 +152,8 @@ impl TranResult {
     ///
     /// Returns [`SpiceError::UnknownNode`] for unknown names.
     pub fn voltages(&self, node: &str) -> Result<&[f64], SpiceError> {
-        let lower = node.to_ascii_lowercase();
         self.names
-            .node_names
-            .iter()
-            .position(|n| *n == lower)
+            .node(node)
             .map(|i| self.traces[i].as_slice())
             .ok_or(SpiceError::UnknownNode {
                 name: node.to_owned(),
@@ -192,7 +189,8 @@ impl TranResult {
     }
 }
 
-/// Reactive-element companion state for one transient run.
+/// Reactive-element companion state for one transient run. Each list
+/// is in element order, the order `stamp_all` walks it in.
 struct Companions {
     caps: Vec<CapCompanion>,
     inds: Vec<IndCompanion>,
@@ -205,19 +203,17 @@ impl Companions {
         let caps = circuit
             .elements
             .iter()
-            .enumerate()
-            .filter_map(|(idx, e)| match e.kind {
-                ElementKind::Capacitor { p, n, c } => Some(CapCompanion::at_rest(idx, p, n, c, x)),
+            .filter_map(|e| match e.kind {
+                ElementKind::Capacitor { p, n, c } => Some(CapCompanion::at_rest(p, n, c, x)),
                 _ => None,
             })
             .collect();
         let inds = circuit
             .elements
             .iter()
-            .enumerate()
-            .filter_map(|(idx, e)| match e.kind {
+            .filter_map(|e| match e.kind {
                 ElementKind::Inductor { p, n, branch, l } => {
-                    Some(IndCompanion::at_rest(idx, p, n, branch, l, x, n_nodes))
+                    Some(IndCompanion::at_rest(p, n, branch, l, x, n_nodes))
                 }
                 _ => None,
             })
