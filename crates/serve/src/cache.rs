@@ -2,8 +2,10 @@
 //!
 //! The determinism contract makes every queued response a pure function
 //! of its canonical job body, so a repeated deck is a hash lookup, not
-//! a Newton solve. This module provides the two mechanisms the worker
-//! path composes:
+//! a Newton solve. This module provides the two mechanisms the server
+//! composes. A connection thread probes with the hit-only
+//! [`ResponseCache::get`] and answers a resident body itself; a worker
+//! classifies every job that missed with [`ResponseCache::begin`]:
 //!
 //! - **Sharded LRU over response bytes.** Sixteen lock-striped shards,
 //!   each an LRU keyed by the canonical job key
@@ -80,6 +82,17 @@ impl Shard {
             bytes: 0,
             tick: 0,
         }
+    }
+
+    /// A resident entry's suffix, with the entry moved to the most
+    /// recently touched end of the LRU order.
+    fn touch(&mut self, key: u64) -> Option<Vec<u8>> {
+        let entry = self.entries.get_mut(&key)?;
+        self.tick += 1;
+        let old_tick = std::mem::replace(&mut entry.tick, self.tick);
+        self.lru.remove(&old_tick);
+        self.lru.insert(self.tick, key);
+        Some(entry.suffix.clone())
     }
 }
 
@@ -242,6 +255,17 @@ impl ResponseCache {
         &self.shards[(key as usize) & (SHARDS - 1)]
     }
 
+    /// Hit-only lookup: the resident suffix for `key`, with its LRU
+    /// position refreshed exactly as a [`ResponseCache::begin`] hit
+    /// refreshes it. A miss registers no flight, so the caller may
+    /// still go on to [`ResponseCache::begin`] for the same key.
+    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
+        self.shard(key)
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .touch(key)
+    }
+
     /// Classifies one admitted job: served from cache, leader, or
     /// waiter. Hits refresh the entry's LRU position.
     pub fn begin(self: &Arc<Self>, key: u64) -> Lookup {
@@ -249,15 +273,7 @@ impl ResponseCache {
             .shard(key)
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let shard = &mut *shard;
-        if shard.entries.contains_key(&key) {
-            shard.tick += 1;
-            let tick = shard.tick;
-            let entry = shard.entries.get_mut(&key).expect("checked above");
-            let old_tick = std::mem::replace(&mut entry.tick, tick);
-            let suffix = entry.suffix.clone();
-            shard.lru.remove(&old_tick);
-            shard.lru.insert(tick, key);
+        if let Some(suffix) = shard.touch(key) {
             return Lookup::Hit(suffix);
         }
         if let Some(flight) = shard.flights.get(&key) {
@@ -418,6 +434,21 @@ mod tests {
         assert!(cache.peek(key(2)).is_none());
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.bytes(), 3 * 1064);
+    }
+
+    #[test]
+    fn get_refreshes_lru_like_a_hit_and_registers_no_flight() {
+        let cache = ResponseCache::new(16 * 4096);
+        assert!(cache.get(key(0)).is_none());
+        // The miss left no flight behind: the next lookup leads.
+        put(&cache, key(0), 1000);
+        put(&cache, key(1), 1000);
+        put(&cache, key(2), 1000);
+        assert_eq!(cache.get(key(0)), Some(vec![b'v'; 1000]));
+        // The refreshed key(0) survives; key(1) is the oldest-touched.
+        put(&cache, key(3), 1000);
+        assert!(cache.peek(key(0)).is_some());
+        assert!(cache.peek(key(1)).is_none());
     }
 
     #[test]

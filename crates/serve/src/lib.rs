@@ -15,9 +15,10 @@
 //! - [`cache`] — content-addressed response cache (sharded LRU over
 //!   canonical job keys) with single-flight deduplication of identical
 //!   in-flight solves;
-//! - [`server`] — acceptor + worker pool with graceful drain shutdown,
-//!   plus the admission-free fast path answering `ping`/`stats` on the
-//!   connection thread;
+//! - [`server`] — acceptor + worker pool with graceful drain shutdown.
+//!   The connection thread answers `ping`/`stats` and every resident
+//!   cache hit itself, before the queue: a hit is neither validated
+//!   nor handed to a worker;
 //! - [`client`] — a minimal blocking client used by the tests and by
 //!   the `servebench` load generator.
 //!

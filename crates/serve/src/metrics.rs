@@ -26,15 +26,18 @@ pub(crate) struct ServeMetrics {
     started: Instant,
     /// Connections accepted.
     pub connections: Arc<Counter>,
-    /// Jobs admitted to the queue.
+    /// Jobs admitted: resident hits answered on the connection thread,
+    /// and validated jobs pushed to the queue.
     pub accepted: Arc<Counter>,
-    /// Requests bounced with a `busy` response.
+    /// Requests that needed a worker, bounced with a `busy` response.
     pub rejected_busy: Arc<Counter>,
     /// Jobs that hit their deadline.
     pub timed_out: Arc<Counter>,
-    /// Jobs that ran to an `ok` response.
+    /// Jobs that answered `ok`, solved or served from the cache.
     pub completed: Arc<Counter>,
-    /// Jobs that failed in validation or execution.
+    /// Admitted jobs that failed in execution or rendering. A request
+    /// that fails validation is never admitted: it counts in
+    /// `protocol_errors`.
     pub errored: Arc<Counter>,
     /// Frames that were not valid request envelopes.
     pub protocol_errors: Arc<Counter>,
@@ -59,17 +62,20 @@ pub(crate) struct ServeMetrics {
     pub cache_coalesced: Arc<Counter>,
     /// Bytes currently resident in the response cache.
     pub cache_bytes: Arc<Gauge>,
-    /// End-to-end latency of cache hits, ns. Deliberately separate from
-    /// the per-kind `serve.latency_ns.*` histograms, which record only
-    /// solved (miss) requests — hits would otherwise collapse solve
-    /// latency baselines.
+    /// Latency of cache hits, ns: from the frame read to the response
+    /// ready on the connection thread, from admission on a worker.
+    /// Deliberately separate from the per-kind `serve.latency_ns.*`
+    /// histograms, which record only solved (miss) requests — hits
+    /// would otherwise collapse solve latency baselines.
     pub cache_hit_latency: Arc<Histogram>,
-    /// Jobs currently admitted but not yet completed.
+    /// Jobs waiting in the queue for a worker (running jobs are not
+    /// counted).
     pub queue_depth: Arc<Gauge>,
     uptime_ms: Arc<Gauge>,
-    /// Per-kind end-to-end latency (admission to response), ns.
+    /// Per-kind end-to-end latency of cache misses (admission to
+    /// response), ns.
     latency: BTreeMap<&'static str, Arc<Histogram>>,
-    /// Per-kind time spent waiting in the queue, ns.
+    /// Per-kind time queued jobs spent waiting in the queue, ns.
     queue_wait: BTreeMap<&'static str, Arc<Histogram>>,
 }
 

@@ -7,11 +7,14 @@
 //! a thread that reads frames *sequentially* — a connection has at most
 //! one request in flight, so per-connection response order is trivially
 //! the request order, and concurrency comes from the number of
-//! connections. Jobs are handed to a fixed pool of worker threads
-//! through the bounded queue; the pool is sized like the carbon-runtime
-//! executor (`CARBON_THREADS` or the machine's parallelism) so service
-//! workers and the executor's own fan-out (inside `fig7`-style jobs)
-//! follow one configuration.
+//! connections. The connection thread parses the envelope, computes the
+//! job's canonical key, and probes the response cache: a resident body
+//! is answered right there, with no validation, no queue and no worker.
+//! Every other job is validated and handed to a fixed pool of worker
+//! threads through the bounded queue; the pool is sized like the
+//! carbon-runtime executor (`CARBON_THREADS` or the machine's
+//! parallelism) so service workers and the executor's own fan-out
+//! (inside `fig7`-style jobs) follow one configuration.
 //!
 //! # Determinism
 //!
@@ -28,7 +31,9 @@
 //!
 //! Admission control is [`crate::queue::Bounded::try_push`]: a full
 //! queue answers `busy` immediately instead of stalling the connection.
-//! Each admitted job runs under a [`CancelToken`] scope whose deadline
+//! A cache hit never needs a worker, so it is answered even when the
+//! queue is full; only jobs that need a worker can get `busy`. Each
+//! queued job runs under a [`CancelToken`] scope whose deadline
 //! is the request's `timeout_ms` (or the server default); solver
 //! checkpoints inside carbon-spice turn an expired deadline into a
 //! `timeout` response between Newton iterations or sweep points.
@@ -50,6 +55,7 @@ use std::time::{Duration, Instant};
 
 use carbon_json::Json;
 use carbon_runtime::CancelToken;
+use carbon_trace::Span;
 
 use crate::cache::{FlightGuard, Lookup, ResponseCache, WaitOutcome};
 use crate::job::{Job, JobError};
@@ -78,8 +84,8 @@ pub struct ServerConfig {
     /// executor's thread count (`CARBON_THREADS` or machine
     /// parallelism).
     pub workers: usize,
-    /// Bounded-queue depth: jobs admitted but not yet running. Requests
-    /// arriving beyond this get `busy` responses.
+    /// Bounded-queue depth: jobs admitted but not yet running. Jobs
+    /// that need a worker and arrive beyond this get `busy` responses.
     pub queue_depth: usize,
     /// Deadline applied to jobs whose request carries no `timeout_ms`.
     /// `None` means no default deadline.
@@ -107,9 +113,11 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Jobs admitted to the queue.
+    /// Jobs admitted: answered from the cache on the connection thread,
+    /// or validated and pushed to the queue.
     pub accepted: u64,
-    /// Requests bounced with a `busy` response.
+    /// Requests that needed a worker and found the queue full, bounced
+    /// with a `busy` response.
     pub rejected_busy: u64,
     /// Jobs that hit their deadline and answered `timeout`.
     pub timed_out: u64,
@@ -121,8 +129,9 @@ pub struct ServerStats {
     pub errored: u64,
     /// Frames that were not valid request envelopes.
     pub protocol_errors: u64,
-    /// Admitted jobs served from the response cache (directly or by
-    /// waiting on an identical in-flight solve).
+    /// Admitted jobs served from the response cache: found resident by
+    /// the connection thread's probe or by a worker, or served by
+    /// waiting on an identical in-flight solve.
     pub cache_hits: u64,
     /// Admitted jobs a worker solved itself — counted whether the cache
     /// is enabled or not, so `cache_hits + cache_misses == accepted`
@@ -212,7 +221,14 @@ impl Server {
             let metrics = Arc::clone(&metrics);
             let default_timeout_ms = config.default_timeout_ms;
             std::thread::spawn(move || {
-                accept_loop(&listener, &queue, &shutdown, &metrics, default_timeout_ms);
+                accept_loop(
+                    &listener,
+                    &queue,
+                    cache.as_ref(),
+                    &shutdown,
+                    &metrics,
+                    default_timeout_ms,
+                );
             })
         };
 
@@ -273,6 +289,7 @@ impl Drop for Server {
 fn accept_loop(
     listener: &TcpListener,
     queue: &Arc<Bounded<Ticket>>,
+    cache: Option<&Arc<ResponseCache>>,
     shutdown: &Arc<AtomicBool>,
     metrics: &Arc<ServeMetrics>,
     default_timeout_ms: Option<u64>,
@@ -286,10 +303,18 @@ fn accept_loop(
                 let _ = stream.set_nodelay(true);
                 metrics.connections.incr();
                 let queue = Arc::clone(queue);
+                let cache = cache.cloned();
                 let shutdown = Arc::clone(shutdown);
                 let metrics = Arc::clone(metrics);
                 connections.push(std::thread::spawn(move || {
-                    connection_loop(stream, &queue, &shutdown, &metrics, default_timeout_ms);
+                    connection_loop(
+                        stream,
+                        &queue,
+                        cache.as_deref(),
+                        &shutdown,
+                        &metrics,
+                        default_timeout_ms,
+                    );
                 }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -309,6 +334,7 @@ fn accept_loop(
 fn connection_loop(
     mut stream: TcpStream,
     queue: &Bounded<Ticket>,
+    cache: Option<&ResponseCache>,
     shutdown: &AtomicBool,
     metrics: &ServeMetrics,
     default_timeout_ms: Option<u64>,
@@ -325,13 +351,26 @@ fn connection_loop(
             Ok(Some(body)) => body,
             Ok(None) | Err(_) => return,
         };
-        let response = match parse_envelope(&body, default_timeout_ms) {
+        let received = Instant::now();
+        let response = match parse_envelope(&body, cache, default_timeout_ms) {
+            // A resident body is admitted and answered here, with no
+            // worker, so a full queue cannot bounce it.
+            Ok(Request::Hit { response, span }) => {
+                metrics.accepted.incr();
+                count_hit(metrics, received, span, &response);
+                response
+            }
             // ping/stats are answered here, on the connection thread,
             // before admission — a full queue cannot starve them.
-            Ok((id, job, _, _)) if job.is_fast_path() => {
+            Ok(Request::Job { id, job, .. }) if job.is_fast_path() => {
                 fast_path_response(&id, &job, queue, metrics)
             }
-            Ok((id, job, key, timeout_ms)) => dispatch(id, job, key, timeout_ms, queue, metrics),
+            Ok(Request::Job {
+                id,
+                job,
+                key,
+                timeout_ms,
+            }) => dispatch(id, *job, key, timeout_ms, queue, metrics),
             Err(resp) => {
                 metrics.protocol_errors.incr();
                 resp
@@ -379,13 +418,33 @@ fn fast_path_response(
     }
 }
 
-/// Validates one request envelope into `(id, job, key, timeout_ms)`,
-/// where `key` is the canonical content key of the `job` field;
-/// failures come back as ready-to-send response bytes.
+/// What one well-formed request envelope asks of the server.
+enum Request {
+    /// The job body is resident in the cache: its stored response,
+    /// spliced with this request's id, and the request's open
+    /// `serve.request` span.
+    Hit { response: Vec<u8>, span: Span },
+    /// A validated job, keyed by the canonical content key of its
+    /// `job` field.
+    Job {
+        id: Json,
+        job: Box<Job>,
+        key: u64,
+        timeout_ms: Option<u64>,
+    },
+}
+
+/// Parses one request envelope and probes the cache with its job key;
+/// a miss is then validated. Failures come back as ready-to-send
+/// response bytes.
+///
+/// A hit skips `Job::from_json`: the cache stores only `ok` responses
+/// of bodies that passed it, under the canonical key of that same body.
 fn parse_envelope(
     body: &[u8],
+    cache: Option<&ResponseCache>,
     default_timeout_ms: Option<u64>,
-) -> Result<(Json, Job, u64, Option<u64>), Vec<u8>> {
+) -> Result<Request, Vec<u8>> {
     let text = std::str::from_utf8(body)
         .map_err(|_| error_response(&Json::Null, "parse", "request is not UTF-8"))?;
     let envelope =
@@ -417,16 +476,32 @@ fn parse_envelope(
     let job_field = envelope
         .get("job")
         .ok_or_else(|| error_response(&id, "validate", "request.job is required"))?;
-    let job = Job::from_json(job_field).map_err(|e| match e {
-        JobError::Invalid { reason } => error_response(&id, "validate", &reason),
-        other => error_response(&id, "validate", &other.to_string()),
-    })?;
     // Content identity of the work itself: the `job` field only, in
     // canonical (sorted-key) form. `id` and `timeout_ms` are excluded —
     // an `ok` response is a pure function of the job body, so neither
     // may split the cache key space.
     let key = job_field.canonical_key();
-    Ok((id, job, key, timeout_ms))
+    if let Some(suffix) = cache.and_then(|cache| cache.get(key)) {
+        let mut span = carbon_trace::span!("serve.request");
+        if span.is_live() {
+            let kind = job_field.get("kind").and_then(Json::as_str);
+            span.record("kind", kind.unwrap_or_default());
+        }
+        return Ok(Request::Hit {
+            response: splice_cached(&id, &suffix),
+            span,
+        });
+    }
+    let job = Job::from_json(job_field).map_err(|e| match e {
+        JobError::Invalid { reason } => error_response(&id, "validate", &reason),
+        other => error_response(&id, "validate", &other.to_string()),
+    })?;
+    Ok(Request::Job {
+        id,
+        job: Box::new(job),
+        key,
+        timeout_ms,
+    })
 }
 
 /// Admits the job (or answers `busy`) and waits for the worker's
@@ -543,17 +618,7 @@ fn worker_loop(
         // the waiter-deadline edge) — so hit + miss == accepted.
         let mut guard = match resolve_cache(cache, &ticket, metrics) {
             CacheDecision::Served(response) => {
-                metrics.cache_hit.incr();
-                metrics.completed.incr();
-                metrics.cache_hit_latency.record(
-                    u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-                if span.is_live() {
-                    span.record("status", "ok");
-                    span.record("cache", "hit");
-                    span.record("resp_bytes", response.len());
-                }
-                drop(span);
+                count_hit(metrics, ticket.enqueued, span, &response);
                 let _ = ticket.resp.send(response);
                 continue;
             }
@@ -656,6 +721,23 @@ fn worker_loop(
         // The connection may have vanished; the response is then simply
         // dropped (capacity-1 channel: never blocks).
         let _ = ticket.resp.send(response);
+    }
+}
+
+/// Counts one cache hit, on whichever thread answered it, and closes
+/// its `serve.request` span. The hit latency runs from `since` to now:
+/// from the frame read on the connection thread, from admission on a
+/// worker.
+fn count_hit(metrics: &ServeMetrics, since: Instant, mut span: Span, response: &[u8]) {
+    metrics.cache_hit.incr();
+    metrics.completed.incr();
+    metrics
+        .cache_hit_latency
+        .record(u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    if span.is_live() {
+        span.record("status", "ok");
+        span.record("cache", "hit");
+        span.record("resp_bytes", response.len());
     }
 }
 

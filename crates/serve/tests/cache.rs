@@ -233,6 +233,7 @@ fn stats_flattens_the_cache_instruments() {
             .and_then(Json::as_u64)
             .unwrap_or_else(|| panic!("stats counters missing {name}"))
     };
+    assert_eq!(counter("serve.accepted"), 2);
     assert_eq!(counter("serve.cache.hit"), 1);
     assert_eq!(counter("serve.cache.miss"), 1);
     assert_eq!(counter("serve.cache.insert"), 1);
@@ -256,6 +257,9 @@ fn stats_flattens_the_cache_instruments() {
     };
     assert_eq!(hist_count("serve.cache.hit_latency_ns"), 1);
     assert_eq!(hist_count("serve.latency_ns.transient"), 1);
+    // The hit was answered on the connection thread: only the miss
+    // ever waited in the queue.
+    assert_eq!(hist_count("serve.queue_wait_ns.transient"), 1);
     server.shutdown();
 }
 

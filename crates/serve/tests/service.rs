@@ -255,8 +255,30 @@ fn invalid_requests_get_structured_errors_and_the_connection_survives() {
         .unwrap();
     assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
 
+    // That job is now resident, but the envelope is checked before the
+    // cache is: a bad id or timeout is still a validation error.
+    let resp = client
+        .call_raw(br#"{"id":[1],"job":{"kind":"fig7"}}"#)
+        .unwrap();
+    let resp = Json::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
+    assert_eq!(resp.get("stage").and_then(Json::as_str), Some("validate"));
+    let message = resp.get("message").and_then(Json::as_str).unwrap();
+    assert_eq!(message, "request.id must be a scalar");
+    let resp = client
+        .call(
+            &Json::obj()
+                .push("id", 13)
+                .push("timeout_ms", 0)
+                .push("job", Json::obj().push("kind", "fig7")),
+        )
+        .unwrap();
+    assert_eq!(resp.get("stage").and_then(Json::as_str), Some("validate"));
+    let message = resp.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("request.timeout_ms"), "{message}");
+
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 1, "only the final good job was admitted");
+    assert_eq!(stats.cache_hits, 0, "a rejected envelope never hits");
     assert!(stats.protocol_errors >= 3);
 }
 
@@ -444,10 +466,10 @@ fn stats_reports_counters_gauges_and_per_kind_histograms() {
 #[test]
 fn fast_path_answers_while_the_queue_is_full() {
     // One worker, depth 1: two slow jobs fill the worker and the
-    // queue. While they grind, a queued job kind must bounce with
-    // `busy` — but `ping` and `stats` are answered on the connection
-    // thread, before admission, so a saturated server stays
-    // observable.
+    // queue. While they grind, a job that needs a worker must bounce
+    // with `busy` — but `ping`, `stats` and a resident cache hit are
+    // answered on the connection thread, before admission, so a
+    // saturated server stays observable and keeps serving repeats.
     let server = start(1, 1);
     let addr = server.local_addr();
     let slow_request = Json::obj()
@@ -475,6 +497,17 @@ fn fast_path_answers_while_the_queue_is_full() {
         };
 
         let mut probe = Client::connect(addr).unwrap();
+        // Prime the cache with a body the bounced request below does
+        // not share.
+        let resident = Json::obj().push(
+            "job",
+            Json::obj()
+                .push("kind", "op")
+                .push("deck", RC_DECK)
+                .push("nodes", nodes(&["in"])),
+        );
+        let primed = probe.call(&resident.clone().push("id", "primed")).unwrap();
+        assert_eq!(primed.get("status").and_then(Json::as_str), Some("ok"));
         let fetch_stats = |client: &mut Client| {
             let resp = client
                 .call(
@@ -487,7 +520,8 @@ fn fast_path_answers_while_the_queue_is_full() {
             resp.get("result").cloned().unwrap()
         };
         // Polls the fast path until the server reaches the given
-        // (accepted, completed, queue_depth) state.
+        // (accepted, queue_depth) state, with only the primed job
+        // completed.
         let mut wait_for = |accepted: u64, depth: u64, what: &str| {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
             loop {
@@ -506,7 +540,7 @@ fn fast_path_answers_while_the_queue_is_full() {
                     .and_then(Json::as_u64)
                     .unwrap();
                 if counter("serve.accepted") == accepted
-                    && counter("serve.completed") == 0
+                    && counter("serve.completed") == 1
                     && gauge_depth == depth
                 {
                     break;
@@ -520,9 +554,9 @@ fn fast_path_answers_while_the_queue_is_full() {
         // the first must be on the worker (queue empty again) before
         // the second is sent to fill the queue.
         let first = spawn_slow(slow_request.clone());
-        wait_for(1, 0, "first slow job picked up by the worker");
+        wait_for(2, 0, "first slow job picked up by the worker");
         let second = spawn_slow(slow_request.clone());
-        wait_for(2, 1, "second slow job waiting in the queue");
+        wait_for(3, 1, "second slow job waiting in the queue");
         let slow_handles = [first, second];
 
         // A queued kind is bounced...
@@ -548,6 +582,11 @@ fn fast_path_answers_while_the_queue_is_full() {
             )
             .unwrap();
         assert_eq!(pong.get("status").and_then(Json::as_str), Some("ok"));
+
+        // ...and so does the resident body, with the primed result.
+        let hit = probe.call(&resident.push("id", "hit")).unwrap();
+        assert_eq!(hit.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(hit.get("result"), primed.get("result"));
         let snap = fetch_stats(&mut probe);
         assert_eq!(
             snap.get("counters")
@@ -569,9 +608,11 @@ fn fast_path_answers_while_the_queue_is_full() {
             assert_eq!(h.join().unwrap(), "ok");
         }
     });
+    // The primed job, the two slow jobs and the hit.
     let stats = server.shutdown();
-    assert_eq!(stats.accepted, 2);
-    assert_eq!(stats.completed, 2);
+    assert_eq!(stats.accepted, 4);
+    assert_eq!(stats.completed, 4);
+    assert_eq!(stats.cache_hits, 1);
     assert_eq!(stats.rejected_busy, 1);
 }
 
