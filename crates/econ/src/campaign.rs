@@ -18,11 +18,13 @@
 //!
 //! # Per-cell economics
 //!
-//! Each cell samples `devices` assembly sites through
-//! [`VariabilityModel`] at the cell's purity (Park-style high-density
-//! self-assembly, λ = 2.3). A device *fails only on a metallic short*
-//! — empty sites are opens the imperfection-immune design routes
-//! around — so the Monte-Carlo device yield estimates
+//! Each cell classifies `devices` assembly sites with
+//! [`VariabilityModel::sample_short`] at the cell's purity (Park-style
+//! high-density self-assembly, λ = 2.3): the same sites, on the same
+//! stream, that [`VariabilityModel::sample_device`] would draw, without
+//! computing a working device's parameters. A device *fails only on a
+//! metallic short* — empty sites are opens the imperfection-immune
+//! design routes around — so the Monte-Carlo device yield estimates
 //! `e^(-λ(1-purity))`. From there:
 //!
 //! * `copies_per_die  = ⌊density · area / circuit_devices⌋`
@@ -38,7 +40,7 @@
 
 use carbon_fab::stats;
 use carbon_fab::variability::yield_ci_half_width;
-use carbon_fab::{DeviceOutcome, SelfAssembly, VariabilityModel};
+use carbon_fab::{SelfAssembly, VariabilityModel};
 use carbon_runtime::{cancel, Executor, Xoshiro256pp};
 
 use crate::node::{CostModel, NodeSpec};
@@ -49,11 +51,12 @@ use crate::{EconError, YieldModel};
 /// stream.
 pub const ADAPTIVE_BATCH: u64 = 256;
 
-/// Threshold voltage mean/sigma and on-current median/log-sigma used
-/// for the purity Monte-Carlo. Fixed at the fab park-preset values:
-/// the econ axes care only about the short/empty classification, but
-/// sampling through the full [`VariabilityModel`] keeps the device
-/// statistics identical to the fig7 campaign's.
+/// Threshold voltage mean/sigma and on-current median/log-sigma of the
+/// purity Monte-Carlo's model, fixed at the fab park-preset values.
+/// The econ axes read only the short classification, which
+/// [`VariabilityModel::sample_short`] makes on the same stream as a
+/// full device draw, so a cell sees exactly the sites the fig7
+/// campaign's model would at its purity.
 const VT_MEAN: f64 = 0.35;
 const VT_SIGMA: f64 = 0.07;
 const ION_MEDIAN: f64 = 10e-6;
@@ -511,7 +514,7 @@ fn evaluate_cell(
         for _ in 0..batch {
             // Failure model: only a metallic short kills the device;
             // empty sites are opens the design routes around.
-            if !matches!(model.sample_device(rng), DeviceOutcome::MetallicShort) {
+            if !model.sample_short(rng) {
                 ok += 1;
             }
         }

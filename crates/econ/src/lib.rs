@@ -9,7 +9,8 @@
 //! cell combining
 //!
 //! * a Monte-Carlo purity axis — metallic-short probability sampled
-//!   through [`carbon_fab::VariabilityModel`] on a per-cell RNG stream,
+//!   with [`carbon_fab::VariabilityModel::sample_short`] on a per-cell
+//!   RNG stream,
 //! * an analytic defect axis — Poisson `e^(-A·D0)` or clustered
 //!   negative-binomial `(1 + A·D0/α)^-α` die yield ([`YieldModel`]),
 //! * a per-node cost layer — transistor density, wafer cost, and

@@ -104,8 +104,8 @@ fn erfc_half(z: f64) -> f64 {
 /// Park-style chemical self-assembly into predefined trenches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelfAssembly {
-    /// Mean tubes captured per site (Poisson λ).
-    lambda: f64,
+    /// Tubes captured per site, built once: its λ is the mean.
+    tubes: Poisson,
 }
 
 /// Site-occupancy statistics of a self-assembly run.
@@ -126,12 +126,12 @@ impl SelfAssembly {
     ///
     /// Returns [`BuildPlacementError`] unless `lambda > 0`.
     pub fn new(lambda: f64) -> Result<Self, BuildPlacementError> {
-        if !(lambda.is_finite() && lambda > 0.0) {
-            return Err(BuildPlacementError(format!(
+        let tubes = Poisson::new(lambda).map_err(|_| {
+            BuildPlacementError(format!(
                 "mean site occupancy must be positive, got {lambda}"
-            )));
-        }
-        Ok(Self { lambda })
+            ))
+        })?;
+        Ok(Self { tubes })
     }
 
     /// The Park et al. recipe: ~90 % of sites occupied
@@ -142,8 +142,9 @@ impl SelfAssembly {
 
     /// Analytic occupancy fractions from the Poisson model.
     pub fn occupancy(&self) -> Occupancy {
-        let p0 = (-self.lambda).exp();
-        let p1 = self.lambda * p0;
+        let lambda = self.tubes.lambda();
+        let p0 = (-lambda).exp();
+        let p1 = lambda * p0;
         Occupancy {
             empty: p0,
             single: p1,
@@ -153,9 +154,7 @@ impl SelfAssembly {
 
     /// Samples the tube count of one site.
     pub fn sample_site<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        Poisson::new(self.lambda)
-            .expect("positive lambda")
-            .sample(rng) as usize
+        self.tubes.sample(rng) as usize
     }
 
     /// Samples `n` sites and returns the empirical occupancy.

@@ -12,6 +12,14 @@
 //!   contacts: the gate cannot turn the device off;
 //! * **functional** — only semiconducting tubes: threshold voltage and
 //!   on-current are drawn with process dispersion.
+//!
+//! A caller that needs only the short/not-short split (the econ
+//! purity axis) uses [`VariabilityModel::sample_short`]: it classifies
+//! each site on the same generator stream as
+//! [`VariabilityModel::sample_device`] without computing the
+//! parameters of a working device.
+
+use std::ops::ControlFlow;
 
 use carbon_runtime::{Distribution, Executor, LogNormal, Normal, Rng, MC_CHUNK};
 
@@ -42,12 +50,10 @@ pub struct VariabilityModel {
     assembly: SelfAssembly,
     /// Semiconducting purity of the sorted ink.
     purity: f64,
-    /// Mean and sigma of the threshold voltage, V.
-    vt_mean: f64,
-    vt_sigma: f64,
-    /// Median on-current per tube, A, with log-normal dispersion.
-    ion_median: f64,
-    ion_sigma_ln: f64,
+    /// Threshold voltage, V.
+    vt: Normal,
+    /// On-current per tube, A.
+    ion_per_tube: LogNormal,
 }
 
 /// Error building a [`VariabilityModel`].
@@ -63,12 +69,15 @@ impl std::fmt::Display for BuildVariabilityError {
 impl std::error::Error for BuildVariabilityError {}
 
 impl VariabilityModel {
-    /// Creates a model.
+    /// Creates a model: threshold voltage `N(vt_mean, vt_sigma)` in V,
+    /// per-tube on-current log-normal with median `ion_median` in A and
+    /// log-sigma `ion_sigma_ln`.
     ///
     /// # Errors
     ///
-    /// Returns [`BuildVariabilityError`] for purity outside `[0, 1]` or
-    /// non-positive dispersion scales.
+    /// Returns [`BuildVariabilityError`], naming the parameter, for
+    /// purity outside `[0, 1]`, a non-finite parameter, a negative
+    /// dispersion or a non-positive median on-current.
     pub fn new(
         assembly: SelfAssembly,
         purity: f64,
@@ -77,26 +86,32 @@ impl VariabilityModel {
         ion_median: f64,
         ion_sigma_ln: f64,
     ) -> Result<Self, BuildVariabilityError> {
+        let invalid = |name: &str, need: &str, value: f64| {
+            Err(BuildVariabilityError(format!(
+                "{name} must be {need}, got {value}"
+            )))
+        };
         if !(0.0..=1.0).contains(&purity) {
-            return Err(BuildVariabilityError(format!(
-                "purity must be in [0, 1], got {purity}"
-            )));
+            return invalid("purity", "in [0, 1]", purity);
         }
-        if vt_sigma < 0.0 || ion_sigma_ln < 0.0 {
-            return Err(BuildVariabilityError("dispersions must be ≥ 0".into()));
+        if !vt_mean.is_finite() {
+            return invalid("vt_mean", "finite", vt_mean);
         }
-        if ion_median <= 0.0 {
-            return Err(BuildVariabilityError(format!(
-                "median on-current must be positive, got {ion_median}"
-            )));
+        if !(vt_sigma.is_finite() && vt_sigma >= 0.0) {
+            return invalid("vt_sigma", "finite and ≥ 0", vt_sigma);
+        }
+        if !(ion_median.is_finite() && ion_median > 0.0) {
+            return invalid("ion_median", "finite and positive", ion_median);
+        }
+        if !(ion_sigma_ln.is_finite() && ion_sigma_ln >= 0.0) {
+            return invalid("ion_sigma_ln", "finite and ≥ 0", ion_sigma_ln);
         }
         Ok(Self {
             assembly,
             purity,
-            vt_mean,
-            vt_sigma,
-            ion_median,
-            ion_sigma_ln,
+            vt: Normal::new(vt_mean, vt_sigma.max(1e-12)).expect("checked above"),
+            ion_per_tube: LogNormal::new(ion_median.ln(), ion_sigma_ln.max(1e-12))
+                .expect("checked above"),
         })
     }
 
@@ -115,27 +130,56 @@ impl VariabilityModel {
         .expect("preset is valid")
     }
 
-    /// Samples one device site.
-    pub fn sample_device<R: Rng + ?Sized>(&self, rng: &mut R) -> DeviceOutcome {
+    /// The site step both samplers share: the tube count, then the
+    /// per-tube purity check, stopping at the first metallic tube.
+    /// Breaks with the outcome of an empty or shorted site; continues
+    /// with the tube count of a working one.
+    fn classify_site<R: Rng + ?Sized>(&self, rng: &mut R) -> ControlFlow<DeviceOutcome, usize> {
         let tubes = self.assembly.sample_site(rng);
         if tubes == 0 {
-            return DeviceOutcome::Empty;
+            return ControlFlow::Break(DeviceOutcome::Empty);
         }
-        let metallic = (0..tubes).any(|_| rng.next_f64() > self.purity);
-        if metallic {
-            return DeviceOutcome::MetallicShort;
+        if (0..tubes).any(|_| rng.next_f64() > self.purity) {
+            return ControlFlow::Break(DeviceOutcome::MetallicShort);
         }
-        let vt = Normal::new(self.vt_mean, self.vt_sigma.max(1e-12))
-            .expect("validated")
-            .sample(rng);
-        let per_tube =
-            LogNormal::new(self.ion_median.ln(), self.ion_sigma_ln.max(1e-12)).expect("validated");
-        let ion: f64 = (0..tubes).map(|_| per_tube.sample(rng)).sum();
+        ControlFlow::Continue(tubes)
+    }
+
+    /// Samples one device site.
+    pub fn sample_device<R: Rng + ?Sized>(&self, rng: &mut R) -> DeviceOutcome {
+        let tubes = match self.classify_site(rng) {
+            ControlFlow::Break(outcome) => return outcome,
+            ControlFlow::Continue(tubes) => tubes,
+        };
+        // A working device draws `tubes + 2` normals (Vt, one on-current
+        // per tube, the on/off scatter). `sample_short` skips their
+        // words instead, so a draw added here must be skipped there.
+        let vt = self.vt.sample(rng);
+        let ion: f64 = (0..tubes).map(|_| self.ion_per_tube.sample(rng)).sum();
         // On/off set by how far Vt sits above the off bias, ~1 decade
         // per 90 mV of margin plus device-to-device scatter.
         let decades = (vt / 0.090) + Normal::new(0.0, 0.5).expect("const").sample(rng);
         let on_off = 10f64.powf(decades.clamp(0.5, 8.0));
         DeviceOutcome::Functional { vt, ion, on_off }
+    }
+
+    /// Samples one device site and reports only whether it is a
+    /// metallic short.
+    ///
+    /// Equal to `matches!(self.sample_device(rng), MetallicShort)`, and
+    /// leaves `rng` in the same state: a working site's parameters are
+    /// not computed, but the generator advances past their draws
+    /// ([`Normal::WORDS`] per normal), so every later draw is unchanged.
+    pub fn sample_short<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+        match self.classify_site(rng) {
+            ControlFlow::Break(outcome) => matches!(outcome, DeviceOutcome::MetallicShort),
+            ControlFlow::Continue(tubes) => {
+                for _ in 0..Normal::WORDS * (tubes as u64 + 2) {
+                    rng.next_u64();
+                }
+                false
+            }
+        }
     }
 
     /// Samples a whole array.
@@ -550,5 +594,72 @@ mod tests {
         assert!(VariabilityModel::new(asm.clone(), 1.5, 0.3, 0.05, 1e-6, 0.3).is_err());
         assert!(VariabilityModel::new(asm.clone(), 0.9, 0.3, -0.05, 1e-6, 0.3).is_err());
         assert!(VariabilityModel::new(asm, 0.9, 0.3, 0.05, 0.0, 0.3).is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected_by_name() {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // (name, vt_mean, vt_sigma, ion_median, ion_sigma_ln)
+        let cases = [
+            ("vt_mean", nan, 0.07, 10e-6, 0.4),
+            ("vt_sigma", 0.35, inf, 10e-6, 0.4),
+            ("vt_sigma", 0.35, nan, 10e-6, 0.4),
+            ("ion_median", 0.35, 0.07, nan, 0.4),
+            ("ion_median", 0.35, 0.07, inf, 0.4),
+            ("ion_sigma_ln", 0.35, 0.07, 10e-6, inf),
+        ];
+        for (name, vt_mean, vt_sigma, ion_median, ion_sigma_ln) in cases {
+            let err = VariabilityModel::new(
+                SelfAssembly::park_high_density(),
+                0.999,
+                vt_mean,
+                vt_sigma,
+                ion_median,
+                ion_sigma_ln,
+            )
+            .expect_err(name)
+            .to_string();
+            assert!(err.contains(name), "{name}: {err}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use carbon_runtime::prop::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn sample_short_classifies_on_the_sample_device_stream(
+                seed in 0u64..u64::MAX,
+                raw_purity in -0.25f64..1.25,
+                lambda_below_100 in 0.0f64..100.0,
+            ) {
+                // Clamping puts a sixth of the cases on each end of
+                // [0, 1]; λ ∈ (0, 100] reaches Poisson's normal branch.
+                let purity = raw_purity.clamp(0.0, 1.0);
+                let lambda = 100.0 - lambda_below_100;
+                let model = VariabilityModel::new(
+                    SelfAssembly::new(lambda).unwrap(),
+                    purity,
+                    0.35,
+                    0.07,
+                    10e-6,
+                    0.4,
+                )
+                .unwrap();
+                let mut short_rng = Xoshiro256pp::seed_from_u64(seed);
+                let mut device_rng = short_rng.clone();
+                for site in 0..2000 {
+                    let device = model.sample_device(&mut device_rng);
+                    let short = model.sample_short(&mut short_rng);
+                    prop_assert!(
+                        short == matches!(device, DeviceOutcome::MetallicShort),
+                        "site {site}: sample_short {short}, sample_device {device:?}"
+                    );
+                    prop_assert!(short_rng == device_rng, "generators part at site {site}");
+                }
+            }
+        }
     }
 }

@@ -99,6 +99,13 @@ pub struct Normal {
 }
 
 impl Normal {
+    /// Generator words one draw consumes: Box–Muller's two uniforms,
+    /// whatever the parameters. A [`LogNormal`] draw is one normal
+    /// draw, so it consumes the same. A caller that skips a draw it
+    /// does not need advances the generator by this many words, and
+    /// every later draw is unchanged.
+    pub const WORDS: u64 = 2;
+
     /// Creates a normal distribution with the given mean and standard
     /// deviation.
     ///
@@ -117,8 +124,8 @@ impl Normal {
     /// One standard normal variate via the Box–Muller transform.
     ///
     /// Stateless by design: the second Box–Muller variate is discarded
-    /// so a draw consumes a fixed number of generator words, keeping
-    /// chunk boundaries reproducible.
+    /// so a draw consumes a fixed number of generator words
+    /// ([`Normal::WORDS`]), keeping chunk boundaries reproducible.
     fn standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         // u1 ∈ (0, 1] keeps the log finite.
         let u1 = 1.0 - rng.next_f64();
@@ -189,6 +196,11 @@ impl Poisson {
             exp_neg_lambda: (-lambda).exp(),
         })
     }
+
+    /// The rate `λ`.
+    pub fn lambda(&self) -> f64 {
+        self.lambda
+    }
 }
 
 impl Distribution<f64> for Poisson {
@@ -220,7 +232,7 @@ impl Distribution<f64> for Poisson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Xoshiro256pp;
+    use crate::rng::{RngCore, Xoshiro256pp};
 
     fn moments(draws: &[f64]) -> (f64, f64) {
         let n = draws.len() as f64;
@@ -289,6 +301,24 @@ mod tests {
             );
             assert!(draws.iter().all(|&k| k >= 0.0 && k.fract() == 0.0));
         }
+    }
+
+    #[test]
+    fn normal_and_lognormal_draws_consume_normal_words() {
+        let mut skipped = Xoshiro256pp::seed_from_u64(12);
+        for _ in 0..Normal::WORDS {
+            skipped.next_u64();
+        }
+        let mut drawn = Xoshiro256pp::seed_from_u64(12);
+        Normal::new(0.35, 0.07).unwrap().sample(&mut drawn);
+        assert_eq!(drawn, skipped, "one Normal draw");
+        for _ in 0..Normal::WORDS {
+            skipped.next_u64();
+        }
+        LogNormal::new((10e-6f64).ln(), 0.4)
+            .unwrap()
+            .sample(&mut drawn);
+        assert_eq!(drawn, skipped, "one LogNormal draw");
     }
 
     #[test]
