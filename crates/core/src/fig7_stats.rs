@@ -4,14 +4,16 @@
 //!
 //! * the **Park et al. \[22\] measurement campaign**: a >10,000-device
 //!   array from self-assembly placement, with site-occupancy fractions,
-//!   threshold-voltage statistics, on-current percentiles, and on/off
-//!   histograms — "for the first time a statistical analysis of more
-//!   than 10,000 CNTFETs that have been measured, was available";
+//!   threshold-voltage statistics and on-current percentiles — "for the
+//!   first time a statistical analysis of more than 10,000 CNTFETs that
+//!   have been measured, was available". The campaign samples only what
+//!   these read; the per-device on/off ratio lives on
+//!   [`VariabilityModel::sample_device`];
 //! * the **sorting economics**: semiconducting purity versus passes for
 //!   gel chromatography / density gradient / DNA wrapping, with the
 //!   cumulative material yield each purity level costs.
 
-use carbon_fab::stats::{percentile_sorted, sort_samples};
+use carbon_fab::stats::percentiles;
 use carbon_fab::{DevicePopulation, SortingProcess, VariabilityModel};
 
 use crate::error::CoreError;
@@ -96,20 +98,10 @@ pub fn run_adaptive(target_ci: f64, max_devices: usize) -> Result<Fig7Adaptive, 
 /// Summary statistics and the sorting table for a measured population —
 /// shared by the fixed-size and adaptive campaigns.
 fn stats_from(population: DevicePopulation) -> Fig7Stats {
-    let fractions = [
-        population.functional_yield(),
-        population.short_fraction(),
-        population.empty_fraction(),
-    ];
+    let fractions = population.fractions();
     let vt_stats = population.vt_statistics();
-    let mut ion: Vec<f64> = population.on_currents();
-    // One sort serves all three percentile reads.
-    sort_samples(&mut ion);
-    let ion_percentiles = [
-        percentile_sorted(&ion, 5.0) * 1e6,
-        percentile_sorted(&ion, 50.0) * 1e6,
-        percentile_sorted(&ion, 95.0) * 1e6,
-    ];
+    let ion_percentiles =
+        percentiles(&mut population.on_currents(), [5.0, 50.0, 95.0]).map(|ion| ion * 1e6);
     let sorting = [
         SortingProcess::gel_chromatography(),
         SortingProcess::density_gradient(),
@@ -262,8 +254,8 @@ mod tests {
         let fixed = run().unwrap();
         let m = n.min(fixed.population.len());
         assert_eq!(
-            fig.stats.population.outcomes()[..m],
-            fixed.population.outcomes()[..m]
+            fig.stats.population.sites()[..m],
+            fixed.population.sites()[..m]
         );
     }
 
@@ -271,7 +263,7 @@ mod tests {
     fn adaptive_campaign_is_deterministic() {
         let a = run_adaptive(0.03, ADAPTIVE_MAX_DEFAULT).unwrap();
         let b = run_adaptive(0.03, ADAPTIVE_MAX_DEFAULT).unwrap();
-        assert_eq!(a.stats.population.outcomes(), b.stats.population.outcomes());
+        assert_eq!(a.stats.population.sites(), b.stats.population.sites());
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.ci_half_width, b.ci_half_width);
     }

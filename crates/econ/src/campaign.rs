@@ -416,14 +416,9 @@ impl CampaignResult {
         let (cost_p10, cost_p50, cost_p90, carbon_p50) = if costs.is_empty() {
             (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY)
         } else {
-            stats::sort_samples(&mut costs);
-            stats::sort_samples(&mut carbons);
-            (
-                stats::percentile_sorted(&costs, 10.0),
-                stats::percentile_sorted(&costs, 50.0),
-                stats::percentile_sorted(&costs, 90.0),
-                stats::percentile_sorted(&carbons, 50.0),
-            )
+            let [cost_p10, cost_p50, cost_p90] = stats::percentiles(&mut costs, [10.0, 50.0, 90.0]);
+            let [carbon_p50] = stats::percentiles(&mut carbons, [50.0]);
+            (cost_p10, cost_p50, cost_p90, carbon_p50)
         };
         CampaignSummary {
             cells: self.points.len() as u64,

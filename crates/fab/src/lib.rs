@@ -14,8 +14,8 @@
 //! * [`placement`] — aligned growth on quartz and Park-style
 //!   self-assembly into predefined trenches (site occupancy statistics),
 //! * [`variability`] — the >10,000-device Monte-Carlo in the spirit of
-//!   Park et al. \[22\]: V_T and on-current dispersion, on/off histograms,
-//!   device-outcome classification,
+//!   Park et al. \[22\]: V_T and on-current dispersion, per-device on/off
+//!   ratios, device-outcome classification,
 //! * [`vmr`] — electrical removal of metallic tubes (the Shulaker
 //!   "imperfection-immune" step),
 //! * [`chirality_sorting`] — single-chirality separation stages,
@@ -41,7 +41,7 @@ pub use chirality_sorting::ChiralitySeparation;
 pub use placement::{AlignedGrowth, SelfAssembly};
 pub use sorting::SortingProcess;
 pub use synthesis::SynthesisRecipe;
-pub use variability::{DeviceOutcome, DevicePopulation, VariabilityModel};
+pub use variability::{DeviceOutcome, DevicePopulation, MeasuredSite, VariabilityModel};
 pub use vmr::{VmrOutcome, VmrProcess};
 pub use wafer::{WaferModel, WaferSample};
 pub use yield_model::CircuitYield;

@@ -18,51 +18,60 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
 }
 
-/// Sorts samples ascending, the precondition for
-/// [`percentile_sorted`].
+/// The `ps`-th percentiles (each in `0..=100`, ascending) of `xs`, by
+/// linear interpolation between the order statistics either side of
+/// each rank: the value that sorting `xs` ascending and interpolating
+/// gives, bit for bit, without sorting it.
+///
+/// Each percentile selects its lower order statistic with
+/// `select_nth_unstable_by` over the part of `xs` not already below an
+/// earlier one, and takes its upper one as the minimum of what lies
+/// above. Samples are ordered by [`f64::total_cmp`], so the result is a
+/// function of the values alone, not of their order; `xs` is left
+/// permuted.
 ///
 /// # Panics
 ///
-/// Panics on NaN (non-totally-ordered) data.
-pub fn sort_samples(xs: &mut [f64]) {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite data"));
-}
-
-/// The `p`-th percentile (0..=100) by linear interpolation on data that
-/// is already sorted ascending (see [`sort_samples`]). Sort once, then
-/// read as many percentiles as needed without re-sorting.
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty or `p` is outside `[0, 100]`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty data");
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let f = rank - lo as f64;
-        sorted[lo] * (1.0 - f) + sorted[hi] * f
-    }
-}
-
-/// The `p`-th percentile (0..=100) by linear interpolation on the sorted
-/// data.
-///
-/// Clones and sorts on every call; when reading several percentiles of
-/// the same data, use [`sort_samples`] + [`percentile_sorted`] instead.
-///
-/// # Panics
-///
-/// Panics if `xs` is empty or `p` is outside `[0, 100]`.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
+/// Panics if `xs` is empty or holds a NaN, or if a `p` is outside
+/// `[0, 100]` or below the one before it.
+pub fn percentiles<const N: usize>(xs: &mut [f64], ps: [f64; N]) -> [f64; N] {
     assert!(!xs.is_empty(), "percentile of empty data");
-    let mut sorted = xs.to_vec();
-    sort_samples(&mut sorted);
-    percentile_sorted(&sorted, p)
+    assert!(!xs.iter().any(|x| x.is_nan()), "percentile of NaN data");
+    let last = (xs.len() - 1) as f64;
+    // Invariant: xs[..from] are the `from` smallest samples.
+    let mut from = 0;
+    let mut previous = 0.0;
+    ps.map(|p| {
+        assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+        assert!(p >= previous, "percentiles must be ascending");
+        previous = p;
+        let rank = p / 100.0 * last;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        xs[from..].select_nth_unstable_by(lo - from, f64::total_cmp);
+        from = lo;
+        if lo == hi {
+            xs[lo]
+        } else {
+            let upper = xs[hi..]
+                .iter()
+                .copied()
+                .min_by(f64::total_cmp)
+                .expect("hi is a valid index");
+            let f = rank - lo as f64;
+            xs[lo] * (1.0 - f) + upper * f
+        }
+    })
+}
+
+/// The `p`-th percentile (0..=100) of `xs`: [`percentiles`] on a copy.
+///
+/// # Panics
+///
+/// As [`percentiles`].
+pub fn percentile(xs: &[f64], p: f64) -> f64 {
+    let [value] = percentiles(&mut xs.to_vec(), [p]);
+    value
 }
 
 /// Histogram with `bins` equal-width bins over `[lo, hi]`; returns bin
@@ -113,13 +122,19 @@ mod tests {
     }
 
     #[test]
-    fn percentile_sorted_matches_percentile() {
+    fn percentiles_match_percentile() {
         let xs = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0];
-        let mut sorted = xs.to_vec();
-        sort_samples(&mut sorted);
-        for p in [0.0, 5.0, 25.0, 50.0, 77.7, 95.0, 100.0] {
-            assert_eq!(percentile_sorted(&sorted, p), percentile(&xs, p));
+        let ps = [0.0, 5.0, 25.0, 25.0, 50.0, 77.7, 95.0, 100.0];
+        let read = super::percentiles(&mut xs.to_vec(), ps);
+        for (p, value) in ps.into_iter().zip(read) {
+            assert_eq!(value.to_bits(), percentile(&xs, p).to_bits(), "p = {p}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn percentiles_reject_descending_reads() {
+        let _ = super::percentiles(&mut [1.0, 2.0, 3.0], [50.0, 10.0]);
     }
 
     #[test]
@@ -130,5 +145,55 @@ mod tests {
         // 0.5 lands exactly on the bin edge and goes to the upper bin.
         assert_eq!(counts, vec![3, 3]);
         assert_eq!(counts.iter().sum::<usize>(), xs.len());
+    }
+
+    mod props {
+        use crate::stats::percentiles;
+        use carbon_runtime::prop::prelude::*;
+        use carbon_runtime::{Rng, Xoshiro256pp};
+
+        /// Sort, then interpolate: the value `percentiles` must equal.
+        fn sorted_reference(xs: &[f64], p: f64) -> f64 {
+            let mut sorted = xs.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let rank = p / 100.0 * (sorted.len() - 1) as f64;
+            let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+            if lo == hi {
+                sorted[lo]
+            } else {
+                let f = rank - lo as f64;
+                sorted[lo] * (1.0 - f) + sorted[hi] * f
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+            #[test]
+            fn selection_equals_sorting(
+                seed in 0u64..u64::MAX,
+                len in 1usize..4001,
+                pool_log2 in 0u32..13,
+                random_p in 0.0f64..100.0,
+            ) {
+                // Samples come from a pool of 2^pool_log2 values with
+                // both signed zeros in it, so most cases repeat values.
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let mut pool = vec![0.0, -0.0];
+                pool.extend((0..1usize << pool_log2).map(|_| rng.gen_range_f64(-1e3, 1e3)));
+                let xs: Vec<f64> = (0..len)
+                    .map(|_| pool[rng.gen_range_usize(0..pool.len())])
+                    .collect();
+                let mut ps = [0.0, 5.0, 10.0, 50.0, 90.0, 95.0, 100.0, random_p];
+                ps.sort_by(f64::total_cmp);
+                let selected = percentiles(&mut xs.clone(), ps);
+                for (p, value) in ps.into_iter().zip(selected) {
+                    let sorted = sorted_reference(&xs, p);
+                    prop_assert!(
+                        value.to_bits() == sorted.to_bits(),
+                        "p = {p}: selected {value}, sorted {sorted}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -13,11 +13,13 @@
 //! * **functional** — only semiconducting tubes: threshold voltage and
 //!   on-current are drawn with process dispersion.
 //!
-//! A caller that needs only the short/not-short split (the econ
-//! purity axis) uses [`VariabilityModel::sample_short`]: it classifies
-//! each site on the same generator stream as
-//! [`VariabilityModel::sample_device`] without computing the
-//! parameters of a working device.
+//! [`VariabilityModel::sample_device`] is the full per-device model,
+//! on/off ratio included. Two callers read less of a site and sample
+//! only that, on the same generator stream: the population samplers
+//! keep the class, V_T and on-current the §V campaign statistics read
+//! (a [`DevicePopulation`] of [`MeasuredSite`]s), and
+//! [`VariabilityModel::sample_short`] only the short/not-short split
+//! of the econ purity axis.
 
 use std::ops::ControlFlow;
 
@@ -26,7 +28,9 @@ use carbon_runtime::{Distribution, Executor, LogNormal, Normal, Rng, MC_CHUNK};
 use crate::placement::SelfAssembly;
 use crate::stats;
 
-/// Electrical outcome of one fabricated device site.
+/// Electrical outcome of one fabricated device site: what
+/// [`VariabilityModel::sample_device`] draws, on/off ratio included. A
+/// [`DevicePopulation`] keeps the [`MeasuredSite`] part of it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeviceOutcome {
     /// No tube in the channel.
@@ -41,6 +45,26 @@ pub enum DeviceOutcome {
         ion: f64,
         /// On/off current ratio.
         on_off: f64,
+    },
+}
+
+/// One site of a measured array: its class and, for a working device,
+/// the threshold voltage and on-current the campaign statistics read
+/// (24 bytes; a [`DeviceOutcome`] is 32). Bit for bit the
+/// [`DeviceOutcome`] that [`VariabilityModel::sample_device`] draws on
+/// the same generator, less the on/off ratio.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MeasuredSite {
+    /// No tube in the channel.
+    Empty,
+    /// At least one metallic tube shorts the channel.
+    MetallicShort,
+    /// A working FET.
+    Functional {
+        /// Threshold voltage, V.
+        vt: f64,
+        /// On-current at the benchmark bias, A.
+        ion: f64,
     },
 }
 
@@ -130,37 +154,74 @@ impl VariabilityModel {
         .expect("preset is valid")
     }
 
-    /// The site step both samplers share: the tube count, then the
-    /// per-tube purity check, stopping at the first metallic tube.
-    /// Breaks with the outcome of an empty or shorted site; continues
-    /// with the tube count of a working one.
-    fn classify_site<R: Rng + ?Sized>(&self, rng: &mut R) -> ControlFlow<DeviceOutcome, usize> {
+    /// The site step all three samplers share: the tube count, then
+    /// the per-tube purity check, stopping at the first metallic tube.
+    /// Breaks with an empty or shorted site; continues with the tube
+    /// count of a working one.
+    fn classify_site<R: Rng + ?Sized>(&self, rng: &mut R) -> ControlFlow<MeasuredSite, usize> {
         let tubes = self.assembly.sample_site(rng);
         if tubes == 0 {
-            return ControlFlow::Break(DeviceOutcome::Empty);
+            return ControlFlow::Break(MeasuredSite::Empty);
         }
         if (0..tubes).any(|_| rng.next_f64() > self.purity) {
-            return ControlFlow::Break(DeviceOutcome::MetallicShort);
+            return ControlFlow::Break(MeasuredSite::MetallicShort);
         }
         ControlFlow::Continue(tubes)
     }
 
-    /// Samples one device site.
+    /// The measured part of a site, which [`measure_site`] and
+    /// [`sample_device`] share: the class, then a working device's V_T
+    /// and per-tube on-currents (`tubes + 1` normals).
+    ///
+    /// A working device draws `tubes + 2` normals in all, the last
+    /// being `sample_device`'s on/off scatter. `sample_short` skips all
+    /// of their words and `measure_site` the last one's, so a draw
+    /// added here or in `sample_device` must be skipped by both.
+    ///
+    /// [`measure_site`]: Self::measure_site
+    /// [`sample_device`]: Self::sample_device
+    fn measure<R: Rng + ?Sized>(&self, rng: &mut R) -> MeasuredSite {
+        match self.classify_site(rng) {
+            ControlFlow::Break(site) => site,
+            ControlFlow::Continue(tubes) => {
+                let vt = self.vt.sample(rng);
+                let ion = (0..tubes).map(|_| self.ion_per_tube.sample(rng)).sum();
+                MeasuredSite::Functional { vt, ion }
+            }
+        }
+    }
+
+    /// Samples one device site: the full per-device model, on/off ratio
+    /// included.
     pub fn sample_device<R: Rng + ?Sized>(&self, rng: &mut R) -> DeviceOutcome {
-        let tubes = match self.classify_site(rng) {
-            ControlFlow::Break(outcome) => return outcome,
-            ControlFlow::Continue(tubes) => tubes,
-        };
-        // A working device draws `tubes + 2` normals (Vt, one on-current
-        // per tube, the on/off scatter). `sample_short` skips their
-        // words instead, so a draw added here must be skipped there.
-        let vt = self.vt.sample(rng);
-        let ion: f64 = (0..tubes).map(|_| self.ion_per_tube.sample(rng)).sum();
-        // On/off set by how far Vt sits above the off bias, ~1 decade
-        // per 90 mV of margin plus device-to-device scatter.
-        let decades = (vt / 0.090) + Normal::new(0.0, 0.5).expect("const").sample(rng);
-        let on_off = 10f64.powf(decades.clamp(0.5, 8.0));
-        DeviceOutcome::Functional { vt, ion, on_off }
+        match self.measure(rng) {
+            MeasuredSite::Empty => DeviceOutcome::Empty,
+            MeasuredSite::MetallicShort => DeviceOutcome::MetallicShort,
+            MeasuredSite::Functional { vt, ion } => {
+                // On/off set by how far Vt sits above the off bias, ~1
+                // decade per 90 mV of margin plus device-to-device
+                // scatter.
+                let decades = (vt / 0.090) + Normal::new(0.0, 0.5).expect("const").sample(rng);
+                let on_off = 10f64.powf(decades.clamp(0.5, 8.0));
+                DeviceOutcome::Functional { vt, ion, on_off }
+            }
+        }
+    }
+
+    /// Samples one device site without its on/off ratio: the step every
+    /// population sampler takes per site.
+    ///
+    /// The class, V_T and on-current are bit for bit those of
+    /// [`sample_device`](Self::sample_device), and `rng` is left in the
+    /// same state: the on/off scatter is not drawn, but the generator
+    /// advances past its [`Normal::WORDS`] words, so every later draw
+    /// is unchanged.
+    pub(crate) fn measure_site<R: Rng + ?Sized>(&self, rng: &mut R) -> MeasuredSite {
+        let site = self.measure(rng);
+        if let MeasuredSite::Functional { .. } = site {
+            skip_words(rng, Normal::WORDS);
+        }
+        site
     }
 
     /// Samples one device site and reports only whether it is a
@@ -172,11 +233,9 @@ impl VariabilityModel {
     /// ([`Normal::WORDS`] per normal), so every later draw is unchanged.
     pub fn sample_short<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         match self.classify_site(rng) {
-            ControlFlow::Break(outcome) => matches!(outcome, DeviceOutcome::MetallicShort),
+            ControlFlow::Break(site) => matches!(site, MeasuredSite::MetallicShort),
             ControlFlow::Continue(tubes) => {
-                for _ in 0..Normal::WORDS * (tubes as u64 + 2) {
-                    rng.next_u64();
-                }
+                skip_words(rng, Normal::WORDS * (tubes as u64 + 2));
                 false
             }
         }
@@ -185,7 +244,7 @@ impl VariabilityModel {
     /// Samples a whole array.
     pub fn sample_population<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> DevicePopulation {
         DevicePopulation {
-            outcomes: (0..n).map(|_| self.sample_device(rng)).collect(),
+            sites: (0..n).map(|_| self.measure_site(rng)).collect(),
         }
     }
 
@@ -200,7 +259,7 @@ impl VariabilityModel {
     /// [`sample_population`]: Self::sample_population
     pub fn sample_population_with(&self, ex: &Executor, seed: u64, n: usize) -> DevicePopulation {
         DevicePopulation {
-            outcomes: ex.par_mc(seed, n, |_, rng| self.sample_device(rng)),
+            sites: ex.par_mc(seed, n, |_, rng| self.measure_site(rng)),
         }
     }
 
@@ -240,25 +299,25 @@ impl VariabilityModel {
             "seed" = seed,
             "max_devices" = max_devices as u64
         );
-        let mut outcomes: Vec<DeviceOutcome> = Vec::new();
+        let mut sites: Vec<MeasuredSite> = Vec::new();
         let mut functional = 0usize;
         let mut rounds = 0usize;
         let mut half = f64::INFINITY;
-        while outcomes.len() < max_devices {
-            let start = outcomes.len();
+        while sites.len() < max_devices {
+            let start = sites.len();
             let end = (start + MC_CHUNK).min(max_devices);
-            let chunk = ex.par_mc_extend(seed, start, end, |_, rng| self.sample_device(rng));
+            let chunk = ex.par_mc_extend(seed, start, end, |_, rng| self.measure_site(rng));
             functional += chunk
                 .iter()
-                .filter(|o| matches!(o, DeviceOutcome::Functional { .. }))
+                .filter(|s| matches!(s, MeasuredSite::Functional { .. }))
                 .count();
-            outcomes.extend(chunk);
+            sites.extend(chunk);
             rounds += 1;
-            half = yield_ci_half_width(functional, outcomes.len());
+            half = yield_ci_half_width(functional, sites.len());
             carbon_trace::instant!(
                 "fab.campaign.round",
                 "round" = rounds as u64,
-                "devices" = outcomes.len() as u64,
+                "devices" = sites.len() as u64,
                 "ci_half_width" = half
             );
             if half <= target_ci {
@@ -267,11 +326,18 @@ impl VariabilityModel {
         }
         let converged = half <= target_ci;
         AdaptiveCampaign {
-            population: DevicePopulation { outcomes },
+            population: DevicePopulation { sites },
             rounds,
             ci_half_width: half,
             converged,
         }
+    }
+}
+
+/// Advances `rng` by `words` generator words, discarding them.
+fn skip_words<R: Rng + ?Sized>(rng: &mut R, words: u64) {
+    for _ in 0..words {
+        rng.next_u64();
     }
 }
 
@@ -305,65 +371,75 @@ pub struct AdaptiveCampaign {
     pub converged: bool,
 }
 
-/// A measured array of devices with summary statistics.
+/// A measured array of device sites with summary statistics: each
+/// site's class, and the V_T and on-current of a working one
+/// ([`MeasuredSite`]). The per-device on/off ratio is
+/// [`VariabilityModel::sample_device`]'s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DevicePopulation {
-    outcomes: Vec<DeviceOutcome>,
+    sites: Vec<MeasuredSite>,
 }
 
 impl DevicePopulation {
-    /// All device outcomes.
-    pub fn outcomes(&self) -> &[DeviceOutcome] {
-        &self.outcomes
+    /// All measured sites, in sampling order.
+    pub fn sites(&self) -> &[MeasuredSite] {
+        &self.sites
     }
 
     /// Number of devices.
     pub fn len(&self) -> usize {
-        self.outcomes.len()
+        self.sites.len()
     }
 
     /// `true` if the population is empty.
     pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
+        self.sites.is_empty()
+    }
+
+    /// Functional, metallic-short and empty fractions, counted in one
+    /// pass.
+    pub fn fractions(&self) -> [f64; 3] {
+        let mut counts = [0usize; 3];
+        for site in &self.sites {
+            counts[match site {
+                MeasuredSite::Functional { .. } => 0,
+                MeasuredSite::MetallicShort => 1,
+                MeasuredSite::Empty => 2,
+            }] += 1;
+        }
+        let n = self.sites.len().max(1) as f64;
+        counts.map(|count| count as f64 / n)
     }
 
     /// Fraction of functional devices.
     pub fn functional_yield(&self) -> f64 {
-        self.count_functional() as f64 / self.outcomes.len().max(1) as f64
+        self.fractions()[0]
     }
 
     /// Count of functional devices.
     pub fn count_functional(&self) -> usize {
-        self.outcomes
+        self.sites
             .iter()
-            .filter(|o| matches!(o, DeviceOutcome::Functional { .. }))
+            .filter(|s| matches!(s, MeasuredSite::Functional { .. }))
             .count()
     }
 
     /// Fraction of metallic shorts.
     pub fn short_fraction(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, DeviceOutcome::MetallicShort))
-            .count() as f64
-            / self.outcomes.len().max(1) as f64
+        self.fractions()[1]
     }
 
     /// Fraction of empty sites.
     pub fn empty_fraction(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .filter(|o| matches!(o, DeviceOutcome::Empty))
-            .count() as f64
-            / self.outcomes.len().max(1) as f64
+        self.fractions()[2]
     }
 
     /// Threshold voltages of the functional devices.
     pub fn thresholds(&self) -> Vec<f64> {
-        self.outcomes
+        self.sites
             .iter()
-            .filter_map(|o| match o {
-                DeviceOutcome::Functional { vt, .. } => Some(*vt),
+            .filter_map(|s| match s {
+                MeasuredSite::Functional { vt, .. } => Some(*vt),
                 _ => None,
             })
             .collect()
@@ -371,21 +447,10 @@ impl DevicePopulation {
 
     /// On-currents of the functional devices, A.
     pub fn on_currents(&self) -> Vec<f64> {
-        self.outcomes
+        self.sites
             .iter()
-            .filter_map(|o| match o {
-                DeviceOutcome::Functional { ion, .. } => Some(*ion),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// log₁₀ of the on/off ratios of the functional devices.
-    pub fn log_on_off(&self) -> Vec<f64> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| match o {
-                DeviceOutcome::Functional { on_off, .. } => Some(on_off.log10()),
+            .filter_map(|s| match s {
+                MeasuredSite::Functional { ion, .. } => Some(*ion),
                 _ => None,
             })
             .collect()
@@ -471,8 +536,14 @@ mod tests {
 
     #[test]
     fn on_off_histogram_spans_decades() {
-        let pop = population(8000, 5);
-        let loo = pop.log_on_off();
+        let model = VariabilityModel::park_experiment();
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let loo: Vec<f64> = (0..8000)
+            .filter_map(|_| match model.sample_device(&mut rng) {
+                DeviceOutcome::Functional { on_off, .. } => Some(on_off.log10()),
+                _ => None,
+            })
+            .collect();
         let lo = stats::percentile(&loo, 5.0);
         let hi = stats::percentile(&loo, 95.0);
         assert!(hi - lo > 1.0, "spread {lo}..{hi}");
@@ -650,14 +721,32 @@ mod tests {
                 .unwrap();
                 let mut short_rng = Xoshiro256pp::seed_from_u64(seed);
                 let mut device_rng = short_rng.clone();
+                let mut measure_rng = short_rng.clone();
                 for site in 0..2000 {
                     let device = model.sample_device(&mut device_rng);
                     let short = model.sample_short(&mut short_rng);
+                    let measured = model.measure_site(&mut measure_rng);
                     prop_assert!(
                         short == matches!(device, DeviceOutcome::MetallicShort),
                         "site {site}: sample_short {short}, sample_device {device:?}"
                     );
-                    prop_assert!(short_rng == device_rng, "generators part at site {site}");
+                    let agree = match (device, measured) {
+                        (DeviceOutcome::Empty, MeasuredSite::Empty)
+                        | (DeviceOutcome::MetallicShort, MeasuredSite::MetallicShort) => true,
+                        (
+                            DeviceOutcome::Functional { vt, ion, .. },
+                            MeasuredSite::Functional { vt: site_vt, ion: site_ion },
+                        ) => vt.to_bits() == site_vt.to_bits() && ion.to_bits() == site_ion.to_bits(),
+                        _ => false,
+                    };
+                    prop_assert!(
+                        agree,
+                        "site {site}: measure_site {measured:?}, sample_device {device:?}"
+                    );
+                    prop_assert!(
+                        short_rng == device_rng && measure_rng == device_rng,
+                        "generators part at site {site}"
+                    );
                 }
             }
         }

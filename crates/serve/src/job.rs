@@ -8,8 +8,9 @@
 //!   probe nodes explicitly, so a response never depends on internal
 //!   table ordering;
 //! * paper figure experiments — `"fig2"`, `"fig5"`, `"fig7"` — which
-//!   take no parameters and return the flat scalar reports of
-//!   [`carbon_core::jobs`];
+//!   return the flat scalar reports of [`carbon_core::jobs`]; only
+//!   `"fig7"` takes parameters, an optional `target_ci` (with an
+//!   optional `max_devices`) that sizes its campaign adaptively;
 //! * wafer-economics campaigns — `"econ_point"` (one cell: yield,
 //!   good dies per wafer, cost and carbon per good die) and
 //!   `"econ_campaign"` (a full node × area × defect × purity grid
@@ -1388,6 +1389,40 @@ mod tests {
             .run()
             .unwrap();
         assert!(fixed.get("scalars").unwrap().get("devices").is_none());
+    }
+
+    #[test]
+    fn fig7_responses_match_their_golden_digests() {
+        // FNV-1a 64 of the rendered result, equal at every
+        // CARBON_THREADS: servebench's adaptive shape, a campaign that
+        // converges early, one that ends on a partial chunk, and the
+        // fixed campaign.
+        let goldens = [
+            (
+                "{\"kind\":\"fig7\",\"target_ci\":0.001,\"max_devices\":4096}",
+                0x42a5_f9ee_9c6b_c2cb_u64,
+            ),
+            (
+                "{\"kind\":\"fig7\",\"target_ci\":0.02}",
+                0x5b3c_52e8_6006_f0eb,
+            ),
+            (
+                "{\"kind\":\"fig7\",\"target_ci\":0.001,\"max_devices\":1536}",
+                0x0a2c_83f5_381d_f380,
+            ),
+            ("{\"kind\":\"fig7\"}", 0xe160_02e3_d042_bce2),
+        ];
+        for (body, golden) in goldens {
+            let rendered = Job::from_json(&job(body)).unwrap().run().unwrap().render();
+            let mut digest = carbon_json::Fnv::new();
+            digest.write(rendered.as_bytes());
+            assert_eq!(
+                digest.finish(),
+                golden,
+                "{body}: digest {:016x}\n{rendered}",
+                digest.finish()
+            );
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! - [`protocol`] — frame reader/writer and the request/response envelope;
 //! - [`job`] — the job model (`op`, `dc_sweep`, `ac_sweep`, `transient`,
-//!   `fig2`, `fig5`, `fig7`, plus the fast-path `ping` and `stats`) with
-//!   up-front validation and deterministic result rendering;
+//!   `fig2`, `fig5`, `fig7`, `econ_point`, `econ_campaign`, plus the
+//!   fast-path `ping` and `stats`) with up-front validation and
+//!   deterministic result rendering;
 //! - [`queue`] — bounded MPMC job queue with admission control;
 //! - [`cache`] — content-addressed response cache (sharded LRU over
 //!   canonical job keys) with single-flight deduplication of identical
@@ -25,6 +26,34 @@
 //! Every server also owns an always-on `carbon-metrics` registry
 //! (per-kind latency and queue-wait histograms, admission counters,
 //! queue gauges) exposed through the `stats` job kind.
+//!
+//! # A request over the wire
+//!
+//! A request is one frame holding an envelope, `{"id":…,"job":{…}}`;
+//! the response frame echoes the `id` beside a `"status"` and, when
+//! that is `"ok"`, the `"result"`. This starts a server on an ephemeral
+//! loopback port and asks it for an adaptive §V campaign, grown until
+//! the 95 % CI half-width on the functional yield is 0.01:
+//!
+//! ```
+//! use carbon_json::Json;
+//! use carbon_serve::{Client, Server, ServerConfig};
+//!
+//! let server = Server::start("127.0.0.1:0", ServerConfig::default())?;
+//! let mut client = Client::connect(server.local_addr())?;
+//! let request = Json::parse(
+//!     r#"{"id":1,"job":{"kind":"fig7","target_ci":0.01,"max_devices":100000}}"#,
+//! )?;
+//! let response = client.call(&request)?;
+//! assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
+//! let scalars = response.get("result").and_then(|r| r.get("scalars"));
+//! let scalar = |name| scalars.and_then(|s| s.get(name)).and_then(Json::as_f64);
+//! assert_eq!(scalar("devices"), Some(4096.0));
+//! assert_eq!(scalar("rounds"), Some(4.0));
+//! assert_eq!(scalar("converged"), Some(1.0));
+//! server.shutdown();
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 //!
 //! # Determinism at the service boundary
 //!
