@@ -8,8 +8,10 @@
 # registry is itself a regression. The workspace steps also run
 # --locked, so a committed Cargo.lock that no longer matches the
 # manifests fails here instead of being rewritten.
-# Determinism and baseline gates: crates/bench/tests/digest_matrix.rs
-# and crates/serve/tests/determinism.rs.
+# Determinism and baseline gates: crates/bench/tests/digest_matrix.rs,
+# crates/serve/tests/determinism.rs and crates/spice/tests/stamps.rs
+# (`cargo test --offline -p carbon-spice --test stamps`: every element
+# stamp on the dense and the sparse path; a refactor never updates it).
 set -euo pipefail
 cd "$(dirname "$0")"
 

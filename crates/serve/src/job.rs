@@ -1208,6 +1208,62 @@ mod tests {
     }
 
     #[test]
+    fn ground_probe_reads_zero_on_every_circuit_kind() {
+        let with_probe = |body: Json| {
+            body.push("deck", RC_DECK).push(
+                "nodes",
+                Json::Arr(vec![Json::Str("0".into()), Json::Str("out".into())]),
+            )
+        };
+        let bodies = [
+            Json::obj().push("kind", "op"),
+            Json::obj()
+                .push("kind", "dc_sweep")
+                .push("source", "V1")
+                .push("from", 0.0)
+                .push("to", 1.0)
+                .push("step", 0.5),
+            Json::obj()
+                .push("kind", "ac_sweep")
+                .push("source", "V1")
+                .push("fstart", 1.0)
+                .push("fstop", 100.0)
+                .push("points_per_decade", 1),
+            Json::obj()
+                .push("kind", "transient")
+                .push("tstep", 2e-5)
+                .push("tstop", 1e-4),
+            Json::obj()
+                .push("kind", "transient")
+                .push("tstep", 2e-5)
+                .push("tstop", 1e-4)
+                .push("method", "adaptive"),
+        ];
+        for body in bodies.map(with_probe) {
+            let result = Job::from_json(&body).unwrap().run().unwrap();
+            let ground = result.get("nodes").and_then(|n| n.get("0")).unwrap();
+            let zeros: Vec<f64> = match ground.as_array() {
+                Some(trace) => trace.iter().filter_map(Json::as_f64).collect(),
+                None => match ground.get("magnitude") {
+                    Some(mag) => mag
+                        .as_array()
+                        .unwrap()
+                        .iter()
+                        .filter_map(Json::as_f64)
+                        .collect(),
+                    None => vec![ground.as_f64().unwrap()],
+                },
+            };
+            let points = ["sweep", "freqs", "times"]
+                .iter()
+                .find_map(|axis| result.get(axis).and_then(Json::as_array))
+                .map_or(1, <[Json]>::len);
+            assert_eq!(zeros.len(), points, "{}", body.render());
+            assert!(zeros.iter().all(|&v| v == 0.0), "{}", result.render());
+        }
+    }
+
+    #[test]
     fn log_grid_is_inclusive_and_monotonic() {
         let g = log_grid(1.0, 1000.0, 10);
         assert_eq!(g.len(), 31);

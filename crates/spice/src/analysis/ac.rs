@@ -12,20 +12,22 @@
 //! A sweep stamps the ω-independent part of the system once, at the
 //! operating point: conductances (the FET and diode small-signal
 //! parameters included), source incidences and the unit stimulus. The
-//! `jωC` part is a list of `(row, col, coeff)` triples. Each frequency
-//! point restores the static snapshot, adds `jω·coeff` per triple, and
+//! `jωC` part is a list of `(slot, coeff)` pairs. Each frequency point
+//! restores the static snapshot, adds `jω·coeff` at each slot, and
 //! solves.
 //!
 //! Small systems solve by dense elimination
 //! ([`DenseMatrix<Complex>`](crate::linalg::DenseMatrix)); at and above
 //! the sparse threshold the sweep switches to the scalar-generic sparse
-//! LU ([`SparseLu<Complex>`](crate::sparse::SparseLu)). The `G + jωC`
-//! sparsity pattern is frequency-independent — it is the union of the
-//! conductance and susceptance patterns, which the Newton engine's
-//! `collect_pattern` already produces for the transient companions —
-//! so the symbolic analysis and fill-reducing ordering are computed
-//! once per circuit, and each frequency point after the first runs a
-//! numeric [`replay`](crate::sparse::SparseLu::refactor) with the same
+//! LU ([`SparseLu<Complex>`](crate::sparse::SparseLu)). Both bind the
+//! Newton engine's element footprints to their matrix slots once. The
+//! `G + jωC` sparsity pattern is frequency-independent — a capacitor's
+//! susceptances land on its companion-conductance positions and an
+//! inductor's reactance on its branch diagonal, so the pattern is the
+//! one the DC and transient stamps use — and the symbolic analysis and
+//! fill-reducing ordering are computed once per circuit. Each frequency
+//! point after the first runs a numeric
+//! [`replay`](crate::sparse::SparseLu::refactor) with the same
 //! pivot-growth staleness fallback as the DC path.
 //!
 //! [`AcOptions::chunk`] fans the frequency grid out over the
@@ -38,14 +40,13 @@
 
 use std::sync::Arc;
 
-use super::engine::{collect_pattern, NameTable, SPARSE_THRESHOLD};
+use super::engine::{add, take, MnaMatrix, NameTable, StampSlots, SPARSE_THRESHOLD};
 use super::OpResult;
 use crate::complex::Complex;
 use crate::element::{diode_iv, ElementKind};
 use crate::error::SpiceError;
-use crate::linalg::{DenseMatrix, Stamp};
-use crate::netlist::{Circuit, NodeId};
-use crate::sparse::{Refactor, SparseLu, SparseMatrix};
+use crate::netlist::{is_ground, Circuit, NodeId};
+use crate::sparse::Refactor;
 use carbon_runtime::executor::Executor;
 use carbon_trace::{instant, span};
 
@@ -91,43 +92,21 @@ pub struct AcOptions {
     pub chunk: Option<usize>,
 }
 
-/// One sweep's complex solve state: a dense matrix, or the `G + jωC`
-/// sparse matrix with its fixed pattern plus the complex LU with its
-/// fill-reducing ordering. The circuit caches one, so repeated serial
-/// sweeps skip the symbolic setup and reuse the factor allocations.
-pub(crate) enum AcWorkspace {
-    Dense(DenseMatrix<Complex>),
-    Sparse {
-        a: SparseMatrix<Complex>,
-        lu: Box<SparseLu<Complex>>,
-    },
+/// One sweep's complex solve state: the `G + jωC` matrix — dense, or
+/// sparse with its fixed pattern plus the complex LU with its
+/// fill-reducing ordering — and its bound stamp slots. The circuit
+/// caches one, so repeated serial sweeps skip the symbolic setup and
+/// reuse the factor allocations.
+pub(crate) struct AcWorkspace {
+    matrix: MnaMatrix<Complex>,
+    slots: StampSlots,
 }
 
 impl AcWorkspace {
-    /// A zeroed workspace for the circuit; a sparse one takes its
-    /// pattern from the circuit's full stamp pattern.
+    /// A zeroed workspace for the circuit with its stamps bound.
     fn new(circuit: &Circuit, sparse: bool) -> Self {
-        let n = circuit.num_unknowns();
-        if !sparse {
-            return Self::Dense(DenseMatrix::zeros(n));
-        }
-        let a = SparseMatrix::from_entries(n, &collect_pattern(circuit));
-        let lu = Box::new(SparseLu::new(&a));
-        Self::Sparse { a, lu }
-    }
-
-    fn values(&self) -> &[Complex] {
-        match self {
-            Self::Dense(a) => a.values(),
-            Self::Sparse { a, .. } => a.values(),
-        }
-    }
-
-    fn set_values(&mut self, vals: &[Complex]) {
-        match self {
-            Self::Dense(a) => a.set_values(vals),
-            Self::Sparse { a, .. } => a.set_values(vals),
-        }
+        let (matrix, slots) = MnaMatrix::bind(circuit, sparse);
+        Self { matrix, slots }
     }
 
     /// Solves the stamped system in place of `x`, the `k`-th point
@@ -136,9 +115,9 @@ impl AcWorkspace {
     /// every bit of the output — is independent of whatever a cached
     /// workspace solved before; later points replay it.
     fn solve(&mut self, k: usize, f: f64, x: &mut [Complex]) -> Result<(), SpiceError> {
-        let (a, lu) = match self {
-            Self::Dense(a) => return a.solve_in_place(x),
-            Self::Sparse { a, lu } => (a, lu),
+        let (a, lu) = match &mut self.matrix {
+            MnaMatrix::Dense(a) => return a.solve_in_place(x),
+            MnaMatrix::Sparse { a, lu } => (a, lu),
         };
         if k == 0 {
             lu.factor(a)?;
@@ -159,16 +138,6 @@ impl AcWorkspace {
         }
         lu.solve(x);
         Ok(())
-    }
-}
-
-impl Stamp<Complex> for AcWorkspace {
-    #[inline]
-    fn add(&mut self, row: usize, col: usize, value: Complex) {
-        match self {
-            Self::Dense(a) => a.add(row, col, value),
-            Self::Sparse { a, .. } => a.add(row, col, value),
-        }
     }
 }
 
@@ -201,7 +170,7 @@ impl AcResult {
     ///
     /// Returns [`SpiceError::UnknownNode`] for unknown names.
     pub fn phasors(&self, node: &str) -> Result<Vec<Complex>, SpiceError> {
-        if node == "0" || node.eq_ignore_ascii_case("gnd") {
+        if is_ground(node) {
             return Ok(vec![Complex::ZERO; self.freqs.len()]);
         }
         let idx = self.names.node(node).ok_or(SpiceError::UnknownNode {
@@ -293,7 +262,7 @@ impl Circuit {
         let solutions = if opts.chunk.is_none() {
             let mut cache = self.solver_cache.lock();
             let ws = match &mut cache.ac {
-                Some(ws) if matches!(ws, AcWorkspace::Sparse { .. }) == sparse => ws,
+                Some(ws) if matches!(ws.matrix, MnaMatrix::Sparse { .. }) == sparse => ws,
                 slot => slot.insert(AcWorkspace::new(self, sparse)),
             };
             sweep_points(self, &stimulus, freqs, &op, ws)?
@@ -359,7 +328,7 @@ impl Circuit {
 
 /// Solves `(G + jωC)·x = b` at each of `freqs` on `ws`: the static
 /// stamps once, then per point a restore of their snapshot, the `jωC`
-/// triples, and a solve.
+/// pairs, and a solve.
 fn sweep_points(
     circuit: &Circuit,
     stimulus: &str,
@@ -369,10 +338,10 @@ fn sweep_points(
 ) -> Result<Vec<Vec<Complex>>, SpiceError> {
     // The static stamps accumulate from zero; their snapshot `g` then
     // restores `G` per point with one memcpy instead of a full restamp.
-    let mut g = vec![Complex::ZERO; ws.values().len()];
-    ws.set_values(&g);
-    let (b, jwc) = stamp_ac_static(circuit, stimulus, op, ws);
-    g.copy_from_slice(ws.values());
+    let a = ws.matrix.values_mut();
+    a.fill(Complex::ZERO);
+    let (b, jwc) = stamp_ac_static(circuit, stimulus, op, &ws.slots, a);
+    let g = a.to_vec();
     let mut solutions = Vec::with_capacity(freqs.len());
     for (k, &f) in freqs.iter().enumerate() {
         if carbon_runtime::cancel::cancelled() {
@@ -381,9 +350,10 @@ fn sweep_points(
             });
         }
         let omega = 2.0 * std::f64::consts::PI * f;
-        ws.set_values(&g);
-        for &(r, c, coeff) in &jwc {
-            ws.add(r, c, Complex::imag(omega * coeff));
+        let a = ws.matrix.values_mut();
+        a.copy_from_slice(&g);
+        for &(slot, coeff) in &jwc {
+            a[slot] += Complex::imag(omega * coeff);
         }
         let mut x = b.clone();
         ws.solve(k, f, &mut x)?;
@@ -392,19 +362,21 @@ fn sweep_points(
     Ok(solutions)
 }
 
-/// Stamps the ω-independent part of the circuit's AC system into `a`
-/// and returns its right-hand side with the `jωC` triples: conductances
-/// linearized at the operating point, source incidences, the unit
-/// stimulus and the `AC_GMIN` diagonal are stamped; each triple
-/// `(row, col, coeff)` means "add `j·ω·coeff` here per frequency" —
-/// `±c` patterns for capacitor susceptances, `−l` on inductor branch
-/// diagonals.
-fn stamp_ac_static<A: Stamp<Complex>>(
+/// Stamps the ω-independent part of the circuit's AC system into the
+/// matrix values `a` through the bound `slots`, and returns its
+/// right-hand side with the `jωC` pairs: conductances linearized at the
+/// operating point, source incidences, the unit stimulus and the
+/// `AC_GMIN` diagonal are stamped; each pair `(slot, coeff)` means "add
+/// `j·ω·coeff` here per frequency" — `±c` at capacitor conductance
+/// positions, `−l` on inductor branch diagonals. Pairs bound to the
+/// ground slot are dropped here, once per sweep.
+fn stamp_ac_static(
     circuit: &Circuit,
     stimulus: &str,
     op: &OpResult,
-    a: &mut A,
-) -> (Vec<Complex>, Vec<(usize, usize, f64)>) {
+    slots: &StampSlots,
+    a: &mut [Complex],
+) -> (Vec<Complex>, Vec<(usize, f64)>) {
     let op_v = |id: NodeId| {
         id.unknown_index()
             .map_or(0.0, |i| op.node_voltage_by_index(i))
@@ -412,61 +384,26 @@ fn stamp_ac_static<A: Stamp<Complex>>(
     let n_nodes = circuit.num_nodes();
     let mut b = vec![Complex::ZERO; circuit.num_unknowns()];
     let mut jwc = Vec::new();
-    let stamp_g = |a: &mut A, p: NodeId, n: NodeId, g: f64| {
-        let y = Complex::new(g, 0.0);
-        if let Some(i) = p.unknown_index() {
-            a.add(i, i, y);
-            if let Some(j) = n.unknown_index() {
-                a.add(i, j, -y);
-                a.add(j, i, -y);
-            }
-        }
-        if let Some(j) = n.unknown_index() {
-            a.add(j, j, y);
-        }
-    };
-    let incidence = |a: &mut A, p: NodeId, n: NodeId, bi: usize| {
-        if let Some(i) = p.unknown_index() {
-            a.add(i, bi, Complex::ONE);
-            a.add(bi, i, Complex::ONE);
-        }
-        if let Some(j) = n.unknown_index() {
-            a.add(j, bi, -Complex::ONE);
-            a.add(bi, j, -Complex::ONE);
-        }
-    };
-    // A real entry at (row, col) when both are unknowns (not ground).
-    let add = |a: &mut A, row: Option<usize>, col: Option<usize>, v: f64| {
-        if let (Some(r), Some(c)) = (row, col) {
-            a.add(r, c, Complex::new(v, 0.0));
-        }
-    };
+    let conductance = |g: f64| [g, -g, -g, g].map(Complex::from);
+    let incidence = [1.0, 1.0, -1.0, -1.0].map(Complex::from);
+    let mut at = slots.elements.as_slice();
     for e in &circuit.elements {
         match &e.kind {
-            ElementKind::Resistor { p, n, g } => stamp_g(a, *p, *n, *g),
-            ElementKind::Capacitor { p, n, c } => {
-                if let Some(i) = p.unknown_index() {
-                    jwc.push((i, i, *c));
-                    if let Some(j) = n.unknown_index() {
-                        jwc.push((i, j, -*c));
-                        jwc.push((j, i, -*c));
-                    }
-                }
-                if let Some(j) = n.unknown_index() {
-                    jwc.push((j, j, *c));
-                }
+            ElementKind::Resistor { g, .. } => add(a, take(&mut at), conductance(*g)),
+            ElementKind::Capacitor { c, .. } => {
+                let slots: [usize; 4] = take(&mut at);
+                jwc.extend(slots.into_iter().zip([*c, -c, -c, *c]));
             }
-            ElementKind::VoltageSource { p, n, branch, .. } => {
-                let bi = n_nodes + branch;
-                incidence(a, *p, *n, bi);
+            ElementKind::VoltageSource { branch, .. } => {
+                add(a, take(&mut at), incidence);
                 if e.name == stimulus {
-                    b[bi] += Complex::ONE;
+                    b[n_nodes + branch] += Complex::ONE;
                 }
             }
-            ElementKind::Inductor { p, n, branch, l } => {
-                let bi = n_nodes + branch;
-                incidence(a, *p, *n, bi);
-                jwc.push((bi, bi, -*l));
+            ElementKind::Inductor { l, .. } => {
+                let [pb, bp, nb, bn, bb] = take(&mut at);
+                add(a, [pb, bp, nb, bn], incidence);
+                jwc.push((bb, -*l));
             }
             ElementKind::CurrentSource { p, n, .. } => {
                 if e.name == stimulus {
@@ -487,34 +424,28 @@ fn stamp_ac_static<A: Stamp<Complex>>(
             } => {
                 let v = op_v(*p) - op_v(*n);
                 let (_i, g) = diode_iv(v, *i_s, *n_ideality);
-                stamp_g(a, *p, *n, g);
+                add(a, take(&mut at), conductance(g));
             }
-            ElementKind::Vccs { p, n, cp, cn, gm } => {
-                let (pi, ni) = (p.unknown_index(), n.unknown_index());
-                let (cpi, cni) = (cp.unknown_index(), cn.unknown_index());
-                add(a, pi, cpi, -gm);
-                add(a, pi, cni, *gm);
-                add(a, ni, cpi, *gm);
-                add(a, ni, cni, -gm);
+            ElementKind::Vccs { gm, .. } => {
+                add(a, take(&mut at), [-gm, *gm, *gm, -gm].map(Complex::from));
             }
             ElementKind::Fet { d, g, s, model } => {
                 let vgs = op_v(*g) - op_v(*s);
                 let vds = op_v(*d) - op_v(*s);
                 let (gm, gds) = model.gm_gds(vgs, vds);
                 let gds = gds.max(1e-12);
-                let (di, gi, si) = (d.unknown_index(), g.unknown_index(), s.unknown_index());
-                add(a, di, gi, gm);
-                add(a, di, di, gds);
-                add(a, di, si, -(gm + gds));
-                add(a, si, gi, -gm);
-                add(a, si, di, -gds);
-                add(a, si, si, gm + gds);
+                let vals = [gm, gds, -(gm + gds), -gm, -gds, gm + gds];
+                add(a, take(&mut at), vals.map(Complex::from));
             }
         }
     }
-    for i in 0..n_nodes {
-        a.add(i, i, Complex::new(AC_GMIN, 0.0));
+    for &slot in &slots.diagonals {
+        a[slot] += Complex::new(AC_GMIN, 0.0);
     }
+    // The ground slot is never read, so its susceptances would only
+    // cost an add per frequency.
+    let ground = a.len() - 1;
+    jwc.retain(|&(slot, _)| slot != ground);
     (b, jwc)
 }
 

@@ -5,9 +5,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::element::{diode_iv, diode_vcrit, pnjlim, ElementKind, FetCurve};
 use crate::error::SpiceError;
-use crate::linalg::{DenseMatrix, Stamp};
+use crate::linalg::DenseMatrix;
 use crate::netlist::{Circuit, NodeId};
-use crate::sparse::{Refactor, SparseLu, SparseMatrix};
+use crate::sparse::{Refactor, Scalar, SparseLu, SparseMatrix};
 use carbon_trace::{instant, span};
 
 /// Unknown count below which the dense solver is used: at inverter-scale
@@ -17,15 +17,17 @@ use carbon_trace::{instant, span};
 pub(crate) const SPARSE_THRESHOLD: usize = 16;
 
 /// Reusable MNA solve state for one circuit topology: the system matrix
-/// (dense or sparse by size), the RHS/trial buffers, and — on the sparse
-/// path — the cached symbolic analysis and pivot order that later Newton
-/// iterations refactor against.
+/// (dense or sparse by size) with every stamp position bound to its
+/// value slot, the RHS/trial buffers, and — on the sparse path — the
+/// cached symbolic analysis and pivot order that later Newton iterations
+/// refactor against.
 ///
 /// Building one workspace per analysis (not per Newton iteration) is
-/// what turns the sparse symbolic work into a one-time cost across a
-/// whole sweep.
+/// what turns the sparse symbolic work and the slot binding into a
+/// one-time cost across a whole sweep.
 pub(crate) struct MnaWorkspace {
-    matrix: MnaMatrix,
+    matrix: MnaMatrix<f64>,
+    slots: StampSlots,
     /// RHS vector, rebuilt every iteration.
     z: Vec<f64>,
     /// Trial solution buffer.
@@ -98,9 +100,145 @@ impl NameTable {
     }
 }
 
-enum MnaMatrix {
-    Dense(DenseMatrix),
-    Sparse { a: SparseMatrix, lu: Box<SparseLu> },
+/// One stamp position: the `(row, col)` unknowns it writes, `None` for
+/// ground.
+type Position = (Option<usize>, Option<usize>);
+
+/// Calls `visit` with each position an element's stamps write, in
+/// write order: the element's footprint. DC, transient and AC stamps
+/// share it: a capacitor's four conductance positions carry its
+/// transient companion and its `jωC`, an inductor's fifth (its branch
+/// diagonal) its companion resistance and its `−jωL`. Allocates
+/// nothing.
+fn footprint(kind: &ElementKind, n_nodes: usize, visit: impl FnMut(Position)) {
+    let u = NodeId::unknown_index;
+    match kind {
+        ElementKind::Resistor { p, n, .. }
+        | ElementKind::Capacitor { p, n, .. }
+        | ElementKind::Diode { p, n, .. } => {
+            let (i, j) = (u(*p), u(*n));
+            [(i, i), (i, j), (j, i), (j, j)].into_iter().for_each(visit);
+        }
+        ElementKind::VoltageSource { p, n, branch, .. } => {
+            let (i, j, b) = (u(*p), u(*n), Some(n_nodes + branch));
+            [(i, b), (b, i), (j, b), (b, j)].into_iter().for_each(visit);
+        }
+        ElementKind::Inductor { p, n, branch, .. } => {
+            let (i, j, b) = (u(*p), u(*n), Some(n_nodes + branch));
+            [(i, b), (b, i), (j, b), (b, j), (b, b)]
+                .into_iter()
+                .for_each(visit);
+        }
+        ElementKind::CurrentSource { .. } => {}
+        ElementKind::Vccs { p, n, cp, cn, .. } => {
+            let (pi, ni, cpi, cni) = (u(*p), u(*n), u(*cp), u(*cn));
+            [(pi, cpi), (pi, cni), (ni, cpi), (ni, cni)]
+                .into_iter()
+                .for_each(visit);
+        }
+        ElementKind::Fet { d, g, s, .. } => {
+            let (di, gi, si) = (u(*d), u(*g), u(*s));
+            [(di, gi), (di, di), (di, si), (si, gi), (si, di), (si, si)]
+                .into_iter()
+                .for_each(visit);
+        }
+    }
+}
+
+/// Every stamp position of a circuit bound once to its index in the
+/// system matrix's [`values_mut`](MnaMatrix::values_mut), as SPICE3
+/// binds element matrix pointers at setup. A position on ground binds
+/// to the trailing slot past the matrix, which no factorization reads
+/// (Sparse 1.3's `TrashCan`), so no stamp tests for ground.
+pub(crate) struct StampSlots {
+    /// Every element's footprint slots, in element order.
+    pub elements: Vec<usize>,
+    /// Each node's diagonal slot, where gmin lands.
+    pub diagonals: Vec<usize>,
+}
+
+/// The next `K` slots of a walk over [`StampSlots::elements`]: one
+/// element's footprint.
+pub(crate) fn take<const K: usize>(slots: &mut &[usize]) -> [usize; K] {
+    let (head, rest) = slots.split_at(K);
+    *slots = rest;
+    head.try_into().expect("a footprint of K slots")
+}
+
+/// Adds `vals` at `slots`, in footprint order.
+pub(crate) fn add<T: Scalar, const K: usize>(a: &mut [T], slots: [usize; K], vals: [T; K]) {
+    for (slot, v) in slots.into_iter().zip(vals) {
+        a[slot] += v;
+    }
+}
+
+/// An MNA system matrix: dense, or sparse with the LU that caches its
+/// fill-reducing ordering and pivot sequence. `f64` for the Newton
+/// workspace, [`Complex`](crate::complex::Complex) for the AC sweep.
+pub(crate) enum MnaMatrix<T: Scalar> {
+    Dense(DenseMatrix<T>),
+    Sparse {
+        a: SparseMatrix<T>,
+        lu: Box<SparseLu<T>>,
+    },
+}
+
+impl<T: Scalar> MnaMatrix<T> {
+    /// The zeroed system matrix of `circuit` — dense, or sparse over the
+    /// footprints' non-ground positions plus the node diagonals — and
+    /// its stamp positions bound to their slots.
+    pub fn bind(circuit: &Circuit, sparse: bool) -> (Self, StampSlots) {
+        let n = circuit.num_unknowns();
+        let n_nodes = circuit.num_nodes();
+        let matrix = if sparse {
+            // gmin anchors every node diagonal.
+            let mut pattern: Vec<(usize, usize)> = (0..n_nodes).map(|i| (i, i)).collect();
+            for e in &circuit.elements {
+                footprint(&e.kind, n_nodes, |pos| {
+                    if let (Some(r), Some(c)) = pos {
+                        pattern.push((r, c));
+                    }
+                });
+            }
+            let a = SparseMatrix::from_entries(n, &pattern);
+            let lu = Box::new(SparseLu::new(&a));
+            Self::Sparse { a, lu }
+        } else {
+            Self::Dense(DenseMatrix::zeros(n))
+        };
+        let mut elements = Vec::new();
+        for e in &circuit.elements {
+            footprint(&e.kind, n_nodes, |pos| elements.push(matrix.slot(pos)));
+        }
+        let slots = StampSlots {
+            elements,
+            diagonals: (0..n_nodes)
+                .map(|i| matrix.slot((Some(i), Some(i))))
+                .collect(),
+        };
+        (matrix, slots)
+    }
+
+    /// The value slot of a stamp position.
+    fn slot(&self, pos: Position) -> usize {
+        match (pos, self) {
+            ((Some(r), Some(c)), Self::Dense(a)) => r * a.dim() + c,
+            ((Some(r), Some(c)), Self::Sparse { a, .. }) => a
+                .slot(r, c)
+                .expect("the pattern holds every footprint position"),
+            // Ground: the trailing slot.
+            (_, Self::Dense(a)) => a.dim() * a.dim(),
+            (_, Self::Sparse { a, .. }) => a.nnz(),
+        }
+    }
+
+    /// The matrix values by slot, the trailing ground slot included.
+    pub fn values_mut(&mut self) -> &mut [T] {
+        match self {
+            Self::Dense(a) => a.values_mut(),
+            Self::Sparse { a, .. } => a.values_mut(),
+        }
+    }
 }
 
 /// The per-topology workspaces an analysis can cache on a circuit:
@@ -168,13 +306,7 @@ impl MnaWorkspace {
     /// pattern and fill-reducing ordering computed once here.
     pub fn for_circuit(circuit: &Circuit) -> Self {
         let n = circuit.num_unknowns();
-        let matrix = if n < SPARSE_THRESHOLD {
-            MnaMatrix::Dense(DenseMatrix::zeros(n))
-        } else {
-            let a = SparseMatrix::from_entries(n, &collect_pattern(circuit));
-            let lu = Box::new(SparseLu::new(&a));
-            MnaMatrix::Sparse { a, lu }
-        };
+        let (matrix, slots) = MnaMatrix::bind(circuit, n >= SPARSE_THRESHOLD);
         let mut vcrit = vec![0.0; circuit.elements.len()];
         for (idx, e) in circuit.elements.iter().enumerate() {
             if let ElementKind::Diode {
@@ -186,6 +318,7 @@ impl MnaWorkspace {
         }
         Self {
             matrix,
+            slots,
             z: vec![0.0; n],
             x_new: vec![0.0; n],
             names: Arc::new(NameTable::for_circuit(circuit)),
@@ -193,81 +326,6 @@ impl MnaWorkspace {
             vcrit,
         }
     }
-}
-
-/// Every `(row, col)` position the circuit's elements can ever stamp,
-/// across DC *and* transient (companion) forms, plus the gmin node
-/// diagonals — the fixed sparsity pattern of the MNA system.
-///
-/// The AC system `G + jωC` stamps the same positions (capacitor
-/// susceptances land on the capacitor-conductance pattern, inductor
-/// reactances on the branch diagonal the companions use), so the AC
-/// workspace reuses this pattern verbatim.
-pub(crate) fn collect_pattern(circuit: &Circuit) -> Vec<(usize, usize)> {
-    let n_nodes = circuit.num_nodes();
-    let mut pat: Vec<(usize, usize)> = Vec::new();
-    // gmin anchors every node diagonal.
-    for i in 0..n_nodes {
-        pat.push((i, i));
-    }
-    let conductance = |p: NodeId, n: NodeId, pat: &mut Vec<(usize, usize)>| {
-        if let Some(i) = p.unknown_index() {
-            pat.push((i, i));
-            if let Some(j) = n.unknown_index() {
-                pat.push((i, j));
-                pat.push((j, i));
-            }
-        }
-        if let Some(j) = n.unknown_index() {
-            pat.push((j, j));
-        }
-    };
-    let incidence = |p: NodeId, n: NodeId, bi: usize, pat: &mut Vec<(usize, usize)>| {
-        if let Some(i) = p.unknown_index() {
-            pat.push((i, bi));
-            pat.push((bi, i));
-        }
-        if let Some(j) = n.unknown_index() {
-            pat.push((j, bi));
-            pat.push((bi, j));
-        }
-    };
-    for e in &circuit.elements {
-        match &e.kind {
-            ElementKind::Resistor { p, n, .. } | ElementKind::Capacitor { p, n, .. } => {
-                conductance(*p, *n, &mut pat);
-            }
-            ElementKind::Inductor { p, n, branch, .. } => {
-                let bi = n_nodes + branch;
-                incidence(*p, *n, bi, &mut pat);
-                // Transient companion stamps −r_eq on the branch diagonal.
-                pat.push((bi, bi));
-            }
-            ElementKind::VoltageSource { p, n, branch, .. } => {
-                incidence(*p, *n, n_nodes + branch, &mut pat);
-            }
-            ElementKind::CurrentSource { .. } => {}
-            ElementKind::Diode { p, n, .. } => conductance(*p, *n, &mut pat),
-            ElementKind::Vccs { p, n, cp, cn, .. } => {
-                for r in [p.unknown_index(), n.unknown_index()] {
-                    for c in [cp.unknown_index(), cn.unknown_index()] {
-                        if let (Some(r), Some(c)) = (r, c) {
-                            pat.push((r, c));
-                        }
-                    }
-                }
-            }
-            ElementKind::Fet { d, g, s, .. } => {
-                let (di, gi, si) = (d.unknown_index(), g.unknown_index(), s.unknown_index());
-                for (r, c) in [(di, gi), (di, di), (di, si), (si, gi), (si, di), (si, si)] {
-                    if let (Some(r), Some(c)) = (r, c) {
-                        pat.push((r, c));
-                    }
-                }
-            }
-        }
-    }
-    pat
 }
 
 /// Newton solver tuning knobs.
@@ -509,48 +567,29 @@ pub(crate) fn newton_solve(
         }
         let z = &mut ws.z;
         let x_new = &mut ws.x_new;
-        let junction_v = &mut ws.junction_v;
-        let vcrit = &ws.vcrit;
-        let init = iter == 0 && init_junctions;
         z.fill(0.0);
+        let a = ws.matrix.values_mut();
+        a.fill(0.0);
+        stamp_all(
+            circuit,
+            &ws.slots,
+            x,
+            time,
+            caps,
+            source_scale,
+            a,
+            z,
+            &mut ws.junction_v,
+            &ws.vcrit,
+            iter == 0 && init_junctions,
+        );
+        for &slot in &ws.slots.diagonals {
+            a[slot] += gmin;
+        }
+        x_new.copy_from_slice(z);
         match &mut ws.matrix {
-            MnaMatrix::Dense(a) => {
-                a.clear();
-                stamp_all(
-                    circuit,
-                    x,
-                    time,
-                    caps,
-                    source_scale,
-                    a,
-                    z,
-                    junction_v,
-                    vcrit,
-                    init,
-                );
-                for i in 0..n_nodes {
-                    a.add(i, i, gmin);
-                }
-                x_new.copy_from_slice(z);
-                a.solve_in_place(x_new)?;
-            }
+            MnaMatrix::Dense(a) => a.solve_in_place(x_new)?,
             MnaMatrix::Sparse { a, lu } => {
-                a.clear();
-                stamp_all(
-                    circuit,
-                    x,
-                    time,
-                    caps,
-                    source_scale,
-                    a,
-                    z,
-                    junction_v,
-                    vcrit,
-                    init,
-                );
-                for i in 0..n_nodes {
-                    a.add(i, i, gmin);
-                }
                 if lu.is_factored() {
                     match lu.refactor(a)? {
                         Refactor::Replayed => {
@@ -570,7 +609,6 @@ pub(crate) fn newton_solve(
                     lu.factor(a)?;
                     carbon_metrics::global_counter!("spice.sparse.factor").incr();
                 }
-                x_new.copy_from_slice(z);
                 lu.solve(x_new);
             }
         }
@@ -640,37 +678,24 @@ pub(crate) fn newton_solve(
     })
 }
 
-/// Stamps every element into `(a, z)` linearized at the iterate `x`.
-///
-/// Generic over the [`Stamp`] sink so the same element code fills the
-/// dense and the sparse matrix.
+/// Stamps every element into `(a, z)` linearized at the iterate `x`:
+/// `a` holds the matrix values by slot, and each element adds into its
+/// bound footprint slots in element order.
 #[allow(clippy::too_many_arguments)]
-fn stamp_all<S: Stamp>(
+fn stamp_all(
     circuit: &Circuit,
+    slots: &StampSlots,
     x: &[f64],
     time: Option<f64>,
     caps: Option<(&[CapCompanion], &[IndCompanion])>,
     source_scale: f64,
-    a: &mut S,
+    a: &mut [f64],
     z: &mut [f64],
     junction_v: &mut [f64],
     vcrit: &[f64],
     init_junctions: bool,
 ) {
     let n_nodes = circuit.num_nodes();
-    // Conductance stamp between two nodes.
-    let stamp_g = |a: &mut S, p: NodeId, n: NodeId, g: f64| {
-        if let Some(i) = p.unknown_index() {
-            a.add(i, i, g);
-            if let Some(j) = n.unknown_index() {
-                a.add(i, j, -g);
-                a.add(j, i, -g);
-            }
-        }
-        if let Some(j) = n.unknown_index() {
-            a.add(j, j, g);
-        }
-    };
     // Current `i_const` flowing from p to n through the element (added to
     // the RHS with the proper signs).
     let stamp_i = |z: &mut [f64], p: NodeId, n: NodeId, i_const: f64| {
@@ -681,52 +706,41 @@ fn stamp_all<S: Stamp>(
             z[j] += i_const;
         }
     };
+    let conductance = |g: f64| [g, -g, -g, g];
+    const INCIDENCE: [f64; 4] = [1.0, 1.0, -1.0, -1.0];
 
+    let mut at = slots.elements.as_slice();
     // The companions are built in element order, so one cursor per
     // list pairs each capacitor and inductor with its own.
     let mut companions = caps.map(|(caps, inds)| (caps.iter(), inds.iter()));
     for (idx, e) in circuit.elements.iter().enumerate() {
         match &e.kind {
-            ElementKind::Resistor { p, n, g } => stamp_g(a, *p, *n, *g),
+            ElementKind::Resistor { g, .. } => add(a, take(&mut at), conductance(*g)),
             ElementKind::Capacitor { .. } => {
+                let slots = take(&mut at);
                 if let Some(cap) = companions.as_mut().and_then(|(caps, _)| caps.next()) {
-                    stamp_g(a, cap.p, cap.n, cap.geq);
+                    add(a, slots, conductance(cap.geq));
                     stamp_i(z, cap.p, cap.n, cap.ieq);
                 }
                 // DC: open circuit — no stamp (gmin keeps nodes anchored).
             }
-            ElementKind::Inductor { p, n, branch, .. } => {
-                let bi = n_nodes + branch;
-                if let Some(i) = p.unknown_index() {
-                    a.add(i, bi, 1.0);
-                    a.add(bi, i, 1.0);
-                }
-                if let Some(j) = n.unknown_index() {
-                    a.add(j, bi, -1.0);
-                    a.add(bi, j, -1.0);
-                }
+            ElementKind::Inductor { branch, .. } => {
+                let [pb, bp, nb, bn, bb] = take(&mut at);
+                add(a, [pb, bp, nb, bn], INCIDENCE);
                 if let Some(ind) = companions.as_mut().and_then(|(_, inds)| inds.next()) {
-                    a.add(bi, bi, -ind.r_eq);
-                    z[bi] += ind.e_eq;
+                    a[bb] += -ind.r_eq;
+                    z[n_nodes + branch] += ind.e_eq;
                 }
                 // DC: v_p − v_n = 0 (a short), which is the bare stamp.
             }
-            ElementKind::VoltageSource { p, n, branch, wave } => {
-                let bi = n_nodes + branch;
+            ElementKind::VoltageSource { branch, wave, .. } => {
                 let v = source_scale
                     * match time {
                         Some(t) => wave.value_at(t),
                         None => wave.dc_value(),
                     };
-                if let Some(i) = p.unknown_index() {
-                    a.add(i, bi, 1.0);
-                    a.add(bi, i, 1.0);
-                }
-                if let Some(j) = n.unknown_index() {
-                    a.add(j, bi, -1.0);
-                    a.add(bi, j, -1.0);
-                }
-                z[bi] += v;
+                add(a, take(&mut at), INCIDENCE);
+                z[n_nodes + branch] += v;
             }
             ElementKind::CurrentSource { p, n, wave } => {
                 let i = source_scale
@@ -758,23 +772,13 @@ fn stamp_all<S: Stamp>(
                 let v = pnjlim(v_iter, junction_v[idx], vt, vcrit[idx]);
                 junction_v[idx] = v;
                 let (i_d, g_d) = diode_iv(v, *i_s, *n_ideality);
-                stamp_g(a, *p, *n, g_d);
+                add(a, take(&mut at), conductance(g_d));
                 stamp_i(z, *p, *n, i_d - g_d * v);
             }
-            ElementKind::Vccs { p, n, cp, cn, gm } => {
+            ElementKind::Vccs { gm, .. } => {
                 // Current gm·(v(cp) − v(cn)) enters p, leaves n: current
                 // flowing p → n through the element is −gm·vc.
-                let mut add = |row: Option<usize>, col: Option<usize>, v: f64| {
-                    if let (Some(r), Some(c)) = (row, col) {
-                        a.add(r, c, v);
-                    }
-                };
-                let (pi, ni) = (p.unknown_index(), n.unknown_index());
-                let (cpi, cni) = (cp.unknown_index(), cn.unknown_index());
-                add(pi, cpi, -gm);
-                add(pi, cni, *gm);
-                add(ni, cpi, *gm);
-                add(ni, cni, -gm);
+                add(a, take(&mut at), [-gm, *gm, *gm, -gm]);
             }
             ElementKind::Fet { d, g, s, model } => {
                 let vgs = node_v(*g, x) - node_v(*s, x);
@@ -786,23 +790,16 @@ fn stamp_all<S: Stamp>(
                 // the Jacobian: clamp to a tiny positive floor.
                 let gds = gds.max(1e-12);
                 let ieq = id - gm * vgs - gds * vds;
-                let (di, gi, si) = (d.unknown_index(), g.unknown_index(), s.unknown_index());
-                let mut add = |row: Option<usize>, col: Option<usize>, v: f64| {
-                    if let (Some(r), Some(c)) = (row, col) {
-                        a.add(r, c, v);
-                    }
-                };
                 // Current id flows d → s through the channel.
-                add(di, gi, gm);
-                add(di, di, gds);
-                add(di, si, -(gm + gds));
-                add(si, gi, -gm);
-                add(si, di, -gds);
-                add(si, si, gm + gds);
-                if let Some(i) = di {
+                add(
+                    a,
+                    take(&mut at),
+                    [gm, gds, -(gm + gds), -gm, -gds, gm + gds],
+                );
+                if let Some(i) = d.unknown_index() {
                     z[i] -= ieq;
                 }
-                if let Some(i) = si {
+                if let Some(i) = s.unknown_index() {
                     z[i] += ieq;
                 }
             }

@@ -29,7 +29,7 @@ pub mod transient;
 use std::sync::Arc;
 
 use crate::error::SpiceError;
-use crate::netlist::Circuit;
+use crate::netlist::{is_ground, Circuit};
 use carbon_trace::{instant, span};
 
 pub(crate) use engine::{
@@ -61,7 +61,7 @@ impl OpResult {
     ///
     /// Returns [`SpiceError::UnknownNode`] for unknown names.
     pub fn voltage(&self, node: &str) -> Result<f64, SpiceError> {
-        if node == "0" || node.eq_ignore_ascii_case("gnd") {
+        if is_ground(node) {
             return Ok(0.0);
         }
         self.names

@@ -32,12 +32,12 @@
 //! expires mid-horizon stops at the next step boundary with a clean
 //! [`SpiceError::Cancelled`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use super::{newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, NewtonOptions};
 use crate::element::ElementKind;
 use crate::error::SpiceError;
-use crate::netlist::Circuit;
+use crate::netlist::{is_ground, Circuit};
 use carbon_trace::{instant, span};
 
 /// Which time-stepping scheme [`Circuit::transient`] uses.
@@ -120,6 +120,8 @@ pub struct TranResult {
     names: Arc<NameTable>,
     /// One voltage trace per node, aligned with `names.node_names`.
     traces: Vec<Vec<f64>>,
+    /// The ground trace, all zeros, allocated on its first probe.
+    ground: OnceLock<Vec<f64>>,
     accepted: usize,
     rejected: usize,
 }
@@ -146,12 +148,16 @@ impl TranResult {
         self.rejected
     }
 
-    /// Voltage trace of a node over time.
+    /// Voltage trace of a node over time; ground (`0` or `gnd`) reads
+    /// as zero at every time point.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::UnknownNode`] for unknown names.
     pub fn voltages(&self, node: &str) -> Result<&[f64], SpiceError> {
+        if is_ground(node) {
+            return Ok(self.ground.get_or_init(|| vec![0.0; self.times.len()]));
+        }
         self.names
             .node(node)
             .map(|i| self.traces[i].as_slice())
@@ -412,6 +418,7 @@ impl Circuit {
             times,
             names: ws.names.clone(),
             traces,
+            ground: OnceLock::new(),
             accepted,
             rejected,
         })
@@ -817,5 +824,23 @@ mod tests {
         assert!((tran.sample_at("mid", -1.0).unwrap() - 0.5).abs() < 1e-9);
         assert!((tran.sample_at("mid", 2.0).unwrap() - 0.5).abs() < 1e-9);
         assert!(tran.sample_at("ghost", 0.0).is_err());
+    }
+
+    #[test]
+    fn ground_reads_as_a_zero_trace() {
+        let mut ckt = Circuit::new();
+        ckt.voltage_source("v", "in", "0", 1.0);
+        ckt.resistor("r", "in", "out", 1e3).unwrap();
+        ckt.capacitor("c", "out", "0", 1e-9).unwrap();
+        for opts in [TranOptions::default(), TranOptions::adaptive()] {
+            let tran = ckt.transient(1e-7, 1e-6, opts).unwrap();
+            assert!(tran.ground.get().is_none(), "no ground trace until probed");
+            for name in ["0", "gnd", "GND"] {
+                let v = tran.voltages(name).unwrap();
+                assert_eq!(v.len(), tran.times().len(), "{name}");
+                assert!(v.iter().all(|&v| v.to_bits() == 0), "{name}: {v:?}");
+                assert_eq!(tran.sample_at(name, 3.3e-7).unwrap(), 0.0, "{name}");
+            }
+        }
     }
 }

@@ -7,7 +7,10 @@
 //! 4 unknowns) and the reference oracle for the sparse path in
 //! [`sparse`](crate::sparse), which takes over for larger systems where
 //! the O(n³) factorization dominates; the `solver` bench tracks both so
-//! the crossover stays visible.
+//! the crossover stays visible. The analyses stamp both matrix types
+//! the same way: each stamp position is bound once to an index into
+//! [`values_mut`](DenseMatrix::values_mut) (`r·n + c` here), and every
+//! write is an add at that index.
 //!
 //! Gaussian elimination is written index-based on purpose; the
 //! iterator forms clippy suggests obscure the row/column structure.
@@ -16,27 +19,12 @@
 use crate::error::SpiceError;
 use crate::sparse::Scalar;
 
-/// The MNA *stamp* sink: anything element stamps can accumulate into.
-///
-/// Implemented by [`DenseMatrix`] and
-/// [`SparseMatrix`](crate::sparse::SparseMatrix) so the element-stamping
-/// code is written once and works against either backend.
-pub trait Stamp<S = f64> {
-    /// Adds `value` to entry `(row, col)`.
-    fn add(&mut self, row: usize, col: usize, value: S);
-}
-
-impl<S: Scalar> Stamp<S> for DenseMatrix<S> {
-    #[inline]
-    fn add(&mut self, row: usize, col: usize, value: S) {
-        DenseMatrix::add(self, row, col, value);
-    }
-}
-
 /// A dense square matrix stored row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix<S: Scalar = f64> {
     n: usize,
+    /// The `n²` entries, row-major, then one trailing slot that no
+    /// solve reads (see [`values_mut`](Self::values_mut)).
     data: Vec<S>,
 }
 
@@ -45,7 +33,7 @@ impl<S: Scalar> DenseMatrix<S> {
     pub fn zeros(n: usize) -> Self {
         Self {
             n,
-            data: vec![S::ZERO; n * n],
+            data: vec![S::ZERO; n * n + 1],
         }
     }
 
@@ -69,7 +57,7 @@ impl<S: Scalar> DenseMatrix<S> {
         self.data[row * self.n + col]
     }
 
-    /// Adds `value` to entry `(row, col)` — the MNA *stamp* operation.
+    /// Adds `value` to entry `(row, col)`.
     ///
     /// # Panics
     ///
@@ -83,27 +71,13 @@ impl<S: Scalar> DenseMatrix<S> {
         self.data[row * self.n + col] += value;
     }
 
-    /// Resets all entries to zero, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.data.fill(S::ZERO);
-    }
-
-    /// The entries in row-major order — pairs with
-    /// [`set_values`](Self::set_values), as on
-    /// [`SparseMatrix`](crate::sparse::SparseMatrix::values).
+    /// The entries in row-major order, entry `(r, c)` at index
+    /// `r·n + c`, then one trailing slot past the matrix that no solve
+    /// reads: an MNA stamp whose row or column is ground is bound there,
+    /// so stamping needs no ground test.
     #[inline]
-    pub fn values(&self) -> &[S] {
-        &self.data
-    }
-
-    /// Overwrites every entry (row-major) — the restore half of
-    /// [`values`](Self::values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` does not have exactly `n²` entries.
-    pub fn set_values(&mut self, vals: &[S]) {
-        self.data.copy_from_slice(vals);
+    pub fn values_mut(&mut self) -> &mut [S] {
+        &mut self.data
     }
 
     /// Solves `A·x = b` in place by LU factorization with partial
@@ -287,7 +261,7 @@ mod tests {
         a.add(0, 0, 1.0);
         a.add(0, 0, 2.5);
         assert_eq!(a.get(0, 0), 3.5);
-        a.clear();
+        a.values_mut().fill(0.0);
         assert_eq!(a.get(0, 0), 0.0);
     }
 

@@ -27,6 +27,11 @@ impl NodeId {
     }
 }
 
+/// Whether `name` is the reference node: `"0"` or `"gnd"`, in any case.
+pub(crate) fn is_ground(name: &str) -> bool {
+    name == "0" || name.eq_ignore_ascii_case("gnd")
+}
+
 /// A circuit under construction plus its node registry.
 ///
 /// Node names are free-form strings; `"0"` and `"gnd"` (case-insensitive)
@@ -53,10 +58,10 @@ impl Circuit {
 
     /// Interns a node name, creating the node on first use.
     pub fn node(&mut self, name: &str) -> NodeId {
-        let lower = name.to_ascii_lowercase();
-        if lower == "0" || lower == "gnd" {
+        if is_ground(name) {
             return NodeId::GROUND;
         }
+        let lower = name.to_ascii_lowercase();
         if let Some(&id) = self.node_index.get(&lower) {
             return id;
         }
@@ -73,12 +78,11 @@ impl Circuit {
     ///
     /// Returns [`SpiceError::UnknownNode`] if the node was never used.
     pub fn find_node(&self, name: &str) -> Result<NodeId, SpiceError> {
-        let lower = name.to_ascii_lowercase();
-        if lower == "0" || lower == "gnd" {
+        if is_ground(name) {
             return Ok(NodeId::GROUND);
         }
         self.node_index
-            .get(&lower)
+            .get(&name.to_ascii_lowercase())
             .copied()
             .ok_or(SpiceError::UnknownNode {
                 name: name.to_owned(),

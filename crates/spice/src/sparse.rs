@@ -19,9 +19,10 @@
 //!
 //! 1. **Symbolic, once per topology** — the stamp pattern of a circuit
 //!    is fixed across Newton iterations *and* sweep points, so the CSC
-//!    pattern, the per-row stamp slots, and the fill-reducing column
-//!    ordering are computed a single time ([`SparseMatrix::from_entries`],
-//!    [`SparseLu::new`]).
+//!    pattern and the fill-reducing column ordering are computed a single
+//!    time ([`SparseMatrix::from_entries`], [`SparseLu::new`]), and each
+//!    stamp position is bound once to its value index
+//!    ([`SparseMatrix::slot`]); stamping is then an add at that index.
 //! 2. **First numeric factorization** — Gilbert–Peierls with partial
 //!    pivoting (deterministic tie-break on the smallest row index)
 //!    discovers the L/U fill pattern and the pivot sequence
@@ -38,7 +39,6 @@
 //! oracle.
 
 use crate::error::SpiceError;
-use crate::linalg::Stamp;
 
 /// The scalar field a dense or sparse system is solved over.
 ///
@@ -119,14 +119,41 @@ pub enum Refactor {
 }
 
 /// A sparse square matrix in compressed-sparse-column (CSC) form with a
-/// **fixed** sparsity pattern and O(row degree) stamping, generic over
-/// the stored [`Scalar`] (defaults to `f64`; the AC path instantiates
-/// it at [`Complex`](crate::complex::Complex)).
+/// **fixed** sparsity pattern, generic over the stored [`Scalar`]
+/// (defaults to `f64`; the AC path instantiates it at
+/// [`Complex`](crate::complex::Complex)).
 ///
 /// The pattern is declared up front from the set of `(row, col)`
-/// positions a circuit can ever stamp; [`add`](Self::add) then
-/// accumulates into pre-resolved slots, and [`clear`](Self::clear)
-/// zeroes values while keeping the pattern and all allocations.
+/// positions a circuit can ever stamp. A caller binds each position once
+/// to its value index with [`slot`](Self::slot), then accumulates into
+/// [`values_mut`](Self::values_mut) at that index, so no stamp searches
+/// the pattern.
+///
+/// ```
+/// use carbon_spice::sparse::{SparseLu, SparseMatrix};
+///
+/// # fn main() -> Result<(), carbon_spice::SpiceError> {
+/// // [2 1; 1 3]·x = [3; 5], so x = [0.8, 1.4].
+/// let entries = [(0, 0, 2.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)];
+/// let pattern: Vec<(usize, usize)> = entries.iter().map(|&(r, c, _)| (r, c)).collect();
+/// let mut a = SparseMatrix::from_entries(2, &pattern);
+/// // Bind once, then stamp by index.
+/// let slots: Vec<usize> = pattern
+///     .iter()
+///     .map(|&(r, c)| a.slot(r, c).expect("declared in the pattern"))
+///     .collect();
+/// let values = a.values_mut();
+/// for (&slot, &(_, _, v)) in slots.iter().zip(&entries) {
+///     values[slot] += v;
+/// }
+/// let mut lu = SparseLu::new(&a);
+/// lu.factor(&a)?;
+/// let mut x = vec![3.0, 5.0];
+/// lu.solve(&mut x);
+/// assert!((x[0] - 0.8).abs() < 1e-12 && (x[1] - 1.4).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct SparseMatrix<T: Scalar = f64> {
     n: usize,
@@ -134,12 +161,9 @@ pub struct SparseMatrix<T: Scalar = f64> {
     col_ptr: Vec<usize>,
     /// CSC row indices, one per stored entry, sorted within a column.
     row_ind: Vec<u32>,
-    /// Stored values, parallel to `row_ind`.
+    /// Stored values, parallel to `row_ind`, then one trailing slot
+    /// that no factorization reads (see [`values_mut`](Self::values_mut)).
     values: Vec<T>,
-    /// Per-row `(col, value slot)` pairs, sorted by column: resolves a
-    /// stamp at `(r, c)` with a short linear scan (MNA rows hold only a
-    /// handful of entries).
-    row_slots: Vec<Vec<(u32, u32)>>,
 }
 
 impl<T: Scalar> SparseMatrix<T> {
@@ -162,11 +186,9 @@ impl<T: Scalar> SparseMatrix<T> {
         let nnz = uniq.len();
         let mut col_ptr = vec![0usize; n + 1];
         let mut row_ind = Vec::with_capacity(nnz);
-        let mut row_slots: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
-        for (slot, &(c, r)) in uniq.iter().enumerate() {
+        for &(c, r) in &uniq {
             col_ptr[c as usize + 1] += 1;
             row_ind.push(r);
-            row_slots[r as usize].push((c, slot as u32));
         }
         for c in 0..n {
             col_ptr[c + 1] += col_ptr[c];
@@ -175,8 +197,7 @@ impl<T: Scalar> SparseMatrix<T> {
             n,
             col_ptr,
             row_ind,
-            values: vec![T::ZERO; nnz],
-            row_slots,
+            values: vec![T::ZERO; nnz + 1],
         }
     }
 
@@ -192,51 +213,27 @@ impl<T: Scalar> SparseMatrix<T> {
         self.row_ind.len()
     }
 
-    /// Resets all values to zero, keeping the pattern.
-    pub fn clear(&mut self) {
-        self.values.fill(T::ZERO);
-    }
-
-    /// Adds `value` at `(row, col)` — the MNA stamp operation.
+    /// The value index of pattern position `(row, col)`: a binary search
+    /// of column `col`, done once per position when a caller binds its
+    /// stamps. `None` when the position is not in the pattern.
     ///
     /// # Panics
     ///
-    /// Panics if `(row, col)` is not part of the declared pattern.
-    #[inline]
-    pub fn add(&mut self, row: usize, col: usize, value: T) {
-        let c = col as u32;
-        for &(sc, slot) in &self.row_slots[row] {
-            if sc == c {
-                self.values[slot as usize] += value;
-                return;
-            }
-        }
-        panic!("stamp at ({row}, {col}) outside the declared sparsity pattern");
+    /// Panics if `col` is out of bounds.
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        let span = self.col_ptr[col]..self.col_ptr[col + 1];
+        let row = u32::try_from(row).ok()?;
+        let k = self.row_ind[span.clone()].binary_search(&row).ok()?;
+        Some(span.start + k)
     }
 
-    /// The stored values in pattern (CSC slot) order — pairs with
-    /// [`set_values`](Self::set_values) so a caller can snapshot the
-    /// frequency-independent part of a stamp and restore it per sweep
-    /// point instead of restamping every element.
+    /// The stored values in pattern (CSC slot) order, then one trailing
+    /// slot past the [`nnz`](Self::nnz) entries that no factorization
+    /// reads: an MNA stamp whose row or column is ground is bound there,
+    /// so stamping needs no ground test.
     #[inline]
-    pub fn values(&self) -> &[T] {
-        &self.values
-    }
-
-    /// Overwrites the stored values (pattern order), keeping the
-    /// pattern — the restore half of [`values`](Self::values).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` does not have exactly [`nnz`](Self::nnz)
-    /// entries.
-    pub fn set_values(&mut self, vals: &[T]) {
-        assert_eq!(
-            vals.len(),
-            self.values.len(),
-            "value snapshot length must equal nnz"
-        );
-        self.values.copy_from_slice(vals);
+    pub fn values_mut(&mut self) -> &mut [T] {
+        &mut self.values
     }
 
     /// Column `j` as parallel `(rows, values)` slices.
@@ -256,13 +253,6 @@ impl<T: Scalar> SparseMatrix<T> {
                 out[r as usize] = v;
             }
         }
-    }
-}
-
-impl<T: Scalar> Stamp<T> for SparseMatrix<T> {
-    #[inline]
-    fn add(&mut self, row: usize, col: usize, value: T) {
-        SparseMatrix::add(self, row, col, value);
     }
 }
 
@@ -800,11 +790,17 @@ mod tests {
         a
     }
 
+    /// Adds `v` at pattern position `(r, c)` through its bound slot.
+    pub(super) fn add(a: &mut SparseMatrix, r: usize, c: usize, v: f64) {
+        let slot = a.slot(r, c).expect("position in the pattern");
+        a.values_mut()[slot] += v;
+    }
+
     fn sparse_from(n: usize, entries: &[(usize, usize, f64)]) -> SparseMatrix {
         let pat: Vec<(usize, usize)> = entries.iter().map(|&(r, c, _)| (r, c)).collect();
         let mut a = SparseMatrix::from_entries(n, &pat);
         for &(r, c, v) in entries {
-            a.add(r, c, v);
+            add(&mut a, r, c, v);
         }
         a
     }
@@ -885,14 +881,14 @@ mod tests {
         let pat = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
         let mut a = SparseMatrix::from_entries(3, &pat);
         let fill = |a: &mut SparseMatrix, scale: f64| {
-            a.clear();
-            a.add(0, 0, 4.0 * scale);
-            a.add(0, 1, 1.0);
-            a.add(1, 0, 1.0);
-            a.add(1, 1, 5.0 * scale);
-            a.add(1, 2, -2.0);
-            a.add(2, 1, -2.0);
-            a.add(2, 2, 6.0 * scale);
+            a.values_mut().fill(0.0);
+            add(a, 0, 0, 4.0 * scale);
+            add(a, 0, 1, 1.0);
+            add(a, 1, 0, 1.0);
+            add(a, 1, 1, 5.0 * scale);
+            add(a, 1, 2, -2.0);
+            add(a, 2, 1, -2.0);
+            add(a, 2, 2, 6.0 * scale);
         };
         fill(&mut a, 1.0);
         let mut lu = SparseLu::new(&a);
@@ -925,17 +921,17 @@ mod tests {
         // the growth check must re-pivot instead of losing accuracy.
         let pat = [(0, 0), (0, 1), (1, 0), (1, 1)];
         let mut a = SparseMatrix::from_entries(2, &pat);
-        a.add(0, 0, 1e6);
-        a.add(0, 1, 1.0);
-        a.add(1, 0, 1.0);
-        a.add(1, 1, 1e6);
+        add(&mut a, 0, 0, 1e6);
+        add(&mut a, 0, 1, 1.0);
+        add(&mut a, 1, 0, 1.0);
+        add(&mut a, 1, 1, 1e6);
         let mut lu = SparseLu::new(&a);
         lu.factor(&a).unwrap();
-        a.clear();
-        a.add(0, 0, 1e-9);
-        a.add(0, 1, 1.0);
-        a.add(1, 0, 1.0);
-        a.add(1, 1, 1e-9);
+        a.values_mut().fill(0.0);
+        add(&mut a, 0, 0, 1e-9);
+        add(&mut a, 0, 1, 1.0);
+        add(&mut a, 1, 0, 1.0);
+        add(&mut a, 1, 1, 1e-9);
         assert_eq!(lu.refactor(&a).unwrap(), Refactor::Repivoted);
         // x solves [1e-9 1; 1 1e-9]·x = [1; 2] → x ≈ [2, 1].
         let mut b = vec![1.0, 2.0];
@@ -971,20 +967,31 @@ mod tests {
     fn stamps_accumulate_and_clear() {
         let mut a = SparseMatrix::from_entries(2, &[(0, 0), (1, 1), (0, 0)]);
         assert_eq!(a.nnz(), 2, "duplicate pattern entries collapse");
-        a.add(0, 0, 1.0);
-        a.add(0, 0, 2.5);
+        add(&mut a, 0, 0, 1.0);
+        add(&mut a, 0, 0, 2.5);
         let (_, vals) = a.col(0);
         assert_eq!(vals[0], 3.5);
-        a.clear();
+        a.values_mut().fill(0.0);
         let (_, vals) = a.col(0);
         assert_eq!(vals[0], 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "outside the declared sparsity pattern")]
-    fn stamping_off_pattern_panics() {
-        let mut a = SparseMatrix::from_entries(2, &[(0, 0)]);
-        a.add(1, 0, 1.0);
+    fn off_pattern_positions_bind_to_no_slot() {
+        let mut a = SparseMatrix::<f64>::from_entries(3, &[(0, 0), (2, 0), (1, 1), (0, 2)]);
+        // CSC order: column 0 holds rows 0 and 2, then column 1, then 2.
+        assert_eq!(a.slot(0, 0), Some(0));
+        assert_eq!(a.slot(2, 0), Some(1));
+        assert_eq!(a.slot(1, 1), Some(2));
+        assert_eq!(a.slot(0, 2), Some(3));
+        assert_eq!(a.slot(1, 0), None);
+        assert_eq!(a.slot(2, 2), None);
+        assert_eq!(a.slot(7, 1), None, "row out of bounds");
+        assert_eq!(
+            a.values_mut().len(),
+            a.nnz() + 1,
+            "one trailing slot for stamps on ground"
+        );
     }
 
     #[test]
@@ -1037,6 +1044,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::add;
     use super::*;
     use crate::linalg::DenseMatrix;
     use carbon_runtime::prop::prelude::*;
@@ -1069,7 +1077,7 @@ mod proptests {
             let mut sparse = SparseMatrix::from_entries(n, &pat);
             for &(r, c, v) in &entries {
                 dense.add(r, c, v);
-                sparse.add(r, c, v);
+                add(&mut sparse, r, c, v);
             }
             let b: Vec<f64> = (0..n).map(|i| seed[16 * 16 + i]).collect();
             let mut xd = b.clone();
@@ -1110,15 +1118,15 @@ mod proptests {
             };
             let mut sparse = SparseMatrix::from_entries(n, &pat);
             for &(r, c) in &pat {
-                sparse.add(r, c, value(r, c, 1.0));
+                add(&mut sparse, r, c, value(r, c, 1.0));
             }
             let mut lu = SparseLu::new(&sparse);
             lu.factor(&sparse).unwrap();
             // Change values, refactor, compare against dense.
-            sparse.clear();
+            sparse.values_mut().fill(0.0);
             let mut dense = DenseMatrix::zeros(n);
             for &(r, c) in &pat {
-                sparse.add(r, c, value(r, c, scale));
+                add(&mut sparse, r, c, value(r, c, scale));
                 dense.add(r, c, value(r, c, scale));
             }
             lu.refactor(&sparse).unwrap();
