@@ -9,9 +9,12 @@
 # --locked, so a committed Cargo.lock that no longer matches the
 # manifests fails here instead of being rewritten.
 # Determinism and baseline gates: crates/bench/tests/digest_matrix.rs,
-# crates/serve/tests/determinism.rs and crates/spice/tests/stamps.rs
+# crates/serve/tests/determinism.rs, crates/spice/tests/stamps.rs
 # (`cargo test --offline -p carbon-spice --test stamps`: every element
-# stamp on the dense and the sparse path; a refactor never updates it).
+# stamp on the dense and the sparse path) and tests/fet_models.rs
+# (`cargo test --offline --test fet_models`: every carbon-logic circuit
+# analysis on four compact-model pairs, plus the §II cascade). A
+# refactor never updates the last two.
 set -euo pipefail
 cd "$(dirname "$0")"
 

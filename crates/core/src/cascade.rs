@@ -60,20 +60,8 @@ fn chain_levels(
     for k in 0..STAGES {
         let inp = format!("s{k}");
         let out = format!("s{}", k + 1);
-        ckt.fet(
-            &format!("mp{k}"),
-            &out,
-            &inp,
-            "vdd",
-            Arc::new(FetRef(pfet.clone())),
-        )?;
-        ckt.fet(
-            &format!("mn{k}"),
-            &out,
-            &inp,
-            "0",
-            Arc::new(FetRef(nfet.clone())),
-        )?;
+        ckt.fet(&format!("mp{k}"), &out, &inp, "vdd", pfet.clone())?;
+        ckt.fet(&format!("mn{k}"), &out, &inp, "0", nfet.clone())?;
     }
     let op = ckt.op()?;
     let mut levels = Vec::with_capacity(STAGES + 1);
@@ -115,25 +103,6 @@ pub fn run() -> Result<Cascade, CoreError> {
         saturating,
         non_saturating,
     })
-}
-
-struct FetRef(Arc<dyn Fet>);
-
-impl carbon_spice::FetCurve for FetRef {
-    fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        self.0.ids(vgs, vds)
-    }
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        self.0.gm_gds(vgs, vds)
-    }
-    // Forward the batched entry points too, so a table model's shared
-    // clamp/index fast path survives the trait-object indirection.
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        self.0.ids_batch(bias, out);
-    }
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        self.0.eval(vgs, vds)
-    }
 }
 
 impl std::fmt::Display for Cascade {

@@ -39,11 +39,11 @@ const LANE: usize = 8;
 pub const SOA_CHUNK: usize = 16;
 
 /// Structure-of-arrays batched evaluation over separate `vgs`/`vds`
-/// lanes.
+/// lanes: one entry point, [`ids_soa`](Self::ids_soa).
 ///
-/// Every method must stay **bit-identical** to the scalar
-/// [`FetCurve`](carbon_spice::FetCurve) path — the defaults are the
-/// oracle, overrides only amortize loads and index math. All lane
+/// It must stay **bit-identical** to the scalar
+/// [`FetCurve::ids`](carbon_spice::FetCurve::ids) — the default loop is
+/// the oracle, overrides only amortize loads and index math. Lane
 /// lengths share the [`batch_lanes_match`] contract.
 pub trait BatchEval: carbon_spice::FetCurve {
     /// Drain current over matched `vgs`/`vds` lanes, writing `out[i] =
@@ -61,54 +61,6 @@ pub trait BatchEval: carbon_spice::FetCurve {
             *o = self.ids(g, d);
         }
     }
-
-    /// Current and both derivatives over lanes via the shared 5-point
-    /// stencil: `ids[i]`, `gm[i] = ∂I/∂V_GS`, `gds[i] = ∂I/∂V_DS`,
-    /// each bit-identical to the scalar
-    /// [`eval`](carbon_spice::FetCurve::eval) default composition.
-    ///
-    /// # Panics
-    ///
-    /// Panics per [`batch_lanes_match`] on mismatched lane lengths;
-    /// empty lanes return immediately.
-    fn eval_soa(&self, vgs: &[f64], vds: &[f64], ids: &mut [f64], gm: &mut [f64], gds: &mut [f64]) {
-        if !batch_lanes_match(&[
-            ("vgs", vgs.len()),
-            ("vds", vds.len()),
-            ("ids", ids.len()),
-            ("gm", gm.len()),
-            ("gds", gds.len()),
-        ]) {
-            return;
-        }
-        // `H` and the difference quotients must match the
-        // `FetCurve::gm_gds` default so results stay bit-identical.
-        const H: f64 = 1e-3;
-        let n = vgs.len();
-        self.ids_soa(vgs, vds, ids);
-        let mut shifted: Vec<f64> = vgs.iter().map(|&v| v + H).collect();
-        let mut hi = vec![0.0; n];
-        let mut lo = vec![0.0; n];
-        self.ids_soa(&shifted, vds, &mut hi);
-        for (s, &v) in shifted.iter_mut().zip(vgs) {
-            *s = v - H;
-        }
-        self.ids_soa(&shifted, vds, &mut lo);
-        for ((g, &h), &l) in gm.iter_mut().zip(&hi).zip(&lo) {
-            *g = (h - l) / (2.0 * H);
-        }
-        for (s, &v) in shifted.iter_mut().zip(vds) {
-            *s = v + H;
-        }
-        self.ids_soa(vgs, &shifted, &mut hi);
-        for (s, &v) in shifted.iter_mut().zip(vds) {
-            *s = v - H;
-        }
-        self.ids_soa(vgs, &shifted, &mut lo);
-        for ((g, &h), &l) in gds.iter_mut().zip(&hi).zip(&lo) {
-            *g = (h - l) / (2.0 * H);
-        }
-    }
 }
 
 /// Scalar `eval` routed through one 5-lane [`BatchEval::ids_soa`] call —
@@ -116,9 +68,10 @@ pub trait BatchEval: carbon_spice::FetCurve {
 /// iteration's value + derivatives cost one kernel invocation with the
 /// model's constants hoisted once instead of five scalar dispatches.
 ///
-/// Bit-identical to the default `ids` + `gm_gds` composition because
-/// each stencil lane is bit-identical to the scalar `ids` at that bias
-/// and the difference quotients are the same expressions.
+/// Bit-identical to the [`FetCurve::eval`](carbon_spice::FetCurve::eval)
+/// default because each stencil lane is bit-identical to the scalar
+/// `ids` at that bias and the difference quotients are the same
+/// expressions.
 pub fn eval_via_soa<M: BatchEval + ?Sized>(model: &M, vgs: f64, vds: f64) -> (f64, f64, f64) {
     const H: f64 = 1e-3;
     let vg = [vgs, vgs + H, vgs - H, vgs, vgs];
@@ -278,26 +231,41 @@ mod tests {
         assert_ids_soa_matches_scalar(&tfet, 9);
     }
 
+    /// Forwards only `ids`, so its `eval` is the trait's default
+    /// stencil: the oracle every `eval` override must match bitwise.
+    struct DefaultEval<'a>(&'a dyn FetCurve);
+
+    impl FetCurve for DefaultEval<'_> {
+        fn ids(&self, vgs: f64, vds: f64) -> f64 {
+            self.0.ids(vgs, vds)
+        }
+    }
+
+    fn eval_bits(model: &dyn FetCurve, vgs: f64, vds: f64) -> [u64; 3] {
+        let (id, gm, gds) = model.eval(vgs, vds);
+        [id.to_bits(), gm.to_bits(), gds.to_bits()]
+    }
+
     #[test]
-    fn eval_soa_matches_scalar_eval() {
-        let models: Vec<Box<dyn BatchEval>> = vec![
-            Box::new(AlphaPowerFet::fig2_nfet()),
-            Box::new(LinearGnrFet::sub10nm_fig1()),
-            Box::new({
-                let inner = AlphaPowerFet::fig2_nfet();
-                TableFet::sample(&inner, (0.0, 1.0), (0.0, 1.0), 17, 17).unwrap()
-            }),
+    fn eval_overrides_match_the_default_stencil() {
+        let inner = AlphaPowerFet::fig2_nfet();
+        let table = TableFet::sample(&inner, (0.0, 1.0), (0.0, 1.0), 17, 17).unwrap();
+        let models: [(&str, &dyn FetCurve); 5] = [
+            ("alpha-power n", &AlphaPowerFet::fig2_nfet()),
+            ("alpha-power p", &AlphaPowerFet::fig2_pfet()),
+            ("linear GNR n", &LinearGnrFet::sub10nm_fig1()),
+            ("linear GNR p", &LinearGnrFet::fig2_pfet()),
+            ("table", &table),
         ];
-        let (vgs, vds) = grid_lanes(23);
-        for model in &models {
-            let n = vgs.len();
-            let (mut ids, mut gm, mut gds) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            model.eval_soa(&vgs, &vds, &mut ids, &mut gm, &mut gds);
-            for k in 0..n {
-                let (i_s, gm_s, gds_s) = model.eval(vgs[k], vds[k]);
-                assert_eq!(ids[k].to_bits(), i_s.to_bits(), "ids lane {k}");
-                assert_eq!(gm[k].to_bits(), gm_s.to_bits(), "gm lane {k}");
-                assert_eq!(gds[k].to_bits(), gds_s.to_bits(), "gds lane {k}");
+        // Runs past the table window on both axes to cover the clamps.
+        let (vgs, vds) = grid_lanes(37);
+        for (name, model) in models {
+            for (&g, &d) in vgs.iter().zip(&vds) {
+                assert_eq!(
+                    eval_bits(model, g, d),
+                    eval_bits(&DefaultEval(model), g, d),
+                    "{name} at ({g}, {d})"
+                );
             }
         }
     }
@@ -398,17 +366,14 @@ mod tests {
             let table = TableFet::sample(&inner, (0.0, 1.0), (0.0, 1.0), 17, 17).unwrap();
             let lanes = split_lanes(&samples, 2, &[(-0.5, 1.5), (-0.5, 1.5)]);
             let (vgs, vds) = (&lanes[0], &lanes[1]);
-            let n = vgs.len();
-            let mut out = vec![0.0; n];
+            let mut out = vec![0.0; vgs.len()];
             table.ids_soa(vgs, vds, &mut out);
-            let (mut ids, mut gm, mut gds) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-            table.eval_soa(vgs, vds, &mut ids, &mut gm, &mut gds);
-            for k in 0..n {
+            for k in 0..vgs.len() {
                 prop_assert_eq!(out[k].to_bits(), table.ids(vgs[k], vds[k]).to_bits());
-                let (i_s, gm_s, gds_s) = table.eval(vgs[k], vds[k]);
-                prop_assert_eq!(ids[k].to_bits(), i_s.to_bits());
-                prop_assert_eq!(gm[k].to_bits(), gm_s.to_bits());
-                prop_assert_eq!(gds[k].to_bits(), gds_s.to_bits());
+                prop_assert_eq!(
+                    eval_bits(&table, vgs[k], vds[k]),
+                    eval_bits(&DefaultEval(&table), vgs[k], vds[k])
+                );
             }
         }
 

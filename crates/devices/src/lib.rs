@@ -24,7 +24,8 @@
 //!
 //! All models implement [`Fet`] (typed, quantity-based API) and
 //! [`carbon_spice::FetCurve`] (raw volts/amps API), so a model swept in a
-//! device experiment can be dropped into a circuit unchanged.
+//! device experiment can be dropped into a circuit unchanged: an
+//! `Arc<dyn Fet>` is an `Arc<dyn FetCurve>` by upcast.
 
 #![deny(missing_docs)]
 
@@ -59,11 +60,16 @@ pub enum Polarity {
 
 /// A transistor compact model.
 ///
-/// `Fet` extends [`carbon_spice::FetCurve`] (which supplies the raw
-/// `ids(vgs, vds)` evaluation used inside circuit simulation) and
-/// [`BatchEval`] (the structure-of-arrays batch layer — the defaults
-/// give every model a correct, bit-identical batched path) with a
-/// typed, quantity-based API for device-level experiments.
+/// `Fet` extends [`carbon_spice::FetCurve`] (the `ids` and `eval` a
+/// circuit simulation reads) and [`BatchEval`] (the structure-of-arrays
+/// `ids_soa` — its default gives every model a correct, bit-identical
+/// batched path) with a typed, quantity-based API for device-level
+/// experiments.
+///
+/// A model enters a circuit by upcast: an `Arc<dyn Fet>` passed to
+/// [`Circuit::fet`](carbon_spice::Circuit::fet) coerces to the
+/// `Arc<dyn FetCurve>` it takes and keeps dispatching the model's own
+/// `eval` override.
 pub trait Fet: BatchEval + Send + Sync {
     /// Channel polarity.
     fn polarity(&self) -> Polarity;

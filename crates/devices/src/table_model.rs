@@ -106,55 +106,38 @@ impl TableFet {
         })
     }
 
+    /// The clamp/index geometry of the grid, hoisted once per call so
+    /// lane loops only do interpolation arithmetic.
     #[inline]
-    fn lookup(&self, vgs: f64, vds: f64) -> f64 {
-        // Clamp into the sampled window (flat extrapolation — circuits
-        // excursion slightly past the rails during Newton iterations).
-        let x = ((vgs - self.vgs_lo) / (self.vgs_hi - self.vgs_lo) * (self.n_vgs - 1) as f64)
-            .clamp(0.0, (self.n_vgs - 1) as f64);
-        let y = ((vds - self.vds_lo) / (self.vds_hi - self.vds_lo) * (self.n_vds - 1) as f64)
-            .clamp(0.0, (self.n_vds - 1) as f64);
-        let i0 = (x.floor() as usize).min(self.n_vgs - 2);
-        let j0 = (y.floor() as usize).min(self.n_vds - 2);
-        let fx = x - i0 as f64;
-        let fy = y - j0 as f64;
-        let at = |i: usize, j: usize| self.data[i * self.n_vds + j];
-        at(i0, j0) * (1.0 - fx) * (1.0 - fy)
-            + at(i0 + 1, j0) * fx * (1.0 - fy)
-            + at(i0, j0 + 1) * (1.0 - fx) * fy
-            + at(i0 + 1, j0 + 1) * fx * fy
+    fn hoisted_geometry(&self) -> HoistedGeometry {
+        HoistedGeometry {
+            vgs_lo: self.vgs_lo,
+            vds_lo: self.vds_lo,
+            wx: self.vgs_hi - self.vgs_lo,
+            wy: self.vds_hi - self.vds_lo,
+            gx: (self.n_vgs - 1) as f64,
+            gy: (self.n_vds - 1) as f64,
+            i_max: self.n_vgs - 2,
+            j_max: self.n_vds - 2,
+            n_vds: self.n_vds,
+        }
     }
 }
 
 impl carbon_spice::FetCurve for TableFet {
     fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        self.lookup(vgs, vds)
-    }
-
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        if !carbon_spice::batch_lanes_match(&[("bias", bias.len()), ("out", out.len())]) {
-            return;
-        }
-        // Hoist the grid geometry out of the loop. Every expression
-        // mirrors `lookup` exactly (same operands, same order), so each
-        // output stays bit-identical to the scalar path — the batch only
-        // shares the field loads and window subtractions.
-        let (geom, data) = (self.hoisted_geometry(), &self.data[..]);
-        for (o, &(vgs, vds)) in out.iter_mut().zip(bias) {
-            *o = geom.lookup(data, vgs, vds);
-        }
+        self.hoisted_geometry().lookup(&self.data, vgs, vds)
     }
 
     fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
         // One batched lookup for the value and the four-point central
         // difference stencil, via the shared SoA routing (bit-identical
-        // to the composed default).
+        // to the trait's default stencil).
         crate::batch::eval_via_soa(self, vgs, vds)
     }
 }
 
-/// The clamp/index geometry of a [`TableFet`] grid, hoisted once per
-/// batch so the lane loops only do interpolation arithmetic.
+/// The clamp/index geometry of a [`TableFet`] grid.
 #[derive(Clone, Copy)]
 struct HoistedGeometry {
     vgs_lo: f64,
@@ -169,9 +152,11 @@ struct HoistedGeometry {
 }
 
 impl HoistedGeometry {
-    /// Bilinear lookup mirroring [`TableFet::lookup`] operand-for-
-    /// operand (same order, same clamps), so results are bit-identical
-    /// to the scalar path.
+    /// The table's one bilinear interpolation, shared by scalar `ids`
+    /// and the `ids_soa` lanes so the two agree bitwise by
+    /// construction. Biases are clamped into the sampled window (flat
+    /// extrapolation — circuits excursion slightly past the rails
+    /// during Newton iterations).
     #[inline]
     fn lookup(&self, data: &[f64], vgs: f64, vds: f64) -> f64 {
         let x = ((vgs - self.vgs_lo) / self.wx * self.gx).clamp(0.0, self.gx);
@@ -185,23 +170,6 @@ impl HoistedGeometry {
             + at(i0 + 1, j0) * fx * (1.0 - fy)
             + at(i0, j0 + 1) * (1.0 - fx) * fy
             + at(i0 + 1, j0 + 1) * fx * fy
-    }
-}
-
-impl TableFet {
-    #[inline]
-    fn hoisted_geometry(&self) -> HoistedGeometry {
-        HoistedGeometry {
-            vgs_lo: self.vgs_lo,
-            vds_lo: self.vds_lo,
-            wx: self.vgs_hi - self.vgs_lo,
-            wy: self.vds_hi - self.vds_lo,
-            gx: (self.n_vgs - 1) as f64,
-            gy: (self.n_vds - 1) as f64,
-            i_max: self.n_vgs - 2,
-            j_max: self.n_vds - 2,
-            n_vds: self.n_vds,
-        }
     }
 }
 
@@ -232,7 +200,7 @@ impl Fet for TableFet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AlphaPowerFet, BallisticFet};
+    use crate::{AlphaPowerFet, BallisticFet, BatchEval};
     use carbon_spice::FetCurve;
 
     #[test]
@@ -297,27 +265,14 @@ mod tests {
         let inner = AlphaPowerFet::fig2_nfet();
         let table = TableFet::sample(&inner, (0.0, 1.0), (0.0, 1.0), 17, 17).unwrap();
         // Includes out-of-window points to exercise the clamp path.
-        let bias: Vec<(f64, f64)> = [-0.4, 0.0, 0.131, 0.5, 0.977, 1.0, 1.6]
+        let (vgs, vds): (Vec<f64>, Vec<f64>) = [-0.4, 0.0, 0.131, 0.5, 0.977, 1.0, 1.6]
             .iter()
             .flat_map(|&vg| [-0.2, 0.013, 0.49, 1.0, 1.3].map(|vd| (vg, vd)))
-            .collect();
-        let mut out = vec![0.0; bias.len()];
-        table.ids_batch(&bias, &mut out);
-        for (&(vg, vd), &got) in bias.iter().zip(&out) {
+            .unzip();
+        let mut out = vec![0.0; vgs.len()];
+        table.ids_soa(&vgs, &vds, &mut out);
+        for ((&vg, &vd), &got) in vgs.iter().zip(&vds).zip(&out) {
             assert_eq!(got.to_bits(), table.ids(vg, vd).to_bits(), "({vg}, {vd})");
-        }
-    }
-
-    #[test]
-    fn eval_is_bit_identical_to_composed_default() {
-        let inner = AlphaPowerFet::fig2_nfet();
-        let table = TableFet::sample(&inner, (0.0, 1.0), (0.0, 1.0), 17, 17).unwrap();
-        for (vg, vd) in [(0.2, 0.9), (0.55, 0.01), (1.4, 0.5), (-0.3, 1.2)] {
-            let (id, gm, gds) = table.eval(vg, vd);
-            let (gm_d, gds_d) = table.gm_gds(vg, vd);
-            assert_eq!(id.to_bits(), table.ids(vg, vd).to_bits());
-            assert_eq!(gm.to_bits(), gm_d.to_bits(), "gm ({vg}, {vd})");
-            assert_eq!(gds.to_bits(), gds_d.to_bits(), "gds ({vg}, {vd})");
         }
     }
 

@@ -103,10 +103,10 @@ impl StaticGate {
         ckt.voltage_source("va", "a", "0", a);
         ckt.voltage_source("vb", "b", "0", b);
         let n = |c: &mut Circuit, name: &str, d: &str, g: &str, s: &str| {
-            c.fet(name, d, g, s, Arc::new(FetRef(self.nfet.clone())))
+            c.fet(name, d, g, s, self.nfet.clone())
         };
         let p = |c: &mut Circuit, name: &str, d: &str, g: &str, s: &str| {
-            c.fet(name, d, g, s, Arc::new(FetRef(self.pfet.clone())))
+            c.fet(name, d, g, s, self.pfet.clone())
         };
         match self.topology {
             GateTopology::Nand2 => {
@@ -168,25 +168,6 @@ impl StaticGate {
     /// Propagates simulation failures.
     pub fn is_functional(&self) -> Result<bool, LogicError> {
         Ok(self.truth_table()?.iter().all(|r| r.valid))
-    }
-}
-
-struct FetRef(Arc<dyn Fet>);
-
-impl carbon_spice::FetCurve for FetRef {
-    fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        self.0.ids(vgs, vds)
-    }
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        self.0.gm_gds(vgs, vds)
-    }
-    // Forward the batched entry points too, so a table model's shared
-    // clamp/index fast path survives the trait-object indirection.
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        self.0.ids_batch(bias, out);
-    }
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        self.0.eval(vgs, vds)
     }
 }
 

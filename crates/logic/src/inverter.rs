@@ -103,14 +103,8 @@ impl Inverter {
         let mut ckt = Circuit::new();
         ckt.voltage_source("vdd", "vdd", "0", self.vdd);
         ckt.voltage_source("vin", "in", "0", 0.0);
-        ckt.fet(
-            "mp",
-            "out",
-            "in",
-            "vdd",
-            Arc::new(FetRef(self.pfet.clone())),
-        )?;
-        ckt.fet("mn", "out", "in", "0", Arc::new(FetRef(self.nfet.clone())))?;
+        ckt.fet("mp", "out", "in", "vdd", self.pfet.clone())?;
+        ckt.fet("mn", "out", "in", "0", self.nfet.clone())?;
         Ok(ckt)
     }
 
@@ -161,15 +155,12 @@ impl Inverter {
         load: Capacitance,
         horizon: Time,
     ) -> Result<InverterDelays, LogicError> {
-        let mut ckt = self.circuit()?;
-        ckt.capacitor("cl", "out", "0", load.farads())?;
         let t_half = horizon.seconds() / 2.0;
         let edge = horizon.seconds() / 200.0;
-        ckt.set_source_value("vin", 0.0)?;
-        // Replace the input with a pulse: low half, then high half.
-        let mut ckt2 = Circuit::new();
-        ckt2.voltage_source("vdd", "vdd", "0", self.vdd);
-        ckt2.voltage_source_wave(
+        // The inverter driven by a pulse: low half, then high half.
+        let mut ckt = Circuit::new();
+        ckt.voltage_source("vdd", "vdd", "0", self.vdd);
+        ckt.voltage_source_wave(
             "vin",
             "in",
             "0",
@@ -183,17 +174,11 @@ impl Inverter {
                 period: 0.0,
             },
         )?;
-        ckt2.fet(
-            "mp",
-            "out",
-            "in",
-            "vdd",
-            Arc::new(FetRef(self.pfet.clone())),
-        )?;
-        ckt2.fet("mn", "out", "in", "0", Arc::new(FetRef(self.nfet.clone())))?;
-        ckt2.capacitor("cl", "out", "0", load.farads())?;
+        ckt.fet("mp", "out", "in", "vdd", self.pfet.clone())?;
+        ckt.fet("mn", "out", "in", "0", self.nfet.clone())?;
+        ckt.capacitor("cl", "out", "0", load.farads())?;
         let stop = horizon.seconds();
-        let tran = ckt2.transient(stop / 2000.0, stop, TranOptions::default())?;
+        let tran = ckt.transient(stop / 2000.0, stop, TranOptions::default())?;
         let t = tran.times();
         let vin = tran.voltages("in")?;
         let vout = tran.voltages("out")?;
@@ -250,27 +235,6 @@ impl InverterDelays {
     /// Average stage delay.
     pub fn average(&self) -> Time {
         (self.high_to_low + self.low_to_high) / 2.0
-    }
-}
-
-/// Adapter so an `Arc<dyn Fet>` can be placed in a circuit (the netlist
-/// wants `Arc<dyn FetCurve>`).
-struct FetRef(Arc<dyn Fet>);
-
-impl carbon_spice::FetCurve for FetRef {
-    fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        self.0.ids(vgs, vds)
-    }
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        self.0.gm_gds(vgs, vds)
-    }
-    // Forward the batched entry points too, so a table model's shared
-    // clamp/index fast path survives the trait-object indirection.
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        self.0.ids_batch(bias, out);
-    }
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        self.0.eval(vgs, vds)
     }
 }
 
@@ -523,32 +487,23 @@ mod tests {
         // sweep: adjacent bias points have nearby solutions, so seeding
         // each point from the last must save Newton iterations over
         // solving every point from scratch — and produce the same curve.
-        use carbon_spice::SweepOptions;
+        // A one-point sweep solves its point from zero: the cold
+        // reference.
         let inv = Inverter::fig2_saturating();
         let ckt = inv.circuit().unwrap();
-        let warm = ckt
-            .dc_sweep_with("vin", 0.0, 1.0, 0.01, SweepOptions::default())
-            .unwrap();
-        let cold = ckt
-            .dc_sweep_with(
-                "vin",
-                0.0,
-                1.0,
-                0.01,
-                SweepOptions {
-                    warm_start: false,
-                    ..SweepOptions::default()
-                },
-            )
-            .unwrap();
+        let warm = ckt.dc_sweep("vin", 0.0, 1.0, 0.01).unwrap();
+        let (mut cold_iterations, mut cold_out) = (0, Vec::new());
+        for &v in warm.sweep_values() {
+            let cold = ckt.dc_sweep("vin", v, v, 0.01).unwrap();
+            cold_iterations += cold.total_newton_iterations();
+            cold_out.push(cold.voltages("out").unwrap()[0]);
+        }
         assert!(
-            warm.total_newton_iterations() < cold.total_newton_iterations(),
-            "warm {} must beat cold {}",
+            warm.total_newton_iterations() < cold_iterations,
+            "warm {} must beat cold {cold_iterations}",
             warm.total_newton_iterations(),
-            cold.total_newton_iterations()
         );
-        let (vw, vc) = (warm.voltages("out").unwrap(), cold.voltages("out").unwrap());
-        for (a, b) in vw.iter().zip(vc) {
+        for (a, b) in warm.voltages("out").unwrap().iter().zip(&cold_out) {
             assert!((a - b).abs() < 1e-7, "curves must agree: {a} vs {b}");
         }
     }

@@ -99,7 +99,7 @@ impl RfStage {
 
     /// Computes the small-signal figures of merit at the bias point.
     pub fn figures(&self) -> RfFigures {
-        let (gm, gds) = self.fet.gm_gds(self.vgs, self.vds);
+        let (_, gm, gds) = self.fet.eval(self.vgs, self.vds);
         let gm = gm.abs();
         let gds = gds.abs().max(1e-15);
         let ft = gm / (2.0 * std::f64::consts::PI * (self.cgs + self.cgd));
@@ -139,28 +139,9 @@ impl RfStage {
         ckt.resistor("rl", "d", "0", r_load.ohms())?;
         ckt.capacitor("cgs", "g", "0", self.cgs)?;
         ckt.capacitor("cgd", "g", "d", self.cgd)?;
-        ckt.fet("m1", "d", "g", "0", Arc::new(FetRef(self.fet.clone())))?;
+        ckt.fet("m1", "d", "g", "0", self.fet.clone())?;
         let ac = ckt.ac_sweep("vg", &[1e3], AcOptions::default())?;
         Ok(ac.magnitude("d")?[0])
-    }
-}
-
-struct FetRef(Arc<dyn Fet>);
-
-impl carbon_spice::FetCurve for FetRef {
-    fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        self.0.ids(vgs, vds)
-    }
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        self.0.gm_gds(vgs, vds)
-    }
-    // Forward the batched entry points too, so a table model's shared
-    // clamp/index fast path survives the trait-object indirection.
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        self.0.ids_batch(bias, out);
-    }
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        self.0.eval(vgs, vds)
     }
 }
 

@@ -97,20 +97,8 @@ impl RingOscillator {
         for s in 0..self.stages {
             let input = format!("n{s}");
             let output = format!("n{}", (s + 1) % self.stages);
-            ckt.fet(
-                &format!("mp{s}"),
-                &output,
-                &input,
-                "vdd",
-                Arc::new(FetRef(self.pfet.clone())),
-            )?;
-            ckt.fet(
-                &format!("mn{s}"),
-                &output,
-                &input,
-                "0",
-                Arc::new(FetRef(self.nfet.clone())),
-            )?;
+            ckt.fet(&format!("mp{s}"), &output, &input, "vdd", self.pfet.clone())?;
+            ckt.fet(&format!("mn{s}"), &output, &input, "0", self.nfet.clone())?;
             if self.stage_load > 0.0 {
                 ckt.capacitor(&format!("cl{s}"), &output, "0", self.stage_load)?;
             }
@@ -167,25 +155,6 @@ impl RingOscillator {
             stage_delay: Time::from_seconds(period / (2.0 * self.stages as f64)),
             swing: hi - lo,
         })
-    }
-}
-
-struct FetRef(Arc<dyn Fet>);
-
-impl carbon_spice::FetCurve for FetRef {
-    fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        self.0.ids(vgs, vds)
-    }
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        self.0.gm_gds(vgs, vds)
-    }
-    // Forward the batched entry points too, so a table model's shared
-    // clamp/index fast path survives the trait-object indirection.
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        self.0.ids_batch(bias, out);
-    }
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        self.0.eval(vgs, vds)
     }
 }
 

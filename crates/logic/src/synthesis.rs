@@ -119,23 +119,11 @@ impl Synthesizer {
     ) -> Result<(), LogicError> {
         let nmos = |ckt: &mut Circuit, d: &str, g: &str, s: &str, id: &mut usize| {
             *id += 1;
-            ckt.fet(
-                &format!("mn{id}"),
-                d,
-                g,
-                s,
-                Arc::new(FetRef(self.nfet.clone())),
-            )
+            ckt.fet(&format!("mn{id}"), d, g, s, self.nfet.clone())
         };
         let pmos = |ckt: &mut Circuit, d: &str, g: &str, s: &str, id: &mut usize| {
             *id += 1;
-            ckt.fet(
-                &format!("mp{id}"),
-                d,
-                g,
-                s,
-                Arc::new(FetRef(self.pfet.clone())),
-            )
+            ckt.fet(&format!("mp{id}"), d, g, s, self.pfet.clone())
         };
         match kind {
             GateKind::Inv => {
@@ -222,25 +210,6 @@ impl Synthesizer {
             nets,
             transistor_count,
         })
-    }
-}
-
-struct FetRef(Arc<dyn Fet>);
-
-impl carbon_spice::FetCurve for FetRef {
-    fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        self.0.ids(vgs, vds)
-    }
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        self.0.gm_gds(vgs, vds)
-    }
-    // Forward the batched entry points too, so a table model's shared
-    // clamp/index fast path survives the trait-object indirection.
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        self.0.ids_batch(bias, out);
-    }
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        self.0.eval(vgs, vds)
     }
 }
 

@@ -432,7 +432,7 @@ fn stamp_ac_static(
             ElementKind::Fet { d, g, s, model } => {
                 let vgs = op_v(*g) - op_v(*s);
                 let vds = op_v(*d) - op_v(*s);
-                let (gm, gds) = model.gm_gds(vgs, vds);
+                let (_, gm, gds) = model.eval(vgs, vds);
                 let gds = gds.max(1e-12);
                 let vals = [gm, gds, -(gm + gds), -gm, -gds, gm + gds];
                 add(a, take(&mut at), vals.map(Complex::from));

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::element::{diode_iv, diode_vcrit, pnjlim, ElementKind, FetCurve};
+use crate::element::{diode_iv, diode_vcrit, pnjlim, ElementKind};
 use crate::error::SpiceError;
 use crate::linalg::DenseMatrix;
 use crate::netlist::{Circuit, NodeId};

@@ -89,29 +89,9 @@ impl OpResult {
     }
 }
 
-/// Tuning knobs for [`Circuit::dc_sweep_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Seed each bias point's Newton iteration from the previous
-    /// converged solution instead of zero. On by default: adjacent bias
-    /// points have nearby solutions, so warm starts cut iteration counts
-    /// sharply (and [`SweepResult::total_newton_iterations`] makes the
-    /// saving auditable).
-    pub warm_start: bool,
-    /// How many times the source step may be halved (recursively) when a
-    /// warm-started point fails to converge, before the failure is
-    /// reported. `0` disables the continuation.
-    pub max_step_halvings: u32,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        Self {
-            warm_start: true,
-            max_step_halvings: 6,
-        }
-    }
-}
+/// How many times a warm-started sweep point may halve its source step
+/// (recursively) before its non-convergence is reported.
+const MAX_STEP_HALVINGS: u32 = 6;
 
 /// Result of a DC sweep: the swept values and one solution per point.
 #[derive(Debug, Clone)]
@@ -192,7 +172,19 @@ fn sweep_grid(from: f64, to: f64, step: f64) -> Result<Vec<f64>, SpiceError> {
             reason: format!("step must be positive and finite, got {step}"),
         });
     }
-    let n = ((to - from).abs() / step).round() as usize + 1;
+    // Check the count before the cast: `as usize` saturates, and no
+    // `Vec<f64>` can hold `isize::MAX / 8` points.
+    let count = ((to - from).abs() / step).round() + 1.0;
+    let max_points = isize::MAX as usize / std::mem::size_of::<f64>();
+    if !(count.is_finite() && count < max_points as f64) {
+        return Err(SpiceError::InvalidSweep {
+            reason: format!(
+                "step = {step} gives {count:e} sweep points, which must be finite and below \
+                 {max_points}"
+            ),
+        });
+    }
+    let n = count as usize;
     let dir = if to >= from { 1.0 } else { -1.0 };
     Ok((0..n)
         .map(|i| {
@@ -356,13 +348,16 @@ impl Circuit {
 
     /// Sweeps the DC value of a named source from `from` to `to`
     /// (inclusive, step `step > 0`; the sweep may run downward if
-    /// `to < from`), with warm-started continuation
-    /// ([`SweepOptions::default`]).
+    /// `to < from`), with warm-started continuation: each point's Newton
+    /// iteration starts from the previous converged solution, and a
+    /// point that refuses to converge halves its source step up to six
+    /// times before the failure is reported.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::UnknownSource`] for unknown sources,
-    /// [`SpiceError::InvalidSweep`] for non-positive steps, and any
+    /// [`SpiceError::InvalidSweep`] for non-finite bounds, non-positive
+    /// steps or a point count that does not fit in memory, and any
     /// solver error from the underlying operating points.
     pub fn dc_sweep(
         &self,
@@ -371,30 +366,11 @@ impl Circuit {
         to: f64,
         step: f64,
     ) -> Result<SweepResult, SpiceError> {
-        self.dc_sweep_with(source, from, to, step, SweepOptions::default())
-    }
-
-    /// [`dc_sweep`](Self::dc_sweep) with explicit [`SweepOptions`] —
-    /// chiefly so warm-start continuation can be disabled for A/B
-    /// iteration-count comparisons.
-    ///
-    /// # Errors
-    ///
-    /// As [`dc_sweep`](Self::dc_sweep).
-    pub fn dc_sweep_with(
-        &self,
-        source: &str,
-        from: f64,
-        to: f64,
-        step: f64,
-        sweep_opts: SweepOptions,
-    ) -> Result<SweepResult, SpiceError> {
         let grid = sweep_grid(from, to, step)?;
         let mut sweep_span = span!("spice.dc_sweep");
         if sweep_span.is_live() {
             sweep_span.record("source", source);
             sweep_span.record("points", grid.len());
-            sweep_span.record("warm_start", sweep_opts.warm_start);
         }
         let mut work = self.clone();
         let mut ws = MnaWorkspace::for_circuit(&work);
@@ -403,19 +379,11 @@ impl Circuit {
         let mut x = vec![0.0; self.num_unknowns()];
         let mut prev_v: Option<f64> = None;
         for &v in &grid {
-            if !sweep_opts.warm_start {
-                x.fill(0.0);
-            }
             let iters = match prev_v {
-                Some(pv) if sweep_opts.warm_start => work.op_with_continuation(
-                    source,
-                    &mut x,
-                    &mut ws,
-                    pv,
-                    v,
-                    sweep_opts.max_step_halvings,
-                )?,
-                _ => {
+                Some(pv) => {
+                    work.op_with_continuation(source, &mut x, &mut ws, pv, v, MAX_STEP_HALVINGS)?
+                }
+                None => {
                     work.set_source_value(source, v)?;
                     work.op_from(&mut x, &mut ws)?
                 }
@@ -461,7 +429,6 @@ impl Circuit {
         let grid = sweep_grid(from, to, step)?;
         let chunk = chunk.max(1);
         let n_chunks = grid.len().div_ceil(chunk);
-        let sweep_opts = SweepOptions::default();
         let mut sweep_span = span!("spice.dc_sweep_par");
         if sweep_span.is_live() {
             sweep_span.record("source", source);
@@ -488,7 +455,7 @@ impl Circuit {
                             &mut ws,
                             pv,
                             v,
-                            sweep_opts.max_step_halvings,
+                            MAX_STEP_HALVINGS,
                         )?;
                     }
                     None => {
@@ -534,7 +501,7 @@ impl Circuit {
                             &mut ws,
                             prev_v,
                             v,
-                            sweep_opts.max_step_halvings,
+                            MAX_STEP_HALVINGS,
                         )?
                     };
                     prev_v = v;

@@ -15,6 +15,13 @@ use crate::waveform::Waveform;
 
 /// A three-terminal FET compact model as seen by the simulator.
 ///
+/// A circuit needs only the drain current and its two derivatives from
+/// a model, so the trait is exactly [`ids`](Self::ids) and
+/// [`eval`](Self::eval). A model from another crate enters a circuit by
+/// upcast: an `Arc<dyn Sub>` whose trait has `FetCurve` as a supertrait
+/// coerces to the `Arc<dyn FetCurve>` that [`Circuit::fet`] takes, and
+/// dispatches the model's own overrides.
+///
 /// Conventions:
 ///
 /// * `ids(vgs, vds)` is the current flowing **into the drain and out of
@@ -25,65 +32,36 @@ use crate::waveform::Waveform;
 ///   `vds`, and current in normal operation).
 /// * The model must be defined for all finite inputs (the Newton solver
 ///   will probe outside the normal operating region while converging).
+///
+/// [`Circuit::fet`]: crate::Circuit::fet
 pub trait FetCurve: Send + Sync {
     /// Drain current, A.
     fn ids(&self, vgs: f64, vds: f64) -> f64;
 
-    /// Transconductance `∂I_DS/∂V_GS` and output conductance
-    /// `∂I_DS/∂V_DS`.
+    /// Current and both derivatives in one call: `(ids, gm, gds)`, with
+    /// transconductance `gm = ∂I_DS/∂V_GS` and output conductance
+    /// `gds = ∂I_DS/∂V_DS`.
     ///
-    /// The default implementation uses central finite differences with a
-    /// 1 mV step, which is adequate for the smooth compact models in this
-    /// workspace; models with analytic derivatives can override.
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
+    /// Every small-signal reader goes through this: the Newton stamp,
+    /// the AC linearization, and RF figures of merit. The default takes
+    /// central finite differences of [`ids`](Self::ids) with a 1 mV
+    /// step, which is adequate for the smooth compact models in this
+    /// workspace. A model may override it to share the evaluation work
+    /// between the value and its stencil, but must stay bit-identical to
+    /// this default.
+    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
         const H: f64 = 1e-3;
+        let id = self.ids(vgs, vds);
         let gm = (self.ids(vgs + H, vds) - self.ids(vgs - H, vds)) / (2.0 * H);
         let gds = (self.ids(vgs, vds + H) - self.ids(vgs, vds - H)) / (2.0 * H);
-        (gm, gds)
-    }
-
-    /// Drain current for a batch of `(vgs, vds)` bias points, writing
-    /// into `out` (same length as `bias`).
-    ///
-    /// The default loops over [`ids`](Self::ids); table-backed models
-    /// override to amortize clamp/index math across the batch. Each
-    /// output must be **bit-identical** to the corresponding scalar
-    /// `ids` call — batching is a speedup, never a numerics change.
-    ///
-    /// # Panics
-    ///
-    /// Panics per [`batch_lanes_match`] when `out.len() != bias.len()`;
-    /// empty batches return immediately. Every implementation (and the
-    /// SoA layer in `carbon-devices`) shares that one contract.
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        if !batch_lanes_match(&[("bias", bias.len()), ("out", out.len())]) {
-            return;
-        }
-        for (o, &(vgs, vds)) in out.iter_mut().zip(bias) {
-            *o = self.ids(vgs, vds);
-        }
-    }
-
-    /// Current and both derivatives in one call: `(ids, gm, gds)`.
-    ///
-    /// This is what the Newton stamp uses — one virtual dispatch per
-    /// FET per iteration instead of two, and models can share the
-    /// evaluation work between the value and its finite-difference
-    /// stencil. The default composes [`ids`](Self::ids) and
-    /// [`gm_gds`](Self::gm_gds), so overriding models must stay
-    /// bit-identical to that composition.
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        let id = self.ids(vgs, vds);
-        let (gm, gds) = self.gm_gds(vgs, vds);
         (id, gm, gds)
     }
 }
 
 /// The shared length contract for every batched device-evaluation entry
-/// point: all lanes (`bias`/`out` for [`FetCurve::ids_batch`], the
-/// `vgs`/`vds`/parameter/output lanes of the SoA layer in
-/// `carbon-devices`) must have the same length, and an empty batch is a
-/// no-op.
+/// point: all lanes (the `vgs`/`vds`/parameter/output lanes of the SoA
+/// layer in `carbon-devices`) must have the same length, and an empty
+/// batch is a no-op.
 ///
 /// Returns `false` when the (matching) lanes are empty — the caller's
 /// zero-length fast path — and panics with a named-field message on the
@@ -93,7 +71,7 @@ pub trait FetCurve: Send + Sync {
 /// # Panics
 ///
 /// Panics if any lane's length differs from the first lane's, naming
-/// both fields, e.g. `batch lane length mismatch: bias.len() = 5 but
+/// both fields, e.g. `batch lane length mismatch: vgs.len() = 5 but
 /// out.len() = 4 (all lanes must match)`.
 #[inline]
 #[track_caller]
@@ -107,21 +85,6 @@ pub fn batch_lanes_match(lanes: &[(&str, usize)]) -> bool {
         );
     }
     first_len != 0
-}
-
-impl<T: FetCurve + ?Sized> FetCurve for Arc<T> {
-    fn ids(&self, vgs: f64, vds: f64) -> f64 {
-        (**self).ids(vgs, vds)
-    }
-    fn gm_gds(&self, vgs: f64, vds: f64) -> (f64, f64) {
-        (**self).gm_gds(vgs, vds)
-    }
-    fn ids_batch(&self, bias: &[(f64, f64)], out: &mut [f64]) {
-        (**self).ids_batch(bias, out);
-    }
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        (**self).eval(vgs, vds)
-    }
 }
 
 /// A named element instance.
@@ -302,35 +265,48 @@ mod tests {
     fn default_derivatives_match_analytic() {
         let m = QuadraticFet;
         let (vgs, vds) = (0.7, 0.4);
-        let (gm, gds) = m.gm_gds(vgs, vds);
+        let (id, gm, gds) = m.eval(vgs, vds);
+        assert_eq!(id, m.ids(vgs, vds));
         let gm_exact = 2e-4 * vgs * vds.tanh();
         let gds_exact = 1e-4 * vgs * vgs / vds.cosh().powi(2);
         assert!((gm - gm_exact).abs() / gm_exact < 1e-5);
         assert!((gds - gds_exact).abs() / gds_exact < 1e-5);
     }
 
+    /// A model trait with `FetCurve` as its supertrait, in the shape of
+    /// `carbon_devices::Fet`.
+    trait Model: FetCurve {}
+
+    /// Overrides `eval` with derivatives the default never returns.
+    struct Marked;
+
+    impl FetCurve for Marked {
+        fn ids(&self, vgs: f64, vds: f64) -> f64 {
+            QuadraticFet.ids(vgs, vds)
+        }
+        fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
+            (self.ids(vgs, vds), -1.0, -2.0)
+        }
+    }
+
+    impl Model for Marked {}
+
     #[test]
     fn arc_forwarding() {
-        let m: Arc<dyn FetCurve> = Arc::new(QuadraticFet);
+        // An `Arc<dyn Model>` upcasts to the `Arc<dyn FetCurve>` a
+        // circuit holds and still dispatches the model's own override.
+        let model: Arc<dyn Model> = Arc::new(Marked);
+        let m: Arc<dyn FetCurve> = model;
         assert_eq!(m.ids(1.0, 10.0), QuadraticFet.ids(1.0, 10.0));
-        let (gm1, gd1) = m.gm_gds(0.5, 0.5);
-        let (gm2, gd2) = QuadraticFet.gm_gds(0.5, 0.5);
-        assert_eq!((gm1, gd1), (gm2, gd2));
+        assert_eq!(m.eval(0.5, 0.5), (QuadraticFet.ids(0.5, 0.5), -1.0, -2.0));
+        let d: Arc<dyn FetCurve> = Arc::new(QuadraticFet);
+        assert_eq!(d.eval(0.5, 0.5), QuadraticFet.eval(0.5, 0.5));
     }
 
     #[test]
-    fn ids_batch_empty_is_noop() {
-        let m = QuadraticFet;
-        let mut out: [f64; 0] = [];
-        m.ids_batch(&[], &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch lane length mismatch: bias.len() = 2 but out.len() = 1")]
-    fn ids_batch_length_mismatch_names_fields() {
-        let m = QuadraticFet;
-        let mut out = [0.0];
-        m.ids_batch(&[(0.5, 0.5), (0.6, 0.6)], &mut out);
+    #[should_panic(expected = "batch lane length mismatch: vgs.len() = 2 but out.len() = 1")]
+    fn batch_lanes_match_names_the_mismatched_lane() {
+        batch_lanes_match(&[("vgs", 2), ("vds", 2), ("out", 1)]);
     }
 
     #[test]

@@ -205,6 +205,32 @@ fn sweep_rejects_bad_step() {
 }
 
 #[test]
+fn sweep_rejects_a_point_count_that_does_not_fit() {
+    let mut ckt = Circuit::new();
+    ckt.voltage_source("v", "a", "0", 0.0);
+    ckt.resistor("r", "a", "0", 1e3).unwrap();
+    // An infinite count, a finite one past any allocation, and a span
+    // whose width overflows to infinity: each names the step and the
+    // count instead of wrapping the count or asking for the memory.
+    for (from, to, step, count) in [
+        (0.0, 1e300, 1e-300, "inf"),
+        (0.0, 1e30, 1e-3, "1e33"),
+        (-1e308, 1e308, 1.0, "inf"),
+    ] {
+        let err = ckt.dc_sweep("v", from, to, step).unwrap_err();
+        assert!(
+            matches!(&err, SpiceError::InvalidSweep { reason }
+                if reason.contains(&format!("step = {step}")) && reason.contains(count)),
+            "{err}"
+        );
+        assert!(matches!(
+            ckt.dc_sweep_par("v", from, to, step, 16),
+            Err(SpiceError::InvalidSweep { .. })
+        ));
+    }
+}
+
+#[test]
 fn rc_charging_transient() {
     // R = 1 kΩ, C = 1 nF, step 0 → 1 V at t = t0: v = 1 − e^(−(t−t0)/RC).
     // The edge is delayed past t = 0 so the DC initial condition sees the
