@@ -20,7 +20,9 @@
 //! Workers pull chunks from an atomic cursor (no work-stealing state to
 //! seed), and nested calls run inline on the calling worker so a
 //! parallel sweep over devices whose model itself parallelizes cannot
-//! oversubscribe the machine.
+//! oversubscribe the machine. A thread whose pool already keeps every
+//! core busy — a `carbon-serve` job worker under load — joins that rule
+//! through [`as_worker`].
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,6 +42,27 @@ thread_local! {
     /// Set while the current thread is an executor worker; nested
     /// executor calls then run inline instead of spawning again.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` as an executor worker: every executor call `f` makes on
+/// this thread runs inline, its chunks in order on this thread, instead
+/// of spawning scoped workers. Results are unchanged (the determinism
+/// contract holds at one thread), and chunk spans keep the caller's
+/// open span as their ancestor.
+///
+/// For a thread that is one worker of a pool whose running jobs already
+/// keep every core busy, such as a loaded `carbon-serve` job worker:
+/// fanning out again there only oversubscribes the machine. The
+/// previous state is restored when `f` returns or unwinds.
+pub fn as_worker<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_WORKER.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_WORKER.with(|w| w.replace(true)));
+    f()
 }
 
 /// A scoped-thread pool descriptor with deterministic scheduling
@@ -365,6 +388,73 @@ mod tests {
             })
             .collect();
         assert_eq!(nested, flat);
+    }
+
+    #[test]
+    fn as_worker_runs_every_item_on_the_calling_thread() {
+        use std::thread::{self, ThreadId};
+
+        /// Each item's value, and the thread that computed it.
+        fn split<T>(items: Vec<(T, ThreadId)>) -> (Vec<T>, Vec<ThreadId>) {
+            items.into_iter().unzip()
+        }
+        let ex = Executor::with_threads(4);
+        let run = || {
+            let id = || thread::current().id();
+            let (map, mut threads) = split(ex.par_map(64, |i| (i * i, id())));
+            let (mc, t) = split(ex.par_mc(5, 3 * MC_CHUNK + 5, |_, rng| (rng.next_u64(), id())));
+            threads.extend(t);
+            let (fine, t) = split(ex.par_mc_fine(5, 64, |_, rng| (rng.next_u64(), id())));
+            threads.extend(t);
+            ((map, mc, fine), threads)
+        };
+        let caller = thread::current().id();
+        let (inside, inside_threads) = as_worker(run);
+        let (outside, outside_threads) = run();
+        assert!(inside_threads.iter().all(|&id| id == caller));
+        // Outside the entry the same calls fan out to scoped workers.
+        assert!(outside_threads.iter().all(|&id| id != caller));
+        assert_eq!(inside, outside);
+    }
+
+    #[test]
+    fn as_worker_restores_the_flag_on_return_and_on_unwind() {
+        let flag = || IN_WORKER.with(Cell::get);
+        assert!(!flag());
+        assert!(as_worker(flag));
+        assert!(!flag());
+        // A nested entry leaves the outer one in force.
+        as_worker(|| {
+            as_worker(|| {});
+            assert!(flag());
+        });
+        assert!(!flag());
+        let unwound = std::panic::catch_unwind(|| as_worker::<()>(|| panic!("job panicked")));
+        assert!(unwound.is_err());
+        assert!(!flag());
+    }
+
+    #[test]
+    fn as_worker_records_inline_chunked_runs() {
+        use carbon_trace::collect::Collector;
+        use carbon_trace::Value;
+
+        let ex = Executor::with_threads(4);
+        let collector = Collector::new();
+        carbon_trace::with_subscriber(collector.clone(), || {
+            as_worker(|| ex.par_map(8, |i| i));
+            ex.par_map(8, |i| i);
+        });
+        assert_eq!(
+            collector.span_field("runtime.run_chunked", "inline"),
+            vec![Value::Bool(true), Value::Bool(false)]
+        );
+        assert_eq!(
+            collector.span_field("runtime.run_chunked", "workers"),
+            vec![Value::U64(1), Value::U64(4)]
+        );
+        // Only the inline run's chunks land on this thread's subscriber.
+        assert_eq!(collector.spans("runtime.chunk").len(), 8);
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //! job's canonical key, and probes the response cache: a resident body
 //! is answered right there, with no validation, no queue and no worker.
 //! Every other job is validated and handed to a fixed pool of worker
-//! threads through the bounded queue; the pool is sized like the
+//! threads through the bounded queue. The pool is sized like the
 //! carbon-runtime executor (`CARBON_THREADS` or the machine's
-//! parallelism) so service workers and the executor's own fan-out
-//! (inside `fig7`-style jobs) follow one configuration.
+//! parallelism). While the jobs running on the pool are at least as
+//! many as the executor's threads, the pool alone keeps every core
+//! busy, and a job that starts then runs under
+//! [`carbon_runtime::executor::as_worker`]: the executor calls inside it
+//! (econ cells, `fig7` chunks, the `fig5` ladder, chunked sweeps) run
+//! inline on the worker that owns the request instead of spawning
+//! threads that contend with the pool. A job that starts with cores to
+//! spare, such as a lone request on an idle server, fans out onto them.
 //!
 //! # Determinism
 //!
@@ -47,7 +53,7 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -82,7 +88,9 @@ pub const MIN_CACHE_BYTES: u64 = 4096;
 pub struct ServerConfig {
     /// Worker threads executing jobs. Defaults to the carbon-runtime
     /// executor's thread count (`CARBON_THREADS` or machine
-    /// parallelism).
+    /// parallelism). A job that starts while the running jobs fill the
+    /// executor's threads runs its executor calls inline on its worker;
+    /// one that starts with threads to spare fans out.
     pub workers: usize,
     /// Bounded-queue depth: jobs admitted but not yet running. Jobs
     /// that need a worker and arrive beyond this get `busy` responses.
@@ -205,13 +213,18 @@ impl Server {
         // loaded one.
         let metrics = Arc::new(ServeMetrics::new(config.workers.max(1), config.queue_depth));
         let cache = (config.cache_bytes > 0).then(|| ResponseCache::new(config.cache_bytes));
+        let running = Arc::new(AtomicUsize::new(0));
+        let threads = carbon_runtime::Executor::new().threads();
 
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 let metrics = Arc::clone(&metrics);
                 let cache = cache.clone();
-                std::thread::spawn(move || worker_loop(&queue, &metrics, cache.as_ref()))
+                let running = Arc::clone(&running);
+                std::thread::spawn(move || {
+                    worker_loop(&queue, &metrics, cache.as_ref(), &running, threads);
+                })
             })
             .collect();
 
@@ -399,7 +412,7 @@ fn fast_path_response(
             let result = Json::obj()
                 .push("version", env!("CARGO_PKG_VERSION"))
                 .push("uptime_ms", metrics.uptime_ms());
-            ok_response(id, "ping", &result)
+            ok_response(id, "ping", result)
         }
         Job::Stats => {
             metrics.stats.incr();
@@ -412,7 +425,7 @@ fn fast_path_response(
                     result = result.push(&key, value);
                 }
             }
-            ok_response(id, "stats", &result)
+            ok_response(id, "stats", result)
         }
         _ => unreachable!("fast_path_response called for a queued job kind"),
     }
@@ -593,10 +606,14 @@ fn resolve_cache(
     }
 }
 
+/// `running` counts the jobs executing on the pool's workers, and
+/// `threads` is the executor's thread count: [`run_job`] compares them.
 fn worker_loop(
     queue: &Bounded<Ticket>,
     metrics: &ServeMetrics,
     cache: Option<&Arc<ResponseCache>>,
+    running: &AtomicUsize,
+    threads: usize,
 ) {
     while let Some(ticket) = queue.pop() {
         metrics
@@ -653,11 +670,12 @@ fn worker_loop(
             None => CancelToken::new(),
         };
         let exec_started = Instant::now();
-        let outcome = carbon_runtime::cancel::scope(&token, || ticket.job.run());
+        let outcome =
+            carbon_runtime::cancel::scope(&token, || run_job(&ticket.job, running, threads));
         metrics
             .worker_busy_ns
             .add(u64::try_from(exec_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        let rendered = outcome.map(|result| ok_response(&ticket.id, kind, &result));
+        let rendered = outcome.map(|result| ok_response(&ticket.id, kind, result));
         let (status, response) = match rendered {
             // No client could read a frame this large: the result
             // becomes an error, and its leader fails the flight below.
@@ -724,6 +742,30 @@ fn worker_loop(
     }
 }
 
+/// Runs one job on the calling worker. While the jobs running on the
+/// pool, this one included, are at least as many as the executor's
+/// `threads`, every core already has a job, and a fan-out would only
+/// contend with them: the job runs under
+/// [`carbon_runtime::executor::as_worker`], its executor calls inline
+/// on this thread. A job that starts with cores to spare fans out onto
+/// them. Either way the bytes are the same.
+fn run_job(job: &Job, running: &AtomicUsize, threads: usize) -> Result<Json, JobError> {
+    /// Takes the job off `running` on return and on unwind.
+    struct Finished<'a>(&'a AtomicUsize);
+    impl Drop for Finished<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    let cores_taken = running.fetch_add(1, Ordering::SeqCst) + 1 >= threads;
+    let _finished = Finished(running);
+    if cores_taken {
+        carbon_runtime::executor::as_worker(|| job.run())
+    } else {
+        job.run()
+    }
+}
+
 /// Counts one cache hit, on whichever thread answered it, and closes
 /// its `serve.request` span. The hit latency runs from `since` to now:
 /// from the frame read on the connection thread, from admission on a
@@ -753,12 +795,12 @@ fn splice_cached(id: &Json, suffix: &[u8]) -> Vec<u8> {
     out
 }
 
-fn ok_response(id: &Json, kind: &str, result: &Json) -> Vec<u8> {
+fn ok_response(id: &Json, kind: &str, result: Json) -> Vec<u8> {
     Json::obj()
         .push("id", id.clone())
         .push("status", "ok")
         .push("kind", kind)
-        .push("result", result.clone())
+        .push("result", result)
         .render()
         .into_bytes()
 }
@@ -815,5 +857,143 @@ impl Read for UntilShutdown<'_> {
                 other => return other,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+    use std::sync::mpsc::Receiver;
+
+    use carbon_trace::collect::Collector;
+    use carbon_trace::{Event, Value};
+
+    /// Sets `CARBON_THREADS` while it lives, and puts the previous value
+    /// back when dropped, on return and on unwind.
+    struct ThreadsVar(Option<std::ffi::OsString>);
+
+    impl ThreadsVar {
+        fn set(threads: &str) -> Self {
+            let previous = std::env::var_os("CARBON_THREADS");
+            std::env::set_var("CARBON_THREADS", threads);
+            Self(previous)
+        }
+    }
+
+    impl Drop for ThreadsVar {
+        fn drop(&mut self) {
+            match self.0.take() {
+                Some(previous) => std::env::set_var("CARBON_THREADS", previous),
+                None => std::env::remove_var("CARBON_THREADS"),
+            }
+        }
+    }
+
+    /// A closed queue holding one 24-cell `econ_campaign` ticket, and
+    /// the receiver its response arrives on.
+    fn econ_ticket() -> (Bounded<Ticket>, Receiver<Vec<u8>>) {
+        let body = Json::parse(
+            "{\"kind\":\"econ_campaign\",\"nodes\":[\"cnt90\",\"cnt28\"],\
+             \"areas_cm2\":[0.5,1.0],\"d0\":[0.1,0.3],\"purities\":[0.95,0.99,0.999],\
+             \"devices\":256,\"seed\":7}",
+        )
+        .unwrap();
+        let queue = Bounded::new(1);
+        let (resp, response) = std::sync::mpsc::sync_channel(1);
+        let ticket = Ticket {
+            id: Json::Num(1.0),
+            job: Job::from_json(&body).unwrap(),
+            key: body.canonical_key(),
+            timeout_ms: None,
+            enqueued: Instant::now(),
+            resp,
+        };
+        assert!(queue.try_push(ticket).is_ok());
+        queue.close();
+        (queue, response)
+    }
+
+    #[test]
+    fn a_job_runs_its_executor_work_on_its_worker_while_the_pool_fills_the_cores() {
+        let collector = Collector::new();
+        let responses = {
+            // An executor that fans out: at one thread every run is
+            // inline whatever the worker decides. `Executor::new` reads
+            // the variable when each job runs. This binary's other
+            // tests read it too (the `job` tests and the `serve_load`
+            // servers build executors); their bytes are the same at any
+            // thread count, so they tolerate 4. No other test here
+            // sets it.
+            let _threads = ThreadsVar::set("4");
+            carbon_trace::with_subscriber(collector.clone(), || {
+                // This thread is one worker of a pool. The first ticket
+                // starts while three other jobs run, so the four fill
+                // the executor's threads; the second starts beside two.
+                [3, 2].map(|others| {
+                    let (queue, response) = econ_ticket();
+                    let running = AtomicUsize::new(others);
+                    worker_loop(&queue, &ServeMetrics::new(4, 1), None, &running, 4);
+                    assert_eq!(running.load(Ordering::SeqCst), others);
+                    response
+                })
+            })
+        };
+        let bodies: Vec<Vec<u8>> = responses.iter().map(|r| r.recv().unwrap()).collect();
+        let first = String::from_utf8_lossy(&bodies[0]);
+        assert!(first.contains("\"status\":\"ok\""), "{first}");
+        assert!(
+            bodies.iter().all(|b| *b == bodies[0]),
+            "inline and fanned-out bytes differ"
+        );
+
+        assert_eq!(
+            collector.span_field("runtime.run_chunked", "inline"),
+            [true, false].map(Value::Bool)
+        );
+        assert_eq!(
+            collector.span_field("runtime.run_chunked", "workers"),
+            [1, 4].map(Value::U64)
+        );
+        // The inline run's chunks descend from its request's span; the
+        // fanned-out run's chunks ran on spawned threads, which report
+        // to no subscriber here.
+        let span_id = |e: &Event| match e {
+            Event::Span { id, .. } => *id,
+            Event::Instant { .. } => unreachable!("spans() returns spans"),
+        };
+        let parents: BTreeMap<u64, u64> = collector
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Span {
+                    id,
+                    parent: Some(parent),
+                    ..
+                } => Some((*id, *parent)),
+                _ => None,
+            })
+            .collect();
+        let chunks: Vec<u64> = collector
+            .spans("runtime.chunk")
+            .iter()
+            .map(span_id)
+            .collect();
+        let chunks_under = |request: u64| {
+            chunks
+                .iter()
+                .filter(|&chunk| {
+                    std::iter::successors(parents.get(chunk), |p| parents.get(p))
+                        .any(|&a| a == request)
+                })
+                .count()
+        };
+        let per_request: Vec<usize> = collector
+            .spans("serve.request")
+            .iter()
+            .map(|request| chunks_under(span_id(request)))
+            .collect();
+        assert_eq!(per_request, [24, 0], "one chunk per econ cell, per request");
+        assert_eq!(chunks.len(), 24);
     }
 }

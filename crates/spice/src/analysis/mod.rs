@@ -172,30 +172,36 @@ fn sweep_grid(from: f64, to: f64, step: f64) -> Result<Vec<f64>, SpiceError> {
             reason: format!("step must be positive and finite, got {step}"),
         });
     }
-    // Check the count before the cast: `as usize` saturates, and no
-    // `Vec<f64>` can hold `isize::MAX / 8` points.
     let count = ((to - from).abs() / step).round() + 1.0;
-    let max_points = isize::MAX as usize / std::mem::size_of::<f64>();
-    if !(count.is_finite() && count < max_points as f64) {
-        return Err(SpiceError::InvalidSweep {
-            reason: format!(
-                "step = {step} gives {count:e} sweep points, which must be finite and below \
-                 {max_points}"
-            ),
-        });
-    }
-    let n = count as usize;
+    let mut grid = reserve_per_point(count, step)?;
     let dir = if to >= from { 1.0 } else { -1.0 };
-    Ok((0..n)
-        .map(|i| {
-            let v = from + dir * step * i as f64;
-            if dir > 0.0 {
-                v.min(to)
-            } else {
-                v.max(to)
-            }
-        })
-        .collect())
+    grid.extend((0..count as usize).map(|i| {
+        let v = from + dir * step * i as f64;
+        if dir > 0.0 {
+            v.min(to)
+        } else {
+            v.max(to)
+        }
+    }));
+    Ok(grid)
+}
+
+/// An empty vector with room for `count` sweep points, or
+/// `InvalidSweep` naming the step and the count when this process
+/// cannot reserve that much: a grid too fine to hold is an error, not
+/// an allocation failure that aborts the process.
+fn reserve_per_point<T>(count: f64, step: f64) -> Result<Vec<T>, SpiceError> {
+    let mut points = Vec::new();
+    // `as usize` saturates an infinite or oversized count, which no
+    // reservation can satisfy either.
+    points
+        .try_reserve_exact(count as usize)
+        .map_err(|_| SpiceError::InvalidSweep {
+            reason: format!(
+                "step = {step} gives {count:e} sweep points, more than this process can reserve"
+            ),
+        })?;
+    Ok(points)
 }
 
 impl Circuit {
@@ -372,10 +378,10 @@ impl Circuit {
             sweep_span.record("source", source);
             sweep_span.record("points", grid.len());
         }
+        let mut points = reserve_per_point(grid.len() as f64, step)?;
+        let mut newton_iterations = reserve_per_point(grid.len() as f64, step)?;
         let mut work = self.clone();
         let mut ws = MnaWorkspace::for_circuit(&work);
-        let mut points = Vec::with_capacity(grid.len());
-        let mut newton_iterations = Vec::with_capacity(grid.len());
         let mut x = vec![0.0; self.num_unknowns()];
         let mut prev_v: Option<f64> = None;
         for &v in &grid {
@@ -427,6 +433,8 @@ impl Circuit {
         chunk: usize,
     ) -> Result<SweepResult, SpiceError> {
         let grid = sweep_grid(from, to, step)?;
+        let mut points = reserve_per_point(grid.len() as f64, step)?;
+        let mut newton_iterations = reserve_per_point(grid.len() as f64, step)?;
         let chunk = chunk.max(1);
         let n_chunks = grid.len().div_ceil(chunk);
         let mut sweep_span = span!("spice.dc_sweep_par");
@@ -514,8 +522,6 @@ impl Circuit {
                 Ok((points, iters))
             });
 
-        let mut points = Vec::with_capacity(grid.len());
-        let mut newton_iterations = Vec::with_capacity(grid.len());
         for chunk_result in chunks {
             let (p, it) = chunk_result?;
             points.extend(p);

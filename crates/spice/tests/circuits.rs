@@ -209,24 +209,30 @@ fn sweep_rejects_a_point_count_that_does_not_fit() {
     let mut ckt = Circuit::new();
     ckt.voltage_source("v", "a", "0", 0.0);
     ckt.resistor("r", "a", "0", 1e3).unwrap();
-    // An infinite count, a finite one past any allocation, and a span
-    // whose width overflows to infinity: each names the step and the
-    // count instead of wrapping the count or asking for the memory.
+    // An infinite count, a finite one past any allocation, a span whose
+    // width overflows to infinity, and counts a `Vec<f64>` may hold but
+    // whose 8e17 and 4e17 bytes no address space can map (five-level
+    // paging stops near 7.2e16): each names the step and the count
+    // instead of wrapping the count or aborting on the allocation, and
+    // none touches memory.
     for (from, to, step, count) in [
         (0.0, 1e300, 1e-300, "inf"),
         (0.0, 1e30, 1e-3, "1e33"),
         (-1e308, 1e308, 1.0, "inf"),
+        (0.0, 1e17, 1.0, "1e17"),
+        (0.0, 1e17, 2.0, "5e16"),
     ] {
-        let err = ckt.dc_sweep("v", from, to, step).unwrap_err();
-        assert!(
-            matches!(&err, SpiceError::InvalidSweep { reason }
-                if reason.contains(&format!("step = {step}")) && reason.contains(count)),
-            "{err}"
-        );
-        assert!(matches!(
+        for result in [
+            ckt.dc_sweep("v", from, to, step),
             ckt.dc_sweep_par("v", from, to, step, 16),
-            Err(SpiceError::InvalidSweep { .. })
-        ));
+        ] {
+            let err = result.unwrap_err();
+            assert!(
+                matches!(&err, SpiceError::InvalidSweep { reason }
+                    if reason.contains(&format!("step = {step}")) && reason.contains(count)),
+                "{err}"
+            );
+        }
     }
 }
 
