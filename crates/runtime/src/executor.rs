@@ -26,7 +26,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use carbon_metrics::{global_gauge, global_histogram};
 use carbon_trace::span;
@@ -80,14 +80,19 @@ impl Default for Executor {
 
 impl Executor {
     /// Creates an executor sized for the machine: the `CARBON_THREADS`
-    /// environment variable if set, otherwise `available_parallelism`.
+    /// environment variable if set, read on every call, otherwise
+    /// `available_parallelism`, asked once per process (on Linux it
+    /// reads the cgroup CPU quota files, tens of microseconds a call).
     pub fn new() -> Self {
+        static MACHINE: OnceLock<usize> = OnceLock::new();
         let threads = std::env::var("CARBON_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n > 0)
             .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                *MACHINE.get_or_init(|| {
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                })
             });
         Self::with_threads(threads)
     }

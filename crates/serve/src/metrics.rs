@@ -39,7 +39,8 @@ pub(crate) struct ServeMetrics {
     /// that fails validation is never admitted: it counts in
     /// `protocol_errors`.
     pub errored: Arc<Counter>,
-    /// Frames that were not valid request envelopes.
+    /// Frames that were not valid request envelopes, and frame headers
+    /// over [`crate::MAX_FRAME_LEN`].
     pub protocol_errors: Arc<Counter>,
     /// `ping` fast-path requests answered.
     pub ping: Arc<Counter>,

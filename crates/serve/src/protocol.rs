@@ -4,13 +4,16 @@
 //! big-endian unsigned length followed by exactly that many bytes of
 //! UTF-8 JSON. The prefix makes the protocol self-delimiting over a
 //! stream socket without scanning for terminators, so request bodies may
-//! contain arbitrary netlist text (including newlines).
+//! contain arbitrary netlist text (including newlines). [`write_frame`]
+//! sends the prefix and the body in one write, so a frame that fits a
+//! segment crosses a socket as one; [`read_frame`] accepts a frame
+//! split anywhere.
 //!
 //! Frames larger than [`MAX_FRAME_LEN`] are rejected before any body
 //! bytes are read: a malicious or corrupt length prefix must not make
 //! the server allocate gigabytes.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Largest accepted frame body, bytes. Generous for any fig deck or
 /// sweep result (the largest bench response is well under 1 MiB) while
@@ -81,13 +84,23 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError> {
     Ok(Some(body))
 }
 
-/// Write one frame (header + body) and flush.
+/// Write one frame (header + body) in one write, then flush.
+///
+/// The length prefix and the body go to the writer together as one
+/// [`Write::write_vectored`] call, so the body is never copied and a
+/// socket sends a frame that fits one segment as one. Both peers set
+/// `TCP_NODELAY`, so every write leaves as its own segment, and a
+/// reader blocked in `read` wakes once per segment: a frame written in
+/// two parts costs the other peer a second wake-up. A short write
+/// resumes where it stopped, `Interrupted` is retried, and a write
+/// that accepts zero bytes is an [`io::ErrorKind::WriteZero`] error.
 ///
 /// # Errors
 ///
 /// A body over [`MAX_FRAME_LEN`] is an [`io::ErrorKind::InvalidInput`]
 /// error, returned before any byte is written: the peer's reader would
-/// reject the frame anyway. Otherwise, the stream's own errors.
+/// reject the frame anyway. Otherwise, `WriteZero` or the stream's own
+/// errors.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -99,8 +112,21 @@ pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
         ));
     }
     let header = (body.len() as u32).to_be_bytes();
-    w.write_all(&header)?;
-    w.write_all(body)?;
+    let mut slices = [IoSlice::new(&header), IoSlice::new(body)];
+    let mut unsent = &mut slices[..];
+    while !unsent.is_empty() {
+        match w.write_vectored(unsent) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -109,6 +135,65 @@ mod tests {
     use super::*;
     use carbon_runtime::prop::prelude::*;
     use carbon_runtime::prop::vec;
+
+    /// A writer that follows a script, one entry per write call and
+    /// cycling: `0` returns `Interrupted`, and `n` accepts at most `n`
+    /// bytes, gathered across the offered slices. Once it holds `limit`
+    /// bytes, every call returns `Ok(0)`.
+    struct Scripted {
+        script: Vec<usize>,
+        limit: usize,
+        calls: usize,
+        zeros: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Scripted {
+        fn new(script: Vec<usize>, limit: usize) -> Self {
+            Self {
+                script,
+                limit,
+                calls: 0,
+                zeros: 0,
+                bytes: Vec::new(),
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let step = self.script[self.calls % self.script.len()];
+            self.calls += 1;
+            if step == 0 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let before = self.bytes.len();
+            let end = before + step.min(self.limit - before);
+            if end == before {
+                self.zeros += 1;
+                return Ok(0);
+            }
+            for buf in bufs {
+                let take = buf.len().min(end - self.bytes.len());
+                self.bytes.extend_from_slice(&buf[..take]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frame_of(body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(body);
+        frame
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -149,6 +234,35 @@ mod tests {
             }
         }
 
+        /// A writer that takes a few bytes per call and is sometimes
+        /// interrupted still receives exactly `length prefix ‖ body`.
+        #[test]
+        fn short_and_interrupted_writes_deliver_the_whole_frame(
+            body in vec(0u8..=255, 0..=512),
+            script in vec(0usize..9, 1..=16),
+        ) {
+            prop_assume!(script.iter().any(|&step| step > 0));
+            let mut w = Scripted::new(script, usize::MAX);
+            write_frame(&mut w, &body).unwrap();
+            prop_assert_eq!(w.bytes, frame_of(&body));
+        }
+
+        /// A writer that stops accepting bytes makes the frame a
+        /// `WriteZero` error after one zero-byte write, not a loop.
+        #[test]
+        fn a_zero_byte_write_is_write_zero(
+            body in vec(0u8..=255, 0..=512),
+            cut in 0usize..516,
+        ) {
+            let frame = frame_of(&body);
+            let budget = cut % frame.len();
+            let mut w = Scripted::new(vec![usize::MAX], budget);
+            let err = write_frame(&mut w, &body).unwrap_err();
+            prop_assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+            prop_assert_eq!(w.zeros, 1);
+            prop_assert_eq!(w.bytes.as_slice(), &frame[..budget]);
+        }
+
         /// Every length prefix above the maximum is refused before any
         /// body byte is read.
         #[test]
@@ -163,6 +277,17 @@ mod tests {
                 other => return Err(TestCaseError::fail(format!("read as {other:?}"))),
             }
         }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        let mut w = Scripted::new(vec![usize::MAX], usize::MAX);
+        let bodies: [&[u8]; 3] = [b"{\"id\":1}", b"", &[b'x'; 70_000]];
+        for body in bodies {
+            write_frame(&mut w, body).unwrap();
+        }
+        assert_eq!(w.calls, bodies.len(), "one write call per frame");
+        assert_eq!(w.bytes, bodies.map(frame_of).concat());
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! pool exits.
 
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
@@ -66,7 +66,7 @@ use carbon_trace::Span;
 use crate::cache::{FlightGuard, Lookup, ResponseCache, WaitOutcome};
 use crate::job::{Job, JobError};
 use crate::metrics::ServeMetrics;
-use crate::protocol::{read_frame, write_frame, MAX_FRAME_LEN};
+use crate::protocol::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
 use crate::queue::Bounded;
 
 /// How long a blocked socket read waits before re-checking the
@@ -135,7 +135,9 @@ pub struct ServerStats {
     /// Admitted jobs that failed in execution or in rendering a
     /// response over [`MAX_FRAME_LEN`] (`error` responses).
     pub errored: u64,
-    /// Frames that were not valid request envelopes.
+    /// Frames that were not valid request envelopes, and frame headers
+    /// over [`MAX_FRAME_LEN`] (each answered once before its
+    /// connection closes).
     pub protocol_errors: u64,
     /// Admitted jobs served from the response cache: found resident by
     /// the connection thread's probe or by a worker, or served by
@@ -362,7 +364,16 @@ fn connection_loop(
         };
         let body = match read_frame(&mut reader) {
             Ok(Some(body)) => body,
-            Ok(None) | Err(_) => return,
+            // The declared body is never read, so the stream cannot be
+            // resynchronised: answer once, then close.
+            Err(e @ FrameError::TooLarge { .. }) => {
+                metrics.protocol_errors.incr();
+                let response = error_response(&Json::Null, "parse", &e.to_string());
+                let _ = write_frame(&mut stream, &response);
+                let _ = stream.shutdown(Shutdown::Write);
+                return;
+            }
+            Ok(None) | Err(FrameError::Io(_)) => return,
         };
         let received = Instant::now();
         let response = match parse_envelope(&body, cache, default_timeout_ms) {

@@ -1,9 +1,13 @@
 //! End-to-end service tests: protocol round trips, validation at the
 //! boundary, backpressure, deadlines, and graceful drain.
 
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::Duration;
+
 use carbon_json::Json;
 use carbon_serve::job::{MAX_SWEEP_POINTS, MAX_TRAN_STEPS};
-use carbon_serve::{Client, Server, ServerConfig};
+use carbon_serve::{read_frame, write_frame, Client, Server, ServerConfig, MAX_FRAME_LEN};
 
 const RC_DECK: &str = "* rc low-pass\nV1 in 0 1\nR1 in out 1k\nC1 out 0 1u\n.end\n";
 
@@ -280,6 +284,108 @@ fn invalid_requests_get_structured_errors_and_the_connection_survives() {
     assert_eq!(stats.accepted, 1, "only the final good job was admitted");
     assert_eq!(stats.cache_hits, 0, "a rejected envelope never hits");
     assert!(stats.protocol_errors >= 3);
+}
+
+/// A raw loopback connection whose reads give up after 30 s, so a
+/// server that never answers fails the test instead of hanging it.
+fn raw_connect(server: &Server) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+}
+
+fn parse(body: &[u8]) -> Json {
+    Json::parse(std::str::from_utf8(body).unwrap()).unwrap()
+}
+
+/// Every in-tree writer sends a frame in one write, but another peer
+/// may split it anywhere. A header, a pause longer than the server's
+/// 50 ms read poll, then the body one byte per segment is still one
+/// request: it gets the bytes `Client` gets, and the connection serves
+/// on.
+#[test]
+fn a_frame_split_across_segments_is_one_request() {
+    let server = start(1, 4);
+    let request = Json::obj()
+        .push("id", 21)
+        .push(
+            "job",
+            Json::obj()
+                .push("kind", "op")
+                .push("deck", RC_DECK)
+                .push("nodes", nodes(&["in", "out"])),
+        )
+        .render();
+    let mut raw = raw_connect(&server);
+    let header = u32::try_from(request.len()).unwrap().to_be_bytes();
+    raw.write_all(&header).unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    for byte in request.as_bytes() {
+        raw.write_all(std::slice::from_ref(byte)).unwrap();
+    }
+    let split = read_frame(&mut raw).unwrap().expect("a response frame");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(split, client.call_raw(request.as_bytes()).unwrap());
+
+    let second = Json::obj().push("id", 22).push(
+        "job",
+        Json::obj()
+            .push("kind", "dc_sweep")
+            .push("deck", RC_DECK)
+            .push("source", "V1")
+            .push("from", 0.0)
+            .push("to", 1.0)
+            .push("step", 0.5)
+            .push("nodes", nodes(&["out"])),
+    );
+    write_frame(&mut raw, second.render().as_bytes()).unwrap();
+    let resp = parse(&read_frame(&mut raw).unwrap().expect("a second response"));
+    assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(resp.get("id"), second.get("id"));
+
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, 3);
+    assert_eq!(stats.completed, 3);
+    assert_eq!(stats.protocol_errors, 0);
+}
+
+/// A header over `MAX_FRAME_LEN` leaves a body the server never reads,
+/// so the stream cannot be resynchronised. The server answers one
+/// `parse` error naming the declared length and the limit, counts it,
+/// closes that connection, and serves the next one.
+#[test]
+fn an_oversized_frame_header_is_answered_then_the_connection_closes() {
+    let server = start(1, 4);
+    let mut raw = raw_connect(&server);
+    raw.write_all(&0xFFFF_FFFF_u32.to_be_bytes()).unwrap();
+    let resp = parse(&read_frame(&mut raw).unwrap().expect("an error frame"));
+    assert_eq!(resp.get("id"), Some(&Json::Null));
+    assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
+    assert_eq!(resp.get("stage").and_then(Json::as_str), Some("parse"));
+    let message = resp.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("4294967295"), "{message}");
+    assert!(message.contains(&MAX_FRAME_LEN.to_string()), "{message}");
+    assert!(
+        read_frame(&mut raw).unwrap().is_none(),
+        "the server closes after the error frame"
+    );
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let resp = client
+        .call(
+            &Json::obj()
+                .push("id", 1)
+                .push("job", Json::obj().push("kind", "fig7")),
+        )
+        .unwrap();
+    assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.accepted, 1);
 }
 
 #[test]
