@@ -4,8 +4,9 @@
 //! of its canonical job body, so a repeated deck is a hash lookup, not
 //! a Newton solve. This module provides the two mechanisms the server
 //! composes. A connection thread probes with the hit-only
-//! [`ResponseCache::get`] and answers a resident body itself; a worker
-//! classifies every job that missed with [`ResponseCache::begin`]:
+//! [`ResponseCache::get`] and answers a resident body itself; every job
+//! that missed is classified with [`ResponseCache::begin`] once it holds
+//! a slot:
 //!
 //! - **Sharded LRU over response bytes.** Sixteen lock-striped shards,
 //!   each an LRU keyed by the canonical job key
@@ -17,8 +18,8 @@
 //!   shard's budget evicts least-recently-touched entries first, in a
 //!   deterministic order under single-thread replay.
 //!
-//! - **Single-flight.** The first worker to miss on a key becomes the
-//!   *leader* and solves; concurrent workers with the same key get a
+//! - **Single-flight.** The first job to miss on a key becomes the
+//!   *leader* and solves; concurrent jobs with the same key get a
 //!   [`Lookup::Wait`] handle and block on the leader's [`Flight`]
 //!   instead of re-solving. A thundering herd of one fig7 campaign
 //!   costs one solve. If the leader fails (error, timeout, panic), its
@@ -29,13 +30,13 @@
 //! Both structures for a key live under *one* per-shard mutex, so the
 //! hit / lead / wait classification and the leader's completion are
 //! each atomic with respect to the shard: there is no window in which
-//! two workers can both elect themselves leader for a key, and no
+//! two jobs can both elect themselves leader for a key, and no
 //! window in which a waiter can register on a flight that has already
 //! published.
 //!
 //! The cache never stores non-`ok` responses: errors and timeouts are
 //! either load-dependent or carry messages describing a failure worth
-//! re-attempting, and `busy` never reaches a worker at all.
+//! re-attempting, and `busy` never reaches the cache at all.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
@@ -176,10 +177,10 @@ pub enum WaitOutcome {
 pub enum Lookup {
     /// Cached: the response bytes after the id prefix.
     Hit(Vec<u8>),
-    /// This worker is the leader for the key: solve, then resolve the
+    /// This job is the leader for the key: solve, then resolve the
     /// guard with [`FlightGuard::complete_ok`] or [`FlightGuard::fail`].
     Lead(FlightGuard),
-    /// Another worker is already solving this key; block on the flight.
+    /// Another job is already solving this key; block on the flight.
     Wait(Arc<Flight>),
 }
 
@@ -194,7 +195,7 @@ pub struct InsertOutcome {
 }
 
 /// Leadership over one in-flight key. Dropping the guard without
-/// completing it publishes failure — a panicking worker can never
+/// completing it publishes failure — a panicking job can never
 /// leave waiters blocked forever.
 pub struct FlightGuard {
     cache: Arc<ResponseCache>,
@@ -227,7 +228,7 @@ impl Drop for FlightGuard {
 }
 
 /// The sharded LRU response cache. Construct with [`ResponseCache::new`]
-/// and share via `Arc` across the worker pool.
+/// and share via `Arc` across the connection threads.
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total budget / shard count).

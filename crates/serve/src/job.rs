@@ -19,18 +19,18 @@
 //! * service introspection — `"ping"` (liveness: version + uptime) and
 //!   `"stats"` (the full metrics-registry snapshot). These are answered
 //!   on the connection thread's admission-free fast path: they never
-//!   enter the bounded queue, so a server saturated with solves still
-//!   answers its health checks.
+//!   wait for a slot, so a server saturated with solves still answers
+//!   its health checks.
 //!
 //! [`Job::from_json`] performs the whole validation — unknown kinds are
 //! rejected with the valid choices listed, missing or ill-typed fields
 //! are named, numeric bounds are enforced, and the netlist deck is
-//! parsed — **before** the job is admitted to the queue, so a malformed
-//! request can never occupy a worker.
+//! parsed — **before** the job is admitted, so a malformed request can
+//! never occupy a slot.
 //!
 //! Execution ([`Job::run`]) produces a [`Json`] tree with insertion-
 //! ordered fields and no timestamps, so the rendered result for a given
-//! request body is byte-identical regardless of worker count or arrival
+//! request body is byte-identical regardless of slot count or arrival
 //! order.
 
 use carbon_econ::{CampaignGrid, CostModel, EconConfig, EconError, McMode, NodeSpec, YieldModel};
@@ -54,7 +54,7 @@ pub const JOB_KINDS: [&str; 11] = [
     "stats",
 ];
 
-/// The job kinds that travel through the bounded queue to a worker —
+/// The job kinds that are admitted and run with a slot held —
 /// everything except the connection-thread fast-path kinds (`ping`,
 /// `stats`). This is the set the server pre-registers latency and
 /// queue-wait histograms for.
@@ -173,7 +173,7 @@ impl JobError {
 }
 
 /// A validated, ready-to-run job. Decks are parsed at validation time,
-/// so a `Job` that reaches a worker can only fail in the solver.
+/// so a `Job` that runs can only fail in the solver.
 #[derive(Debug)]
 pub enum Job {
     /// DC operating point of a deck; reports the named node voltages.
@@ -259,7 +259,7 @@ pub enum Job {
     },
     /// Liveness probe: echoes the request `id`, reports crate version
     /// and server uptime. Answered on the connection fast path — never
-    /// queued, so it cannot be starved by a full queue.
+    /// admitted, so it cannot be starved by a full wait list.
     Ping,
     /// Metrics snapshot: the server's registry (per-kind latency and
     /// queue-wait histograms with p50/p90/p99, counters, gauges) merged
@@ -287,7 +287,7 @@ impl Job {
     }
 
     /// Whether this job is answered on the connection thread's
-    /// admission-free fast path instead of the bounded queue.
+    /// admission-free fast path instead of waiting for a slot.
     pub fn is_fast_path(&self) -> bool {
         matches!(self, Self::Ping | Self::Stats)
     }
@@ -296,8 +296,8 @@ impl Job {
     /// response cache. Exactly the queued kinds: their responses are
     /// pure functions of the canonical job body under the byte-identity
     /// contract. The fast-path kinds report operational state (uptime,
-    /// latency aggregates) and are never cached — and never reach a
-    /// worker anyway.
+    /// latency aggregates) and are never cached — and never take a
+    /// slot anyway.
     pub fn is_cacheable(&self) -> bool {
         !self.is_fast_path()
     }
@@ -515,7 +515,7 @@ impl Job {
 
     /// Runs the job to a deterministic result tree.
     ///
-    /// Workers install a [`carbon_runtime::CancelToken`] scope around
+    /// The server installs a [`carbon_runtime::CancelToken`] scope around
     /// this call; solver checkpoints turn an expired deadline into
     /// [`JobError::Cancelled`].
     ///
@@ -639,7 +639,7 @@ impl Job {
             }
             // Fast-path kinds need server context (uptime, the server's
             // metrics registry) and are answered by the connection
-            // thread before admission; a worker can never see them.
+            // thread before admission; a served job never runs them.
             Self::Ping | Self::Stats => Err(JobError::Exec {
                 message: format!(
                     "'{}' is answered on the server's connection fast path, \
@@ -1030,7 +1030,7 @@ fn nodes_field(job: &Json) -> Result<Vec<String>, JobError> {
 
 /// Log-spaced frequency grid: `points_per_decade` points per decade
 /// from `fstart` up to and including `fstop`. Pure function of its
-/// inputs, so every worker materializes the identical grid.
+/// inputs, so every run materializes the identical grid.
 fn log_grid(fstart: f64, fstop: f64, points_per_decade: u64) -> Vec<f64> {
     let mut freqs = Vec::new();
     let ppd = points_per_decade as f64;

@@ -12,20 +12,21 @@
 //!   `fig2`, `fig5`, `fig7`, `econ_point`, `econ_campaign`, plus the
 //!   fast-path `ping` and `stats`) with up-front validation and
 //!   deterministic result rendering;
-//! - [`queue`] — bounded MPMC job queue with admission control;
 //! - [`cache`] — content-addressed response cache (sharded LRU over
 //!   canonical job keys) with single-flight deduplication of identical
 //!   in-flight solves;
-//! - [`server`] — acceptor + worker pool with graceful drain shutdown.
-//!   The connection thread answers `ping`/`stats` and every resident
-//!   cache hit itself, before the queue: a hit is neither validated
-//!   nor handed to a worker;
+//! - [`server`] — an acceptor and one thread per connection, which runs
+//!   each job itself under a counting gate (the slots cap how many jobs
+//!   run at once, and a bounded wait list answers `busy` when full),
+//!   with graceful drain shutdown. `ping`/`stats` and every resident
+//!   cache hit are answered without the gate: a hit is neither
+//!   validated nor given a slot;
 //! - [`client`] — a minimal blocking client used by the tests and by
 //!   the `servebench` load generator.
 //!
 //! Every server also owns an always-on `carbon-metrics` registry
 //! (per-kind latency and queue-wait histograms, admission counters,
-//! queue gauges) exposed through the `stats` job kind.
+//! wait-list gauges) exposed through the `stats` job kind.
 //!
 //! # A request over the wire
 //!
@@ -58,7 +59,7 @@
 //! # Determinism at the service boundary
 //!
 //! For a given request body, the response body is byte-identical
-//! regardless of worker count, connection count, or arrival order: jobs
+//! regardless of slot count, connection count, or arrival order: jobs
 //! run on the deterministic executor, responses carry no timestamps, and
 //! floats are rendered with Rust's shortest-round-trip formatter. The
 //! fast-path kinds (`ping`, `stats`) are the deliberate exception: they
@@ -77,7 +78,6 @@ pub mod client;
 pub mod job;
 mod metrics;
 pub mod protocol;
-pub mod queue;
 #[cfg(test)]
 mod serve_load;
 pub mod server;

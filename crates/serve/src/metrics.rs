@@ -26,10 +26,11 @@ pub(crate) struct ServeMetrics {
     started: Instant,
     /// Connections accepted.
     pub connections: Arc<Counter>,
-    /// Jobs admitted: resident hits answered on the connection thread,
-    /// and validated jobs pushed to the queue.
+    /// Jobs admitted: resident hits answered by the connection
+    /// thread's cache probe, and validated jobs given a slot or a place
+    /// on the wait list.
     pub accepted: Arc<Counter>,
-    /// Requests that needed a worker, bounced with a `busy` response.
+    /// Requests that needed a slot, bounced with a `busy` response.
     pub rejected_busy: Arc<Counter>,
     /// Jobs that hit their deadline.
     pub timed_out: Arc<Counter>,
@@ -46,7 +47,8 @@ pub(crate) struct ServeMetrics {
     pub ping: Arc<Counter>,
     /// `stats` fast-path requests answered.
     pub stats: Arc<Counter>,
-    /// Total nanoseconds workers spent executing jobs.
+    /// Total nanoseconds jobs spent executing, each with its slot
+    /// held.
     pub worker_busy_ns: Arc<Counter>,
     /// Admitted jobs served from the response cache (directly or via a
     /// coalesced flight).
@@ -58,25 +60,26 @@ pub(crate) struct ServeMetrics {
     pub cache_insert: Arc<Counter>,
     /// Bytes evicted from the cache to respect the byte budget.
     pub cache_evict_bytes: Arc<Counter>,
-    /// Jobs that waited on another worker's in-flight identical solve
+    /// Jobs that waited on another request's in-flight identical solve
     /// instead of solving themselves.
     pub cache_coalesced: Arc<Counter>,
     /// Bytes currently resident in the response cache.
     pub cache_bytes: Arc<Gauge>,
     /// Latency of cache hits, ns: from the frame read to the response
-    /// ready on the connection thread, from admission on a worker.
+    /// for a hit found by the cache probe, from admission for one found
+    /// with a slot held.
     /// Deliberately separate from the per-kind `serve.latency_ns.*`
     /// histograms, which record only solved (miss) requests — hits
     /// would otherwise collapse solve latency baselines.
     pub cache_hit_latency: Arc<Histogram>,
-    /// Jobs waiting in the queue for a worker (running jobs are not
-    /// counted).
-    pub queue_depth: Arc<Gauge>,
+    /// Requests waiting for a slot (jobs holding one are not counted),
+    /// read from the gate when a snapshot is taken.
+    queue_depth: Arc<Gauge>,
     uptime_ms: Arc<Gauge>,
     /// Per-kind end-to-end latency of cache misses (admission to
     /// response), ns.
     latency: BTreeMap<&'static str, Arc<Histogram>>,
-    /// Per-kind time queued jobs spent waiting in the queue, ns.
+    /// Per-kind time from admission to slot grant, ns.
     queue_wait: BTreeMap<&'static str, Arc<Histogram>>,
 }
 
@@ -141,7 +144,7 @@ impl ServeMetrics {
         self.latency.get(kind)
     }
 
-    /// Queue-wait histogram for a queued job kind.
+    /// Admission-to-slot histogram for a queued job kind.
     pub fn queue_wait(&self, kind: &str) -> Option<&Arc<Histogram>> {
         self.queue_wait.get(kind)
     }

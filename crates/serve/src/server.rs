@@ -1,5 +1,5 @@
-//! The job server: acceptor, connection threads, and a deterministic
-//! worker pool over the bounded queue.
+//! The job server: an acceptor, one thread per connection, and a
+//! counting gate that caps how many jobs run at once.
 //!
 //! # Threading model
 //!
@@ -9,69 +9,68 @@
 //! the request order, and concurrency comes from the number of
 //! connections. The connection thread parses the envelope, computes the
 //! job's canonical key, and probes the response cache: a resident body
-//! is answered right there, with no validation, no queue and no worker.
-//! Every other job is validated and handed to a fixed pool of worker
-//! threads through the bounded queue. The pool is sized like the
-//! carbon-runtime executor (`CARBON_THREADS` or the machine's
-//! parallelism). While the jobs running on the pool are at least as
-//! many as the executor's threads, the pool alone keeps every core
-//! busy, and a job that starts then runs under
+//! is answered right there, with no validation and no slot. Every other
+//! job is validated and then run on the same thread once it holds one
+//! of the gate's slots, so a request stays on one thread from read to
+//! write. The slots number [`ServerConfig::workers`], which defaults to
+//! the carbon-runtime executor's thread count (`CARBON_THREADS` or the
+//! machine's parallelism). While the jobs holding slots are at least as
+//! many as the executor's threads, they alone keep every core busy, and
+//! a job granted its slot then runs under
 //! [`carbon_runtime::executor::as_worker`]: the executor calls inside it
 //! (econ cells, `fig7` chunks, the `fig5` ladder, chunked sweeps) run
-//! inline on the worker that owns the request instead of spawning
-//! threads that contend with the pool. A job that starts with cores to
+//! inline on its connection thread instead of spawning threads that
+//! contend with the other jobs. A job granted its slot with cores to
 //! spare, such as a lone request on an idle server, fans out onto them.
 //!
 //! # Determinism
 //!
-//! Workers never contribute timing or identity to a response body:
+//! Threads never contribute timing or identity to a response body:
 //! results come from deterministic analyses, floats render via the
 //! shortest-round-trip formatter, and object fields keep a fixed
 //! insertion order. The same request body therefore yields the same
-//! response bytes at any worker count, connection count, or arrival
+//! response bytes at any slot count, connection count, or arrival
 //! order. (`busy` responses are the one exception — admission is
 //! inherently load-dependent — and carry that dependence only in the
 //! reported queue depth.)
 //!
 //! # Backpressure and deadlines
 //!
-//! Admission control is [`crate::queue::Bounded::try_push`]: a full
-//! queue answers `busy` immediately instead of stalling the connection.
-//! A cache hit never needs a worker, so it is answered even when the
-//! queue is full; only jobs that need a worker can get `busy`. Each
-//! queued job runs under a [`CancelToken`] scope whose deadline
-//! is the request's `timeout_ms` (or the server default); solver
-//! checkpoints inside carbon-spice turn an expired deadline into a
-//! `timeout` response between Newton iterations or sweep points.
+//! A job that needs a slot gets one at once when one is free and
+//! nobody is waiting. Otherwise it waits, and waiters get slots in
+//! arrival order; when [`ServerConfig::queue_depth`] requests already
+//! wait, it is answered `busy` at once instead of stalling the
+//! connection. A cache hit never needs a slot, so it is answered even
+//! when the wait list is full. Each job runs under a [`CancelToken`]
+//! scope whose deadline is the request's `timeout_ms` (or the server
+//! default), counted from the slot grant; solver checkpoints inside
+//! carbon-spice turn an expired deadline into a `timeout` response
+//! between Newton iterations or sweep points.
 //!
 //! # Shutdown
 //!
-//! [`Server::shutdown`] is a graceful drain: stop accepting, let
-//! connection threads finish their in-flight request, close the queue,
-//! and join the workers — every admitted job is answered before the
-//! pool exits.
+//! [`Server::shutdown`] is a graceful drain: the acceptor stops
+//! accepting, shuts down the read side of every live connection, and
+//! joins their threads. A thread blocked in a read between requests
+//! sees the end of the stream at once; one in the middle of a request
+//! finishes it and writes the response first, so every admitted job is
+//! answered.
 
-use std::io::Read;
+use std::collections::VecDeque;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::SyncSender;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use carbon_json::Json;
 use carbon_runtime::CancelToken;
 use carbon_trace::Span;
 
-use crate::cache::{FlightGuard, Lookup, ResponseCache, WaitOutcome};
+use crate::cache::{Lookup, ResponseCache, WaitOutcome};
 use crate::job::{Job, JobError};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
-use crate::queue::Bounded;
-
-/// How long a blocked socket read waits before re-checking the
-/// shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(50);
 
 /// Default response-cache byte budget: 64 MiB. Typical figure-job
 /// responses are a few kilobytes, so the default holds on the order of
@@ -86,14 +85,16 @@ pub const MIN_CACHE_BYTES: u64 = 4096;
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing jobs. Defaults to the carbon-runtime
-    /// executor's thread count (`CARBON_THREADS` or machine
-    /// parallelism). A job that starts while the running jobs fill the
-    /// executor's threads runs its executor calls inline on its worker;
-    /// one that starts with threads to spare fans out.
+    /// Slots: how many jobs run at once, each on the connection thread
+    /// that read it. Defaults to the carbon-runtime executor's thread
+    /// count (`CARBON_THREADS` or machine parallelism). A job granted
+    /// its slot while the jobs holding slots, its own included, fill
+    /// the executor's threads runs its executor calls inline; one
+    /// granted with threads to spare fans out.
     pub workers: usize,
-    /// Bounded-queue depth: jobs admitted but not yet running. Jobs
-    /// that need a worker and arrive beyond this get `busy` responses.
+    /// Wait-list length: requests admitted but still waiting for a
+    /// slot. A request that needs a slot and finds this many already
+    /// waiting gets a `busy` response.
     pub queue_depth: usize,
     /// Deadline applied to jobs whose request carries no `timeout_ms`.
     /// `None` means no default deadline.
@@ -121,11 +122,11 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Jobs admitted: answered from the cache on the connection thread,
-    /// or validated and pushed to the queue.
+    /// Jobs admitted: answered by the connection thread's cache probe,
+    /// or validated and given a slot or a place on the wait list.
     pub accepted: u64,
-    /// Requests that needed a worker and found the queue full, bounced
-    /// with a `busy` response.
+    /// Requests that needed a slot and found the wait list full,
+    /// bounced with a `busy` response.
     pub rejected_busy: u64,
     /// Jobs that hit their deadline and answered `timeout`.
     pub timed_out: u64,
@@ -139,15 +140,15 @@ pub struct ServerStats {
     /// over [`MAX_FRAME_LEN`] (each answered once before its
     /// connection closes).
     pub protocol_errors: u64,
-    /// Admitted jobs served from the response cache: found resident by
-    /// the connection thread's probe or by a worker, or served by
+    /// Admitted jobs served from the response cache: found resident
+    /// by the cache probe or once their slot was granted, or served by
     /// waiting on an identical in-flight solve.
     pub cache_hits: u64,
-    /// Admitted jobs a worker solved itself — counted whether the cache
-    /// is enabled or not, so `cache_hits + cache_misses == accepted`
-    /// always holds.
+    /// Admitted jobs solved on their own connection thread — counted
+    /// whether the cache is enabled or not, so
+    /// `cache_hits + cache_misses == accepted` always holds.
     pub cache_misses: u64,
-    /// Jobs that coalesced onto another worker's identical in-flight
+    /// Jobs that coalesced onto another request's identical in-flight
     /// solve instead of solving themselves.
     pub cache_coalesced: u64,
     /// `ok` responses stored into the cache.
@@ -156,37 +157,47 @@ pub struct ServerStats {
     pub cache_evicted_bytes: u64,
 }
 
-/// An admitted job travelling from a connection thread to a worker.
-struct Ticket {
-    /// The request's `id`, echoed verbatim into the response.
-    id: Json,
-    job: Job,
-    /// Canonical job key: FNV-1a-64 over the canonical (sorted-key)
-    /// rendering of the request's `job` field — `id` and `timeout_ms`
-    /// never participate, so identical decks from different clients
-    /// share a cache entry.
-    key: u64,
-    timeout_ms: Option<u64>,
-    enqueued: Instant,
-    /// Rendezvous back to the connection thread. Capacity 1, so the
-    /// worker's send never blocks even if the connection died.
-    resp: SyncSender<Vec<u8>>,
+/// What the acceptor and every connection thread share.
+struct Shared {
+    gate: Gate,
+    cache: Option<Arc<ResponseCache>>,
+    metrics: ServeMetrics,
+    default_timeout_ms: Option<u64>,
+    /// The executor's thread count, which [`run_job`] compares with the
+    /// jobs holding slots.
+    threads: usize,
+    /// Set by the drain; ends the accept loop.
+    shutdown: AtomicBool,
+}
+
+impl Shared {
+    fn new(config: &ServerConfig) -> Self {
+        let slots = config.workers.max(1);
+        Self {
+            gate: Gate::new(slots, config.queue_depth),
+            cache: (config.cache_bytes > 0).then(|| ResponseCache::new(config.cache_bytes)),
+            // Every instrument is pre-registered here, so the `stats`
+            // snapshot has the same structure on a fresh server as on a
+            // loaded one.
+            metrics: ServeMetrics::new(slots, config.queue_depth),
+            default_timeout_ms: config.default_timeout_ms,
+            threads: carbon_runtime::Executor::new().threads(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
 }
 
 /// A running job server. Dropping it performs the graceful drain.
 pub struct Server {
     addr: SocketAddr,
-    queue: Arc<Bounded<Ticket>>,
-    shutdown: Arc<AtomicBool>,
-    metrics: Arc<ServeMetrics>,
+    shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     config: ServerConfig,
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor and worker pool.
+    /// acceptor.
     ///
     /// # Errors
     ///
@@ -208,52 +219,15 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let queue = Arc::new(Bounded::new(config.queue_depth));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Every instrument is pre-registered here, so the `stats`
-        // snapshot has the same structure on a fresh server as on a
-        // loaded one.
-        let metrics = Arc::new(ServeMetrics::new(config.workers.max(1), config.queue_depth));
-        let cache = (config.cache_bytes > 0).then(|| ResponseCache::new(config.cache_bytes));
-        let running = Arc::new(AtomicUsize::new(0));
-        let threads = carbon_runtime::Executor::new().threads();
-
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let metrics = Arc::clone(&metrics);
-                let cache = cache.clone();
-                let running = Arc::clone(&running);
-                std::thread::spawn(move || {
-                    worker_loop(&queue, &metrics, cache.as_ref(), &running, threads);
-                })
-            })
-            .collect();
-
+        let shared = Arc::new(Shared::new(&config));
         let acceptor = {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            let metrics = Arc::clone(&metrics);
-            let default_timeout_ms = config.default_timeout_ms;
-            std::thread::spawn(move || {
-                accept_loop(
-                    &listener,
-                    &queue,
-                    cache.as_ref(),
-                    &shutdown,
-                    &metrics,
-                    default_timeout_ms,
-                );
-            })
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&listener, &shared))
         };
-
         Ok(Self {
             addr,
-            queue,
-            shutdown,
-            metrics,
+            shared,
             acceptor: Some(acceptor),
-            workers,
             config,
         })
     }
@@ -270,27 +244,20 @@ impl Server {
 
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> ServerStats {
-        self.metrics.server_stats()
+        self.shared.metrics.server_stats()
     }
 
-    /// Graceful drain: stop accepting, finish in-flight requests,
-    /// run every admitted job, join all threads. Returns the final
-    /// counters.
+    /// Graceful drain: stop accepting, finish in-flight requests, join
+    /// all threads. Returns the final counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.drain();
-        self.metrics.server_stats()
+        self.shared.metrics.server_stats()
     }
 
     fn drain(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
-        }
-        // Only after every connection thread has stopped producing may
-        // the queue close; workers then drain what was admitted.
-        self.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -301,68 +268,49 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    queue: &Arc<Bounded<Ticket>>,
-    cache: Option<&Arc<ResponseCache>>,
-    shutdown: &Arc<AtomicBool>,
-    metrics: &Arc<ServeMetrics>,
-    default_timeout_ms: Option<u64>,
-) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
+/// Accepts connections until the drain, then ends every connection's
+/// reads and joins its thread. Each thread's socket is kept beside its
+/// handle, so the drain can reach a thread blocked in a read.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut connections: Vec<(Arc<TcpStream>, JoinHandle<()>)> = Vec::new();
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Responses are single small frames; Nagle + delayed
                 // ACK would add ~40 ms to every request.
                 let _ = stream.set_nodelay(true);
-                metrics.connections.incr();
-                let queue = Arc::clone(queue);
-                let cache = cache.cloned();
-                let shutdown = Arc::clone(shutdown);
-                let metrics = Arc::clone(metrics);
-                connections.push(std::thread::spawn(move || {
-                    connection_loop(
-                        stream,
-                        &queue,
-                        cache.as_deref(),
-                        &shutdown,
-                        &metrics,
-                        default_timeout_ms,
-                    );
-                }));
+                shared.metrics.connections.incr();
+                let stream = Arc::new(stream);
+                let thread = {
+                    let stream = Arc::clone(&stream);
+                    let shared = Arc::clone(shared);
+                    std::thread::spawn(move || connection_loop(&stream, &shared))
+                };
+                connections.push((stream, thread));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+            // Nothing to accept yet, or a failed accept (no file
+            // descriptor left, a peer that reset first): back off and
+            // retry. Only the drain ends the loop.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
         // Reap finished connection threads so a long-lived server does
-        // not accumulate handles.
-        connections.retain(|h| !h.is_finished());
+        // not accumulate handles and sockets.
+        connections.retain(|(_, thread)| !thread.is_finished());
     }
-    for h in connections {
-        let _ = h.join();
+    for (stream, _) in &connections {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (_, thread) in connections {
+        let _ = thread.join();
     }
 }
 
-fn connection_loop(
-    mut stream: TcpStream,
-    queue: &Bounded<Ticket>,
-    cache: Option<&ResponseCache>,
-    shutdown: &AtomicBool,
-    metrics: &ServeMetrics,
-    default_timeout_ms: Option<u64>,
-) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
+/// Serves one connection's requests in order until the peer closes,
+/// a read or write fails, or the drain shuts down the read side.
+fn connection_loop(mut stream: &TcpStream, shared: &Shared) {
+    let metrics = &shared.metrics;
     loop {
-        let mut reader = UntilShutdown {
-            stream: &mut stream,
-            shutdown,
-        };
-        let body = match read_frame(&mut reader) {
+        let body = match read_frame(&mut stream) {
             Ok(Some(body)) => body,
             // The declared body is never read, so the stream cannot be
             // resynchronised: answer once, then close.
@@ -376,25 +324,35 @@ fn connection_loop(
             Ok(None) | Err(FrameError::Io(_)) => return,
         };
         let received = Instant::now();
-        let response = match parse_envelope(&body, cache, default_timeout_ms) {
+        let request = parse_envelope(&body, shared.cache.as_deref(), shared.default_timeout_ms);
+        let response = match request {
             // A resident body is admitted and answered here, with no
-            // worker, so a full queue cannot bounce it.
+            // slot, so a full wait list cannot bounce it.
             Ok(Request::Hit { response, span }) => {
                 metrics.accepted.incr();
                 count_hit(metrics, received, span, &response);
                 response
             }
-            // ping/stats are answered here, on the connection thread,
-            // before admission — a full queue cannot starve them.
+            // ping/stats are answered before admission — a full wait
+            // list cannot starve them.
             Ok(Request::Job { id, job, .. }) if job.is_fast_path() => {
-                fast_path_response(&id, &job, queue, metrics)
+                fast_path_response(&id, &job, shared)
             }
             Ok(Request::Job {
                 id,
                 job,
                 key,
                 timeout_ms,
-            }) => dispatch(id, *job, key, timeout_ms, queue, metrics),
+            }) => {
+                let admitted = Instant::now();
+                match shared.gate.acquire(|| metrics.accepted.incr()) {
+                    Ok(slot) => run_admitted(&id, &job, key, timeout_ms, admitted, &slot, shared),
+                    Err(waiting) => {
+                        metrics.rejected_busy.incr();
+                        busy_response(&id, waiting, shared.gate.depth)
+                    }
+                }
+            }
             Err(resp) => {
                 metrics.protocol_errors.incr();
                 resp
@@ -406,17 +364,124 @@ fn connection_loop(
     }
 }
 
+/// The counting gate that caps how many jobs run at once: at most
+/// `slots` jobs hold a slot, and at most `depth` more wait for one.
+/// A released slot passes straight to the longest waiter, so waiters
+/// get slots in arrival order and each grant wakes one thread.
+struct Gate {
+    state: Mutex<GateState>,
+    slots: usize,
+    depth: usize,
+}
+
+struct GateState {
+    /// Slots held. Someone waits only while all `slots` are held.
+    running: usize,
+    /// Requests waiting for a slot, longest first.
+    waiters: VecDeque<Arc<Waiter>>,
+}
+
+/// A request on the wait list, parked until a slot is handed to it.
+struct Waiter {
+    thread: Thread,
+    /// The slots held at the hand-over, this one included; 0 before.
+    /// The releasing slot stores it (`Release`) before unparking the
+    /// waiter, which loads it (`Acquire`) each time it wakes.
+    granted: AtomicUsize,
+}
+
+/// One held slot of a [`Gate`]. It goes back when dropped, on return
+/// and on unwind.
+struct Slot<'a> {
+    gate: &'a Gate,
+    /// The slots held when this one was granted, this one included.
+    running: usize,
+}
+
+impl Gate {
+    fn new(slots: usize, depth: usize) -> Self {
+        Self {
+            state: Mutex::new(GateState {
+                running: 0,
+                waiters: VecDeque::new(),
+            }),
+            slots,
+            depth,
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, GateState> {
+        // No code that can panic runs between two updates of the state,
+        // so a poisoned lock still guards whole counts.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Requests waiting for a slot.
+    fn waiting(&self) -> usize {
+        self.state().waiters.len()
+    }
+
+    /// Admits a request and blocks until it holds a slot. `admitted`
+    /// runs once the request is admitted, before any wait.
+    ///
+    /// # Errors
+    ///
+    /// The number waiting, when no slot is free and `depth` requests
+    /// already wait: the request is not admitted.
+    fn acquire(&self, admitted: impl FnOnce()) -> Result<Slot<'_>, usize> {
+        let mut state = self.state();
+        if state.running < self.slots {
+            admitted();
+            state.running += 1;
+            return Ok(Slot {
+                gate: self,
+                running: state.running,
+            });
+        }
+        if state.waiters.len() >= self.depth {
+            return Err(state.waiters.len());
+        }
+        admitted();
+        let waiter = Arc::new(Waiter {
+            thread: std::thread::current(),
+            granted: AtomicUsize::new(0),
+        });
+        state.waiters.push_back(Arc::clone(&waiter));
+        drop(state);
+        loop {
+            match waiter.granted.load(Ordering::Acquire) {
+                0 => std::thread::park(),
+                running => {
+                    return Ok(Slot {
+                        gate: self,
+                        running,
+                    })
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut state = self.gate.state();
+        let Some(next) = state.waiters.pop_front() else {
+            state.running -= 1;
+            return;
+        };
+        next.granted.store(state.running, Ordering::Release);
+        drop(state);
+        next.thread.unpark();
+    }
+}
+
 /// Answers the admission-free kinds (`ping`, `stats`) directly on the
 /// connection thread. These responses intentionally carry timing
 /// (uptime, latency aggregates) — they are operational introspection,
 /// not simulation results, and are excluded from the byte-identity
 /// contract the queued kinds keep.
-fn fast_path_response(
-    id: &Json,
-    job: &Job,
-    queue: &Bounded<Ticket>,
-    metrics: &ServeMetrics,
-) -> Vec<u8> {
+fn fast_path_response(id: &Json, job: &Job, shared: &Shared) -> Vec<u8> {
+    let metrics = &shared.metrics;
     match job {
         Job::Ping => {
             metrics.ping.incr();
@@ -427,7 +492,7 @@ fn fast_path_response(
         }
         Job::Stats => {
             metrics.stats.incr();
-            let (uptime_ms, snapshot) = metrics.merged_snapshot(queue.depth());
+            let (uptime_ms, snapshot) = metrics.merged_snapshot(shared.gate.waiting());
             let mut result = Json::obj().push("uptime_ms", uptime_ms);
             // Splice the snapshot's fixed-order sections (counters,
             // gauges, histograms) into the result object.
@@ -528,166 +593,85 @@ fn parse_envelope(
     })
 }
 
-/// Admits the job (or answers `busy`) and waits for the worker's
-/// response.
-fn dispatch(
-    id: Json,
-    job: Job,
+/// Answers one admitted job with its slot held: from the cache, from an
+/// identical in-flight solve it waits on, or by solving it here.
+/// `admitted` is when the gate admitted the request.
+fn run_admitted(
+    id: &Json,
+    job: &Job,
     key: u64,
     timeout_ms: Option<u64>,
-    queue: &Bounded<Ticket>,
-    metrics: &ServeMetrics,
+    admitted: Instant,
+    slot: &Slot<'_>,
+    shared: &Shared,
 ) -> Vec<u8> {
-    let (resp_tx, resp_rx) = std::sync::mpsc::sync_channel(1);
-    let ticket = Ticket {
-        id: id.clone(),
-        job,
-        key,
-        timeout_ms,
-        enqueued: Instant::now(),
-        resp: resp_tx,
-    };
-    match queue.try_push(ticket) {
-        Ok(depth) => {
-            metrics.accepted.incr();
-            metrics
-                .queue_depth
-                .set(i64::try_from(depth).unwrap_or(i64::MAX));
-            resp_rx.recv().unwrap_or_else(|_| {
-                error_response(&id, "exec", "worker dropped the job (server shutting down)")
-            })
-        }
-        Err(_rejected) => {
-            metrics.rejected_busy.incr();
-            busy_response(&id, queue.depth(), queue.capacity())
-        }
+    let metrics = &shared.metrics;
+    let kind = job.kind();
+    let queue_ns = nanos_since(admitted);
+    if let Some(hist) = metrics.queue_wait(kind) {
+        hist.record(queue_ns);
     }
-}
-
-/// How one admitted ticket resolved against the response cache.
-enum CacheDecision {
-    /// Serve these bytes (already id-spliced); no solve happens.
-    Served(Vec<u8>),
-    /// The waiter's deadline expired before its leader finished.
-    WaitTimedOut,
-    /// Solve it ourselves. The guard is `Some` when this worker leads a
-    /// flight other workers may be waiting on, `None` when the cache is
-    /// disabled or the job is not cacheable.
-    Solve(Option<FlightGuard>),
-}
-
-/// Classifies one ticket against the cache: hit, coalesced wait, or
-/// leader/solo solve. Loops because a leader may fail — the first
-/// retrying waiter then becomes the new leader.
-fn resolve_cache(
-    cache: Option<&Arc<ResponseCache>>,
-    ticket: &Ticket,
-    metrics: &ServeMetrics,
-) -> CacheDecision {
-    let Some(cache) = cache.filter(|_| ticket.job.is_cacheable()) else {
-        return CacheDecision::Solve(None);
-    };
-    let mut counted_coalesced = false;
-    loop {
-        match cache.begin(ticket.key) {
-            Lookup::Hit(suffix) => {
-                return CacheDecision::Served(splice_cached(&ticket.id, &suffix))
-            }
-            Lookup::Lead(guard) => return CacheDecision::Solve(Some(guard)),
-            Lookup::Wait(flight) => {
-                if !counted_coalesced {
-                    metrics.cache_coalesced.incr();
-                    counted_coalesced = true;
+    let mut span = carbon_trace::span!("serve.request");
+    if span.is_live() {
+        span.record("kind", kind);
+        span.record("queue_ns", queue_ns);
+    }
+    // Every admitted job is classified exactly once as a cache hit
+    // (served from stored bytes or a coalesced flight) or a miss (this
+    // thread produces the response itself, including the waiter-deadline
+    // edge) — so hit + miss == accepted.
+    let mut guard = None;
+    let mut waited_out = false;
+    if let Some(cache) = shared.cache.as_ref().filter(|_| job.is_cacheable()) {
+        let mut coalesced = false;
+        // Loops because a leader may fail: the first retrying waiter
+        // then becomes the new leader.
+        loop {
+            let suffix = match cache.begin(key) {
+                Lookup::Hit(suffix) => suffix,
+                Lookup::Lead(lead) => {
+                    guard = Some(lead);
+                    break;
                 }
-                // The waiter's own deadline still applies while the
-                // leader solves, mirroring the CancelToken a solving
-                // worker would run under.
-                let deadline = ticket
-                    .timeout_ms
-                    .map(|ms| Instant::now() + Duration::from_millis(ms));
-                match flight.wait(deadline) {
-                    WaitOutcome::Ready(suffix) => {
-                        return CacheDecision::Served(splice_cached(&ticket.id, &suffix))
+                Lookup::Wait(flight) => {
+                    if !coalesced {
+                        metrics.cache_coalesced.incr();
+                        coalesced = true;
                     }
-                    WaitOutcome::TimedOut => return CacheDecision::WaitTimedOut,
-                    WaitOutcome::LeaderFailed => {} // retry: maybe lead now
+                    // The waiter's own deadline still applies while the
+                    // leader solves, mirroring the CancelToken a solving
+                    // job would run under.
+                    let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+                    match flight.wait(deadline) {
+                        WaitOutcome::Ready(suffix) => suffix,
+                        WaitOutcome::TimedOut => {
+                            waited_out = true;
+                            break;
+                        }
+                        WaitOutcome::LeaderFailed => continue,
+                    }
                 }
-            }
+            };
+            let response = splice_cached(id, &suffix);
+            count_hit(metrics, admitted, span, &response);
+            return response;
         }
     }
-}
-
-/// `running` counts the jobs executing on the pool's workers, and
-/// `threads` is the executor's thread count: [`run_job`] compares them.
-fn worker_loop(
-    queue: &Bounded<Ticket>,
-    metrics: &ServeMetrics,
-    cache: Option<&Arc<ResponseCache>>,
-    running: &AtomicUsize,
-    threads: usize,
-) {
-    while let Some(ticket) = queue.pop() {
-        metrics
-            .queue_depth
-            .set(i64::try_from(queue.depth()).unwrap_or(i64::MAX));
-        let queue_ns = u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let kind = ticket.job.kind();
-        if let Some(hist) = metrics.queue_wait(kind) {
-            hist.record(queue_ns);
-        }
-        let mut span = carbon_trace::span!("serve.request");
-        if span.is_live() {
-            span.record("kind", kind);
-            span.record("queue_ns", queue_ns);
-        }
-        // Every admitted ticket is classified exactly once as a cache
-        // hit (served from stored bytes or a coalesced flight) or a
-        // miss (this worker produces the response itself, including
-        // the waiter-deadline edge) — so hit + miss == accepted.
-        let mut guard = match resolve_cache(cache, &ticket, metrics) {
-            CacheDecision::Served(response) => {
-                count_hit(metrics, ticket.enqueued, span, &response);
-                let _ = ticket.resp.send(response);
-                continue;
-            }
-            CacheDecision::WaitTimedOut => {
-                metrics.cache_miss.incr();
-                metrics.timed_out.incr();
-                let response = timeout_response(
-                    &ticket.id,
-                    kind,
-                    "deadline expired while coalesced onto an identical in-flight job",
-                );
-                if let Some(hist) = metrics.latency(kind) {
-                    hist.record(
-                        u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                }
-                if span.is_live() {
-                    span.record("status", "timeout");
-                    span.record("resp_bytes", response.len());
-                }
-                drop(span);
-                let _ = ticket.resp.send(response);
-                continue;
-            }
-            CacheDecision::Solve(guard) => {
-                metrics.cache_miss.incr();
-                guard
-            }
-        };
-        let token = match ticket.timeout_ms {
+    metrics.cache_miss.incr();
+    let (status, response) = if waited_out {
+        metrics.timed_out.incr();
+        let message = "deadline expired while coalesced onto an identical in-flight job";
+        ("timeout", timeout_response(id, kind, message))
+    } else {
+        let token = match timeout_ms {
             Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
             None => CancelToken::new(),
         };
         let exec_started = Instant::now();
         let outcome =
-            carbon_runtime::cancel::scope(&token, || run_job(&ticket.job, running, threads));
-        metrics
-            .worker_busy_ns
-            .add(u64::try_from(exec_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        let rendered = outcome.map(|result| ok_response(&ticket.id, kind, result));
-        let (status, response) = match rendered {
+            carbon_runtime::cancel::scope(&token, || run_job(job, slot.running, shared.threads));
+        metrics.worker_busy_ns.add(nanos_since(exec_started));
+        match outcome.map(|result| ok_response(id, kind, result)) {
             // No client could read a frame this large: the result
             // becomes an error, and its leader fails the flight below.
             Ok(response) if response.len() > MAX_FRAME_LEN => {
@@ -696,7 +680,7 @@ fn worker_loop(
                     "response of {} bytes exceeds the maximum frame length {MAX_FRAME_LEN}",
                     response.len()
                 );
-                ("error", error_response(&ticket.id, "render", &message))
+                ("error", error_response(id, "render", &message))
             }
             Ok(response) => {
                 metrics.completed.incr();
@@ -705,7 +689,7 @@ fn worker_loop(
                 // later hit splices its own id in front and is
                 // byte-identical to this solve by construction.
                 if let Some(guard) = guard.take() {
-                    let prefix_len = 6 + ticket.id.render().len();
+                    let prefix_len = 6 + id.render().len();
                     let insert = guard.complete_ok(response[prefix_len..].to_vec());
                     if insert.inserted {
                         metrics.cache_insert.incr();
@@ -713,7 +697,7 @@ fn worker_loop(
                     if insert.evicted_bytes > 0 {
                         metrics.cache_evict_bytes.add(insert.evicted_bytes);
                     }
-                    if let Some(cache) = cache {
+                    if let Some(cache) = &shared.cache {
                         metrics
                             .cache_bytes
                             .set(i64::try_from(cache.bytes()).unwrap_or(i64::MAX));
@@ -723,70 +707,61 @@ fn worker_loop(
             }
             Err(JobError::Cancelled { message }) => {
                 metrics.timed_out.incr();
-                ("timeout", timeout_response(&ticket.id, kind, &message))
+                ("timeout", timeout_response(id, kind, &message))
             }
             Err(e) => {
                 metrics.errored.incr();
-                ("error", error_response(&ticket.id, "exec", &e.to_string()))
+                ("error", error_response(id, "exec", &e.to_string()))
             }
-        };
-        // A failed leader (timeout/error) publishes failure so waiters
-        // retry; nothing is cached.
-        if let Some(guard) = guard.take() {
-            guard.fail();
         }
-        // End-to-end latency: admission to response, queue wait
-        // included — what a client experiences. Only misses land here;
-        // hits go to `serve.cache.hit_latency_ns` so cached repeats
-        // cannot skew the solve-latency baselines.
-        if let Some(hist) = metrics.latency(kind) {
-            hist.record(u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
-        if span.is_live() {
-            span.record("status", status);
-            span.record("resp_bytes", response.len());
-        }
-        drop(span);
-        // The connection may have vanished; the response is then simply
-        // dropped (capacity-1 channel: never blocks).
-        let _ = ticket.resp.send(response);
+    };
+    // A failed leader (timeout/error) publishes failure so waiters
+    // retry; nothing is cached.
+    if let Some(guard) = guard {
+        guard.fail();
     }
+    // End-to-end latency: admission to response, the wait for a slot
+    // included — what a client experiences. Only misses land here;
+    // hits go to `serve.cache.hit_latency_ns` so cached repeats cannot
+    // skew the solve-latency baselines.
+    if let Some(hist) = metrics.latency(kind) {
+        hist.record(nanos_since(admitted));
+    }
+    if span.is_live() {
+        span.record("status", status);
+        span.record("resp_bytes", response.len());
+    }
+    response
 }
 
-/// Runs one job on the calling worker. While the jobs running on the
-/// pool, this one included, are at least as many as the executor's
-/// `threads`, every core already has a job, and a fan-out would only
-/// contend with them: the job runs under
-/// [`carbon_runtime::executor::as_worker`], its executor calls inline
-/// on this thread. A job that starts with cores to spare fans out onto
-/// them. Either way the bytes are the same.
-fn run_job(job: &Job, running: &AtomicUsize, threads: usize) -> Result<Json, JobError> {
-    /// Takes the job off `running` on return and on unwind.
-    struct Finished<'a>(&'a AtomicUsize);
-    impl Drop for Finished<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-    let cores_taken = running.fetch_add(1, Ordering::SeqCst) + 1 >= threads;
-    let _finished = Finished(running);
-    if cores_taken {
+/// Runs one job on the calling thread. `running` counts the slots held
+/// when this job's slot was granted, its own included. While they are
+/// at least as many as the executor's `threads`, every core already has
+/// a job, and a fan-out would only contend with them: the job runs
+/// under [`carbon_runtime::executor::as_worker`], its executor calls
+/// inline on this thread. A job granted its slot with cores to spare
+/// fans out onto them. Either way the bytes are the same.
+fn run_job(job: &Job, running: usize, threads: usize) -> Result<Json, JobError> {
+    if running >= threads {
         carbon_runtime::executor::as_worker(|| job.run())
     } else {
         job.run()
     }
 }
 
-/// Counts one cache hit, on whichever thread answered it, and closes
-/// its `serve.request` span. The hit latency runs from `since` to now:
-/// from the frame read on the connection thread, from admission on a
-/// worker.
+/// Nanoseconds from `since` to now.
+fn nanos_since(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Counts one cache hit and closes its `serve.request` span. The hit
+/// latency runs from `since` to now: from the frame read for a hit
+/// found by the cache probe, from admission for one found with a slot
+/// held.
 fn count_hit(metrics: &ServeMetrics, since: Instant, mut span: Span, response: &[u8]) {
     metrics.cache_hit.incr();
     metrics.completed.incr();
-    metrics
-        .cache_hit_latency
-        .record(u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    metrics.cache_hit_latency.record(nanos_since(since));
     if span.is_live() {
         span.record("status", "ok");
         span.record("cache", "hit");
@@ -847,35 +822,11 @@ fn busy_response(id: &Json, depth: usize, capacity: usize) -> Vec<u8> {
         .into_bytes()
 }
 
-/// A socket with a short read timeout, read as if it blocked: each
-/// timeout re-checks the shutdown flag, and once the flag is set the
-/// timeout ends the read as an error. [`read_frame`] over it waits for
-/// a whole frame unless the server is shutting down.
-struct UntilShutdown<'a> {
-    stream: &'a mut TcpStream,
-    shutdown: &'a AtomicBool,
-}
-
-impl Read for UntilShutdown<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) && !self.shutdown.load(Ordering::SeqCst) => {}
-                other => return other,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use std::sync::mpsc::Receiver;
+    use std::sync::mpsc;
 
     use carbon_trace::collect::Collector;
     use carbon_trace::{Event, Value};
@@ -901,56 +852,129 @@ mod tests {
         }
     }
 
-    /// A closed queue holding one 24-cell `econ_campaign` ticket, and
-    /// the receiver its response arrives on.
-    fn econ_ticket() -> (Bounded<Ticket>, Receiver<Vec<u8>>) {
+    /// Spins until `gate` has `n` waiters.
+    fn wait_for_waiters(gate: &Gate, n: usize) {
+        while gate.waiting() < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_full_wait_list_answers_at_once() {
+        let gate = Arc::new(Gate::new(1, 1));
+        let held = gate.acquire(|| {}).unwrap();
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || gate.acquire(|| {}).map(|slot| slot.running).ok())
+        };
+        wait_for_waiters(&gate, 1);
+        // Asked on a thread of its own, so a request that blocked fails
+        // the test instead of hanging it.
+        let (answered, answer) = mpsc::channel();
+        let bounced = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || answered.send(gate.acquire(|| {}).err()).unwrap())
+        };
+        let answer = answer.recv_timeout(Duration::from_secs(1));
+        assert_eq!(answer, Ok(Some(1)), "answered at once, one waiting");
+        bounced.join().unwrap();
+        drop(held);
+        assert_eq!(waiter.join().unwrap(), Some(1), "the waiter got the slot");
+    }
+
+    #[test]
+    fn waiters_get_slots_in_arrival_order() {
+        let gate = Arc::new(Gate::new(1, 8));
+        let held = gate.acquire(|| {}).unwrap();
+        let (granted, order) = mpsc::channel();
+        let waiters: Vec<_> = (0..6)
+            .map(|arrival| {
+                let waiter = {
+                    let gate = Arc::clone(&gate);
+                    let granted = granted.clone();
+                    std::thread::spawn(move || {
+                        let _slot = gate.acquire(|| {}).unwrap();
+                        granted.send(arrival).unwrap();
+                    })
+                };
+                // Each waiter is on the list before the next one arrives.
+                wait_for_waiters(&gate, arrival + 1);
+                waiter
+            })
+            .collect();
+        drop(held);
+        for waiter in waiters {
+            waiter.join().unwrap();
+        }
+        assert_eq!(order.try_iter().collect::<Vec<_>>(), [0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_panicking_job_gives_its_slot_back() {
+        // One slot and no wait list: a slot that never came back would
+        // bounce the next job at once.
+        let gate = Gate::new(1, 0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = gate.acquire(|| {}).unwrap();
+            panic!("the job panicked");
+        }));
+        assert!(unwound.is_err());
+        let next = gate.acquire(|| {}).map(|slot| slot.running);
+        assert_eq!(next.ok(), Some(1), "the next job gets the slot");
+    }
+
+    /// A 24-cell `econ_campaign` job and its canonical key.
+    fn econ_job() -> (Job, u64) {
         let body = Json::parse(
             "{\"kind\":\"econ_campaign\",\"nodes\":[\"cnt90\",\"cnt28\"],\
              \"areas_cm2\":[0.5,1.0],\"d0\":[0.1,0.3],\"purities\":[0.95,0.99,0.999],\
              \"devices\":256,\"seed\":7}",
         )
         .unwrap();
-        let queue = Bounded::new(1);
-        let (resp, response) = std::sync::mpsc::sync_channel(1);
-        let ticket = Ticket {
-            id: Json::Num(1.0),
-            job: Job::from_json(&body).unwrap(),
-            key: body.canonical_key(),
-            timeout_ms: None,
-            enqueued: Instant::now(),
-            resp,
-        };
-        assert!(queue.try_push(ticket).is_ok());
-        queue.close();
-        (queue, response)
+        (Job::from_json(&body).unwrap(), body.canonical_key())
     }
 
     #[test]
     fn a_job_runs_its_executor_work_on_its_worker_while_the_pool_fills_the_cores() {
         let collector = Collector::new();
-        let responses = {
+        let bodies = {
             // An executor that fans out: at one thread every run is
-            // inline whatever the worker decides. `Executor::new` reads
-            // the variable when each job runs. This binary's other
-            // tests read it too (the `job` tests and the `serve_load`
-            // servers build executors); their bytes are the same at any
-            // thread count, so they tolerate 4. No other test here
-            // sets it.
+            // inline whatever the server decides. `Executor::new` reads
+            // the variable when each job runs and when `Shared` is
+            // built. This binary's other tests read it too (the `job`
+            // tests and the `serve_load` servers build executors);
+            // their bytes are the same at any thread count, so they
+            // tolerate 4. No other test here sets it.
             let _threads = ThreadsVar::set("4");
             carbon_trace::with_subscriber(collector.clone(), || {
-                // This thread is one worker of a pool. The first ticket
-                // starts while three other jobs run, so the four fill
-                // the executor's threads; the second starts beside two.
+                // Four slots, one per executor thread. The first job is
+                // granted its slot while three other jobs hold theirs,
+                // so the four fill the executor's threads; the second
+                // starts beside two.
                 [3, 2].map(|others| {
-                    let (queue, response) = econ_ticket();
-                    let running = AtomicUsize::new(others);
-                    worker_loop(&queue, &ServeMetrics::new(4, 1), None, &running, 4);
-                    assert_eq!(running.load(Ordering::SeqCst), others);
-                    response
+                    let shared = Shared::new(&ServerConfig {
+                        workers: 4,
+                        queue_depth: 1,
+                        default_timeout_ms: None,
+                        cache_bytes: 0,
+                    });
+                    let _held: Vec<Slot<'_>> = (0..others)
+                        .map(|_| shared.gate.acquire(|| {}).unwrap())
+                        .collect();
+                    let slot = shared.gate.acquire(|| {}).unwrap();
+                    let (job, key) = econ_job();
+                    run_admitted(
+                        &Json::Num(1.0),
+                        &job,
+                        key,
+                        None,
+                        Instant::now(),
+                        &slot,
+                        &shared,
+                    )
                 })
             })
         };
-        let bodies: Vec<Vec<u8>> = responses.iter().map(|r| r.recv().unwrap()).collect();
         let first = String::from_utf8_lossy(&bodies[0]);
         assert!(first.contains("\"status\":\"ok\""), "{first}");
         assert!(

@@ -3,7 +3,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use carbon_json::Json;
 use carbon_serve::job::{MAX_SWEEP_POINTS, MAX_TRAN_STEPS};
@@ -302,10 +302,9 @@ fn parse(body: &[u8]) -> Json {
 }
 
 /// Every in-tree writer sends a frame in one write, but another peer
-/// may split it anywhere. A header, a pause longer than the server's
-/// 50 ms read poll, then the body one byte per segment is still one
-/// request: it gets the bytes `Client` gets, and the connection serves
-/// on.
+/// may split it anywhere. A header, a 150 ms pause, then the body one
+/// byte per segment is still one request: it gets the bytes `Client`
+/// gets, and the connection serves on.
 #[test]
 fn a_frame_split_across_segments_is_one_request() {
     let server = start(1, 4);
@@ -763,4 +762,33 @@ fn graceful_drain_answers_every_admitted_job() {
     assert_eq!(stats.completed, 20);
     assert_eq!(stats.connections, 4);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// A connection that stays open after its last response has its thread
+/// blocked in a read. The drain ends that read at once, so shutdown
+/// does not wait for the peer to send or close. The drain itself waits
+/// at most one 5 ms accept poll; the 40 ms bound leaves room for a
+/// loaded test host.
+#[test]
+fn shutdown_does_not_wait_on_an_idle_connection() {
+    let server = start(1, 4);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let pong = client
+        .call(
+            &Json::obj()
+                .push("id", "idle")
+                .push("job", Json::obj().push("kind", "ping")),
+        )
+        .unwrap();
+    assert_eq!(pong.get("status").and_then(Json::as_str), Some("ok"));
+
+    let started = Instant::now();
+    let stats = server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(40),
+        "shutdown took {took:?} with one idle connection"
+    );
+    assert_eq!(stats.connections, 1);
+    drop(client);
 }

@@ -12,8 +12,9 @@
 //!   voltage-transfer curve in the paper,
 //! * [`Circuit::dc_sweep_par`] — the same sweep fanned out over the
 //!   deterministic executor: a coarse serial pre-solve seeds each
-//!   parallel chunk, and the result is bit-identical to the serial
-//!   sweep at every `CARBON_THREADS`,
+//!   parallel chunk, and the result is bit-identical across
+//!   `CARBON_THREADS` (though not always to the last bit of the serial
+//!   sweep, whose warm-start chain runs through every point),
 //! * [`Circuit::transient`] — time-domain integration (fixed-step or
 //!   LTE-adaptive, see [`transient`]), used for ring oscillators and
 //!   the inverter's dynamic behaviour with its 10 fF load.
@@ -352,6 +353,37 @@ impl Circuit {
         }
     }
 
+    /// Solves the operating point at each of `values` in turn, on a
+    /// private clone of this circuit with its own workspace: the first
+    /// from `seed`, each later one by continuation from the one before.
+    /// `point` gets each solution with the node names and its Newton
+    /// iteration count.
+    fn warm_chain(
+        &self,
+        source: &str,
+        values: &[f64],
+        mut x: Vec<f64>,
+        mut point: impl FnMut(&Arc<NameTable>, &[f64], usize),
+    ) -> Result<(), SpiceError> {
+        let mut work = self.clone();
+        let mut ws = MnaWorkspace::for_circuit(&work);
+        let mut prev_v: Option<f64> = None;
+        for &v in values {
+            let iters = match prev_v {
+                Some(pv) => {
+                    work.op_with_continuation(source, &mut x, &mut ws, pv, v, MAX_STEP_HALVINGS)?
+                }
+                None => {
+                    work.set_source_value(source, v)?;
+                    work.op_from(&mut x, &mut ws)?
+                }
+            };
+            prev_v = Some(v);
+            point(&ws.names, &x, iters);
+        }
+        Ok(())
+    }
+
     /// Sweeps the DC value of a named source from `from` to `to`
     /// (inclusive, step `step > 0`; the sweep may run downward if
     /// `to < from`), with warm-started continuation: each point's Newton
@@ -380,24 +412,11 @@ impl Circuit {
         }
         let mut points = reserve_per_point(grid.len() as f64, step)?;
         let mut newton_iterations = reserve_per_point(grid.len() as f64, step)?;
-        let mut work = self.clone();
-        let mut ws = MnaWorkspace::for_circuit(&work);
-        let mut x = vec![0.0; self.num_unknowns()];
-        let mut prev_v: Option<f64> = None;
-        for &v in &grid {
-            let iters = match prev_v {
-                Some(pv) => {
-                    work.op_with_continuation(source, &mut x, &mut ws, pv, v, MAX_STEP_HALVINGS)?
-                }
-                None => {
-                    work.set_source_value(source, v)?;
-                    work.op_from(&mut x, &mut ws)?
-                }
-            };
-            prev_v = Some(v);
-            points.push(OpResult::new(ws.names.clone(), x.clone()));
+        let zero = vec![0.0; self.num_unknowns()];
+        self.warm_chain(source, &grid, zero, |names, x, iters| {
+            points.push(OpResult::new(names.clone(), x.to_vec()));
             newton_iterations.push(iters);
-        }
+        })?;
         if sweep_span.is_live() {
             sweep_span.record("total_iters", newton_iterations.iter().sum::<usize>());
         }
@@ -447,34 +466,10 @@ impl Circuit {
 
         // Coarse serial pre-solve: solve the first point of every chunk,
         // warm-chaining from one chunk head to the next.
-        let mut seeds: Vec<Vec<f64>> = Vec::with_capacity(n_chunks);
-        {
-            let mut work = self.clone();
-            let mut ws = MnaWorkspace::for_circuit(&work);
-            let mut x = vec![0.0; self.num_unknowns()];
-            let mut prev_v: Option<f64> = None;
-            for c in 0..n_chunks {
-                let v = grid[c * chunk];
-                match prev_v {
-                    Some(pv) => {
-                        work.op_with_continuation(
-                            source,
-                            &mut x,
-                            &mut ws,
-                            pv,
-                            v,
-                            MAX_STEP_HALVINGS,
-                        )?;
-                    }
-                    None => {
-                        work.set_source_value(source, v)?;
-                        work.op_from(&mut x, &mut ws)?;
-                    }
-                }
-                prev_v = Some(v);
-                seeds.push(x.clone());
-            }
-        }
+        let heads: Vec<f64> = grid.iter().step_by(chunk).copied().collect();
+        let mut seeds = Vec::with_capacity(n_chunks);
+        let zero = vec![0.0; self.num_unknowns()];
+        self.warm_chain(source, &heads, zero, |_, x, _| seeds.push(x.to_vec()))?;
 
         // Parallel phase: each chunk sweeps its own points from its
         // pre-solved seed with a private circuit clone and workspace.
@@ -488,34 +483,15 @@ impl Circuit {
                     chunk_span.record("chunk", c);
                     chunk_span.record("points", hi - lo);
                 }
-                let mut work = self.clone();
-                let mut ws = MnaWorkspace::for_circuit(&work);
-                let mut x = seeds[c].clone();
                 let mut points = Vec::with_capacity(hi - lo);
                 let mut iters = Vec::with_capacity(hi - lo);
-                let mut prev_v = grid[lo];
-                for (k, &v) in grid[lo..hi].iter().enumerate() {
-                    let it = if k == 0 {
-                        // The chunk head was solved by the pre-solve;
-                        // re-running Newton from its own solution
-                        // converges immediately and records the true
-                        // residual iteration count.
-                        work.set_source_value(source, v)?;
-                        work.op_from(&mut x, &mut ws)?
-                    } else {
-                        work.op_with_continuation(
-                            source,
-                            &mut x,
-                            &mut ws,
-                            prev_v,
-                            v,
-                            MAX_STEP_HALVINGS,
-                        )?
-                    };
-                    prev_v = v;
-                    points.push(OpResult::new(ws.names.clone(), x.clone()));
+                // The chunk head was solved by the pre-solve; re-running
+                // Newton from its own solution converges immediately and
+                // records the true residual iteration count.
+                self.warm_chain(source, &grid[lo..hi], seeds[c].clone(), |names, x, it| {
+                    points.push(OpResult::new(names.clone(), x.to_vec()));
                     iters.push(it);
-                }
+                })?;
                 if chunk_span.is_live() {
                     chunk_span.record("iters", iters.iter().sum::<usize>());
                 }
