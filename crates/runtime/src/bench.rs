@@ -66,11 +66,6 @@ impl Harness {
         }
     }
 
-    /// Whether the harness is in run-once smoke mode (`--test`).
-    pub fn is_smoke(&self) -> bool {
-        self.smoke
-    }
-
     /// Times `f`, reporting it as `group/id`.
     ///
     /// Wrap inputs and outputs in [`black_box`] inside the closure to

@@ -11,9 +11,10 @@
 //! the poll is one thread-local read that returns `false`, so library
 //! users who never cancel pay nothing.
 //!
-//! The [`Executor`](crate::executor::Executor) propagates the calling
-//! thread's token into its scoped workers, so a cancellation covers a
-//! parallel sweep's chunks too.
+//! The [`Executor`](crate::executor::Executor) enters the calling
+//! thread's token on each scoped helper through [`scope`], so a
+//! cancellation covers every chunk of a parallel sweep, the ones the
+//! caller runs itself and the ones its helpers run.
 //!
 //! Cancellation is **observational, never participatory**: a token can
 //! only make work stop early with an error, not change any value a
@@ -43,12 +44,6 @@ impl CancelToken {
     /// called.
     pub fn new() -> Self {
         Self::build(None)
-    }
-
-    /// A token that additionally reports cancelled once `deadline`
-    /// passes.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self::build(Some(deadline))
     }
 
     /// A token whose deadline is `timeout` from now.
@@ -92,7 +87,8 @@ thread_local! {
 
 /// Runs `f` with `token` installed as the calling thread's cancellation
 /// token, restoring the previous token (if any) afterwards. Executor
-/// workers spawned inside `f` inherit the token.
+/// helpers spawned inside `f` enter the token through this function
+/// too.
 pub fn scope<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     struct Restore {
         prev: Option<CancelToken>,
@@ -109,30 +105,9 @@ pub fn scope<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
 }
 
 /// The calling thread's installed token, if any — what the executor
-/// forwards into its workers.
+/// forwards into its helpers.
 pub fn current() -> Option<CancelToken> {
     CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Installs an inherited token for the lifetime of the returned guard
-/// (the executor's worker-thread entry point).
-pub(crate) fn inherit(token: Option<CancelToken>) -> impl Drop {
-    struct Restore {
-        prev: Option<CancelToken>,
-    }
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-        }
-    }
-    Restore {
-        prev: CURRENT.with(|c| {
-            let mut slot = c.borrow_mut();
-            let prev = slot.take();
-            *slot = token;
-            prev
-        }),
-    }
 }
 
 /// Whether the calling thread's work has been asked to stop — the

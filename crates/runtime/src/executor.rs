@@ -17,18 +17,22 @@
 //! random sequence an item sees depends only on the seed and its index,
 //! never on scheduling.
 //!
-//! Workers pull chunks from an atomic cursor (no work-stealing state to
-//! seed), and nested calls run inline on the calling worker so a
-//! parallel sweep over devices whose model itself parallelizes cannot
-//! oversubscribe the machine. A thread whose pool already keeps every
-//! core busy — a `carbon-serve` job worker under load — joins that rule
-//! through [`as_worker`].
+//! The calling thread and up to `threads - 1` scoped helpers pull
+//! chunks from an atomic cursor (no work-stealing state to seed). Each
+//! is an executor worker while it pulls, so nested calls run inline on
+//! it, and a parallel sweep over devices whose model itself
+//! parallelizes cannot oversubscribe the machine. A call with one chunk
+//! or one thread runs on the caller alone and leaves the caller's
+//! worker flag as it was, so a call nested inside it may still fan out.
+//! A thread whose pool already keeps every core busy — a `carbon-serve`
+//! job worker under load — joins that rule through [`as_worker`].
 
 use std::cell::Cell;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use carbon_metrics::{global_gauge, global_histogram};
+use carbon_metrics::{global_gauge, global_histogram, Gauge};
 use carbon_trace::span;
 
 use crate::rng::Xoshiro256pp;
@@ -39,16 +43,19 @@ use crate::rng::Xoshiro256pp;
 pub const MC_CHUNK: usize = 1024;
 
 thread_local! {
-    /// Set while the current thread is an executor worker; nested
-    /// executor calls then run inline instead of spawning again.
+    /// Set while the current thread is an executor worker: a helper, a
+    /// caller while helpers run beside it, or a thread inside
+    /// [`as_worker`]. Nested executor calls then run inline instead of
+    /// spawning again.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Runs `f` as an executor worker: every executor call `f` makes on
 /// this thread runs inline, its chunks in order on this thread, instead
-/// of spawning scoped workers. Results are unchanged (the determinism
+/// of spawning scoped helpers. Results are unchanged (the determinism
 /// contract holds at one thread), and chunk spans keep the caller's
-/// open span as their ancestor.
+/// open span as their ancestor. A fanned-out call runs the caller's own
+/// share of the chunks under it while its helpers run beside it.
 ///
 /// For a thread that is one worker of a pool whose running jobs already
 /// keep every core busy, such as a loaded `carbon-serve` job worker:
@@ -210,6 +217,13 @@ impl Executor {
         T: Send,
         W: Fn(usize, usize, &mut Vec<T>) + Sync,
     {
+        /// Holds one chunk in the in-flight gauge, through an unwind too.
+        struct InFlight<'a>(&'a Gauge);
+        impl Drop for InFlight<'_> {
+            fn drop(&mut self) {
+                self.0.sub(1);
+            }
+        }
         if n == 0 {
             return Vec::new();
         }
@@ -218,72 +232,86 @@ impl Executor {
         let chunk_hist = global_histogram!("runtime.chunk_ns");
         let inflight = global_gauge!("runtime.inflight_chunks");
         let n_chunks = n.div_ceil(chunk_size);
-        let workers = self.threads.min(n_chunks);
-        let inline = workers == 1 || IN_WORKER.with(Cell::get);
+        let workers = if IN_WORKER.with(Cell::get) {
+            1
+        } else {
+            self.threads.min(n_chunks)
+        };
         let mut run_span = span!("runtime.run_chunked");
         if run_span.is_live() {
             run_span.record("items", n);
             run_span.record("chunk_size", chunk_size);
             run_span.record("n_chunks", n_chunks);
-            run_span.record("workers", if inline { 1 } else { workers });
-            run_span.record("inline", inline);
+            run_span.record("workers", workers);
+            run_span.record("inline", workers == 1);
         }
-        if inline {
-            let mut out = Vec::with_capacity(n);
-            for c in 0..n_chunks {
+        let cursor = AtomicUsize::new(0);
+        // One worker's share: the index and item count of each chunk it
+        // pulled, ascending, and their items end to end.
+        let pull = || {
+            let mut chunks = Vec::new();
+            let mut items = Vec::with_capacity(n.div_ceil(workers));
+            loop {
+                let c = cursor.fetch_add(1, Ordering::Relaxed);
+                if c >= n_chunks {
+                    return (chunks, items);
+                }
                 let mut chunk_span = span!("runtime.chunk");
                 if chunk_span.is_live() {
                     chunk_span.record("chunk", c);
                     chunk_span.record("items", (n - c * chunk_size).min(chunk_size));
+                    // Chunks still waiting in the queue when this one
+                    // was pulled.
                     chunk_span.record("queue", n_chunks - c - 1);
                 }
                 inflight.add(1);
+                let _in_flight = InFlight(inflight);
                 let started = std::time::Instant::now();
-                work(c * chunk_size, c, &mut out);
+                let before = items.len();
+                work(c * chunk_size, c, &mut items);
                 chunk_hist.record(started.elapsed().as_nanos() as u64);
-                inflight.sub(1);
+                chunks.push((c, items.len() - before));
             }
-            return out;
+        };
+        if workers == 1 {
+            return pull().1;
         }
 
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Vec<T>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-        // Workers inherit the caller's cancellation token (if any), so
+        // Helpers inherit the caller's cancellation token (if any), so
         // a deadline installed around a parallel sweep reaches the
         // checkpoints inside every chunk.
         let token = crate::cancel::current();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    IN_WORKER.with(|w| w.set(true));
-                    let _inherit = crate::cancel::inherit(token.clone());
-                    loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let mut chunk_span = span!("runtime.chunk");
-                        if chunk_span.is_live() {
-                            chunk_span.record("chunk", c);
-                            chunk_span.record("items", (n - c * chunk_size).min(chunk_size));
-                            // Chunks still waiting in the queue when this
-                            // one was pulled.
-                            chunk_span.record("queue", n_chunks.saturating_sub(c + 1));
-                        }
-                        inflight.add(1);
-                        let started = std::time::Instant::now();
-                        let mut local = Vec::with_capacity(chunk_size);
-                        work(c * chunk_size, c, &mut local);
-                        chunk_hist.record(started.elapsed().as_nanos() as u64);
-                        inflight.sub(1);
-                        *slots[c].lock().expect("chunk slot poisoned") = local;
-                    }
-                });
-            }
+        let helper = || match &token {
+            Some(token) => crate::cancel::scope(token, || as_worker(pull)),
+            None => as_worker(pull),
+        };
+        let shares = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(helper)).collect();
+            let mut shares = vec![as_worker(pull)];
+            // A helper's panic reaches the caller with its own payload.
+            shares.extend(
+                helpers
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+            );
+            shares
         });
+        // Each share holds its chunks in ascending order, so taking
+        // every chunk's items from its share, chunk by chunk, puts each
+        // item at its index.
+        let mut owner = vec![(0, 0); n_chunks];
+        for (s, (chunks, _)) in shares.iter().enumerate() {
+            for &(c, len) in chunks {
+                owner[c] = (s, len);
+            }
+        }
+        let mut items: Vec<_> = shares
+            .into_iter()
+            .map(|(_, items)| items.into_iter())
+            .collect();
         let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            out.extend(slot.into_inner().expect("chunk slot poisoned"));
+        for (s, len) in owner {
+            out.extend(items[s].by_ref().take(len));
         }
         out
     }
@@ -415,11 +443,45 @@ mod tests {
         };
         let caller = thread::current().id();
         let (inside, inside_threads) = as_worker(run);
-        let (outside, outside_threads) = run();
+        let (outside, _) = run();
         assert!(inside_threads.iter().all(|&id| id == caller));
-        // Outside the entry the same calls fan out to scoped workers.
-        assert!(outside_threads.iter().all(|&id| id != caller));
         assert_eq!(inside, outside);
+    }
+
+    #[test]
+    fn a_fanned_out_call_runs_on_the_caller_beside_a_helper() {
+        use std::thread;
+        use std::time::{Duration, Instant};
+
+        let started = AtomicUsize::new(0);
+        let threads = Executor::with_threads(2).par_map(2, |_| {
+            // Each item waits for the other to start, so no one thread
+            // runs both; the bound keeps a broken executor from hanging.
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                thread::yield_now();
+            }
+            thread::current().id()
+        });
+        assert_ne!(threads[0], threads[1]);
+        assert!(threads.contains(&thread::current().id()));
+    }
+
+    #[test]
+    fn a_single_chunk_call_leaves_nested_calls_free_to_fan_out() {
+        use carbon_trace::collect::Collector;
+        use carbon_trace::Value;
+
+        let collector = Collector::new();
+        carbon_trace::with_subscriber(collector.clone(), || {
+            Executor::with_threads(2).par_map(1, |_| Executor::with_threads(2).par_map(4, |i| i))
+        });
+        // Spans are recorded as they close: the nested run first.
+        assert_eq!(
+            collector.span_field("runtime.run_chunked", "inline"),
+            vec![Value::Bool(false), Value::Bool(true)]
+        );
     }
 
     #[test]
@@ -458,8 +520,28 @@ mod tests {
             collector.span_field("runtime.run_chunked", "workers"),
             vec![Value::U64(1), Value::U64(4)]
         );
-        // Only the inline run's chunks land on this thread's subscriber.
-        assert_eq!(collector.spans("runtime.chunk").len(), 8);
+        // Only the chunks the caller ran land on this thread's
+        // subscriber: all 8 of the inline run's, and the fanned-out
+        // run's share, which its helpers' pace decides.
+        let id = |e: &carbon_trace::Event| match e {
+            carbon_trace::Event::Span { id, .. } => *id,
+            carbon_trace::Event::Instant { .. } => unreachable!(),
+        };
+        let runs: Vec<u64> = collector
+            .spans("runtime.run_chunked")
+            .iter()
+            .map(id)
+            .collect();
+        let chunks = collector.spans("runtime.chunk");
+        let under = |run: u64| {
+            chunks
+                .iter()
+                .filter(|e| matches!(e, carbon_trace::Event::Span { parent, .. } if *parent == Some(run)))
+                .count()
+        };
+        assert_eq!(under(runs[0]), 8);
+        assert!(under(runs[1]) <= 8);
+        assert_eq!(chunks.len(), 8 + under(runs[1]));
     }
 
     #[test]

@@ -990,9 +990,10 @@ mod tests {
             collector.span_field("runtime.run_chunked", "workers"),
             [1, 4].map(Value::U64)
         );
-        // The inline run's chunks descend from its request's span; the
-        // fanned-out run's chunks ran on spawned threads, which report
-        // to no subscriber here.
+        // The inline run's chunks descend from its request's span. The
+        // fanned-out run's caller ran a share of the chunks beside its
+        // helpers, which report to no subscriber here; how large a
+        // share is a race, so only its count is checked.
         let span_id = |e: &Event| match e {
             Event::Span { id, .. } => *id,
             Event::Instant { .. } => unreachable!("spans() returns spans"),
@@ -1028,7 +1029,7 @@ mod tests {
             .iter()
             .map(|request| chunks_under(span_id(request)))
             .collect();
-        assert_eq!(per_request, [24, 0], "one chunk per econ cell, per request");
-        assert_eq!(chunks.len(), 24);
+        assert_eq!(per_request[0], 24, "one chunk per econ cell");
+        assert_eq!(chunks.len(), 24 + per_request[1]);
     }
 }
