@@ -6,7 +6,7 @@ use carbon_runtime::bench::{black_box, Harness};
 
 use carbon_bench::{diode_chain, fet_cs_amp, log_freqs, rc_ladder, resistor_ladder};
 use carbon_spice::parser::parse_deck;
-use carbon_spice::{AcMethod, AcOptions, Circuit, TranOptions, Waveform};
+use carbon_spice::{AcMethod, AcOptions, Circuit, DcOptions, TranOptions, Waveform};
 
 fn main() {
     let mut h = Harness::group("solver");
@@ -35,7 +35,10 @@ fn main() {
 
     let ckt = resistor_ladder(16);
     h.bench("dc_sweep_100pt", || {
-        black_box(ckt.dc_sweep("v", 0.0, 1.0, 0.01).expect("sweeps"));
+        black_box(
+            ckt.dc_sweep("v", 0.0, 1.0, 0.01, DcOptions::default())
+                .expect("sweeps"),
+        );
     });
 
     let mut ckt = Circuit::new();

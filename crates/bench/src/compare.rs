@@ -1,78 +1,29 @@
 //! Regression comparison of two benchmark JSONL snapshots.
 //!
-//! The harness ([`carbon_runtime::bench`]) appends one JSON object per
-//! benchmark to `target/carbon-bench/<group>.jsonl`. This module parses
-//! those lines (the writer emits a fixed, flat shape — no external JSON
-//! dependency needed) and diffs two snapshots: the `carbon-bench`
-//! binary's `compare` subcommand exits nonzero when any benchmark's
-//! median regresses past a threshold, which `ci.sh` can opt into via
-//! `CARBON_BENCH_COMPARE=1`.
+//! The harness ([`carbon_runtime::bench`]) writes one [`Record`] per
+//! benchmark to `target/carbon-bench/<group>.jsonl`, and
+//! `trace-summary` writes trace statistics in the same row. This module
+//! reads those lines back ([`parse_jsonl`]) and diffs two snapshots:
+//! the `carbon-bench` binary's `compare` subcommand exits nonzero when
+//! any benchmark's median regresses past a threshold, which `ci.sh`
+//! can opt into via `CARBON_BENCH_COMPARE=1`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use carbon_json::{string_field, u64_field};
+use carbon_runtime::bench::Record;
 
-/// One benchmark record parsed from a JSONL line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchRecord {
-    /// Benchmark id, e.g. `"solver/newton_diode_chain/24"`.
-    pub id: String,
-    /// Median time per iteration, nanoseconds.
-    pub median_ns: u64,
-    /// Fastest iteration, ns — lower edge of the run's noise band
-    /// (absent in snapshots from harnesses that did not record it).
-    pub min_ns: Option<u64>,
-    /// Slowest iteration, ns — upper edge of the run's noise band.
-    pub max_ns: Option<u64>,
-}
-
-/// Error parsing a benchmark JSONL snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses a benchmark snapshot (one JSON object per non-empty line).
+/// Parses a benchmark snapshot (one [`Record`] per non-empty line).
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] for any line missing the `id` or `median_ns`
-/// fields.
-pub fn parse_jsonl(text: &str) -> Result<Vec<BenchRecord>, ParseError> {
-    let mut records = Vec::new();
-    for (k, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let id = string_field(line, "id").ok_or_else(|| ParseError {
-            line: k + 1,
-            reason: "missing \"id\" string field".into(),
-        })?;
-        let median_ns = u64_field(line, "median_ns").ok_or_else(|| ParseError {
-            line: k + 1,
-            reason: "missing \"median_ns\" integer field".into(),
-        })?;
-        records.push(BenchRecord {
-            id,
-            median_ns,
-            min_ns: u64_field(line, "min_ns"),
-            max_ns: u64_field(line, "max_ns"),
-        });
-    }
-    Ok(records)
+/// Names the first bad line (1-based) and what is wrong with it.
+pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(k, line)| Record::parse(line).map_err(|reason| format!("line {}: {reason}", k + 1)))
+        .collect()
 }
 
 /// One row of a snapshot comparison.
@@ -86,19 +37,18 @@ pub struct Delta {
     pub new_ns: u64,
     /// Relative change, `new/old − 1` (positive = slower).
     pub change: f64,
-    /// Baseline noise band (min..max over the baseline run's
-    /// iterations), when the baseline snapshot recorded one.
-    pub old_band: Option<(u64, u64)>,
+    /// The baseline's slowest sample, ns: the upper edge of its noise
+    /// band.
+    pub old_max_ns: u64,
 }
 
 impl Delta {
     /// Whether this delta is a regression at `threshold`: the median
-    /// must have grown past the threshold **and** landed outside the
-    /// baseline's own min..max noise band (when one was recorded).
-    /// A noisy benchmark whose baseline band already covers the new
-    /// median is jitter, not a regression.
+    /// must have grown past the threshold **and** past the baseline's
+    /// slowest sample. A noisy benchmark whose baseline band already
+    /// covers the new median is jitter, not a regression.
     pub fn regressed(&self, threshold: f64) -> bool {
-        self.change > threshold && self.old_band.is_none_or(|(_, max)| self.new_ns > max)
+        self.change > threshold && self.new_ns > self.old_max_ns
     }
 }
 
@@ -166,9 +116,9 @@ impl fmt::Display for Comparison {
 ///
 /// Duplicate ids within one snapshot keep the last occurrence, matching
 /// "append and re-run" harness usage.
-pub fn compare(old: &[BenchRecord], new: &[BenchRecord], threshold: f64) -> Comparison {
+pub fn compare(old: &[Record], new: &[Record], threshold: f64) -> Comparison {
     let new_by_id: BTreeMap<&str, u64> = new.iter().map(|r| (r.id.as_str(), r.median_ns)).collect();
-    let old_by_id: BTreeMap<&str, &BenchRecord> = old.iter().map(|r| (r.id.as_str(), r)).collect();
+    let old_by_id: BTreeMap<&str, &Record> = old.iter().map(|r| (r.id.as_str(), r)).collect();
 
     let mut seen = std::collections::BTreeSet::new();
     let mut deltas = Vec::new();
@@ -189,7 +139,7 @@ pub fn compare(old: &[BenchRecord], new: &[BenchRecord], threshold: f64) -> Comp
                 } else {
                     new_ns as f64 / old_ns as f64 - 1.0
                 },
-                old_band: old_rec.min_ns.zip(old_rec.max_ns),
+                old_max_ns: old_rec.max_ns,
             }),
             None => only_old.push(r.id.clone()),
         }
@@ -212,27 +162,23 @@ pub fn compare(old: &[BenchRecord], new: &[BenchRecord], threshold: f64) -> Comp
 mod tests {
     use super::*;
 
-    fn rec(id: &str, ns: u64) -> BenchRecord {
-        BenchRecord {
-            id: id.into(),
-            median_ns: ns,
-            min_ns: None,
-            max_ns: None,
-        }
+    fn rec(id: &str, ns: u64) -> Record {
+        rec_band(id, ns, ns, ns)
     }
 
-    fn rec_band(id: &str, ns: u64, min: u64, max: u64) -> BenchRecord {
-        BenchRecord {
+    fn rec_band(id: &str, ns: u64, min: u64, max: u64) -> Record {
+        Record {
             id: id.into(),
             median_ns: ns,
-            min_ns: Some(min),
-            max_ns: Some(max),
+            min_ns: min,
+            max_ns: max,
+            iters: 1,
         }
     }
 
     #[test]
     fn parses_harness_output() {
-        let text = "{\"id\":\"solver/op/8\",\"median_ns\":2763,\"min_ns\":2659,\"max_ns\":3193,\"iters\":10000}\n\n{\"id\":\"a\\\"b\",\"median_ns\":5}\n";
+        let text = "{\"id\":\"solver/op/8\",\"median_ns\":2763,\"min_ns\":2659,\"max_ns\":3193,\"iters\":1}\n\n{\"id\":\"a\\\"b\",\"median_ns\":5,\"min_ns\":5,\"max_ns\":5,\"iters\":1}\n";
         let recs = parse_jsonl(text).unwrap();
         assert_eq!(
             recs,
@@ -242,10 +188,13 @@ mod tests {
 
     #[test]
     fn rejects_malformed_lines() {
-        let err = parse_jsonl("{\"id\":\"x\"}").unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(err.reason.contains("median_ns"));
+        let err = parse_jsonl("\n{\"id\":\"x\"}").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+        assert!(err.contains("median_ns"), "{err}");
         assert!(parse_jsonl("{\"median_ns\":3}").is_err());
+        // Every row carries its noise band.
+        let err = parse_jsonl("{\"id\":\"x\",\"median_ns\":5,\"iters\":1}").unwrap_err();
+        assert!(err.contains("min_ns"), "{err}");
     }
 
     #[test]
@@ -287,12 +236,6 @@ mod tests {
         // Inside the band but below the threshold: nothing flagged.
         let cmp = compare(&old, &[rec("noisy", 1050)], 0.10);
         assert!(cmp.regressions().is_empty());
-    }
-
-    #[test]
-    fn missing_band_falls_back_to_flat_threshold() {
-        let cmp = compare(&[rec("a", 1000)], &[rec("a", 1150)], 0.10);
-        assert_eq!(cmp.regressions().len(), 1, "no band recorded: gate flat");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Aggregation of a `carbon-trace` JSONL file into benchmark records.
 //!
-//! `carbon-bench trace-summary <trace.jsonl>` folds a raw event stream
+//! `carbon-bench trace-summary <trace.jsonl>` reads a raw event stream
 //! (one JSON object per span / instant, as written by the
-//! `CARBON_TRACE` exporter) into the same flat JSONL schema the bench
-//! harness emits and [`crate::compare`] consumes:
+//! `CARBON_TRACE` exporter) line by line with [`Json::parse`], and
+//! folds it into the bench harness's row, [`Record`], which
+//! [`crate::compare`] consumes:
 //!
 //! ```text
 //! {"id":"trace/spice.newton_solve/dur_ns","median_ns":8100,"min_ns":7300,"max_ns":9800,"iters":101}
@@ -22,51 +23,18 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use carbon_json::{find_string_end, string_field, u64_field};
-
-/// One aggregated statistic from a trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceStat {
-    /// Record id, e.g. `"trace/spice.newton_solve/dur_ns"`.
-    pub id: String,
-    /// Median of the observations (the count for instants).
-    pub median: u64,
-    /// Smallest observation.
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-    /// Number of observations folded in.
-    pub count: u64,
-}
-
-impl TraceStat {
-    fn from_samples(id: String, samples: &mut [u64]) -> Self {
-        samples.sort_unstable();
-        Self {
-            id,
-            median: samples[samples.len() / 2],
-            min: samples[0],
-            max: samples[samples.len() - 1],
-            count: samples.len() as u64,
-        }
-    }
-
-    /// Renders the stat as one harness-schema JSONL line (no newline).
-    pub fn render(&self) -> String {
-        format!(
-            "{{\"id\":\"{}\",\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"iters\":{}}}",
-            self.id, self.median, self.min, self.max, self.count
-        )
-    }
-}
+use carbon_json::Json;
+use carbon_runtime::bench::Record;
 
 /// A summarized trace: every statistic, sorted by id.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// Aggregated rows in id order (deterministic output).
-    pub stats: Vec<TraceStat>,
-    /// Events whose line could not be classified (unknown `ev` value or
-    /// missing mandatory key). Zero on a well-formed trace.
+    /// Aggregated rows in id order (deterministic output): `median_ns`,
+    /// `min_ns` and `max_ns` over the observations, `iters` their count.
+    pub stats: Vec<Record>,
+    /// Events whose line could not be classified (not JSON, unknown
+    /// `ev` value or missing mandatory key). Zero on a well-formed
+    /// trace.
     pub skipped: usize,
 }
 
@@ -79,108 +47,73 @@ impl fmt::Display for TraceSummary {
     }
 }
 
-/// Extracts the integer-valued entries of the `"fields":{...}` object
-/// of a trace line. Floats, strings, bools and nulls are skipped —
-/// only counts (Newton iterations, repivots, queue depths) are
-/// meaningful to aggregate.
-fn integer_fields(line: &str) -> Vec<(String, u64)> {
-    let Some(start) = line.find("\"fields\":{") else {
-        return Vec::new();
-    };
-    let body = &line[start + "\"fields\":{".len()..];
-    let mut out = Vec::new();
-    let mut rest = body;
-    // Each iteration consumes one `"key":value` pair.
-    while let Some(key_start) = rest.find('"') {
-        let after_key = &rest[key_start + 1..];
-        let Some(key_end) = find_string_end(after_key) else {
-            break;
-        };
-        let key = &after_key[..key_end];
-        let Some(value) = after_key[key_end + 1..].strip_prefix(':') else {
-            break;
-        };
-        if let Some(string_value) = value.strip_prefix('"') {
-            // String value: skip past its closing quote.
-            let Some(end) = find_string_end(string_value) else {
-                break;
-            };
-            rest = &string_value[end + 1..];
-        } else {
-            let literal: &str = value.split_terminator([',', '}']).next().unwrap_or("");
-            if !literal.is_empty() && literal.bytes().all(|b| b.is_ascii_digit()) {
-                if let Ok(v) = literal.parse::<u64>() {
-                    out.push((key.to_owned(), v));
-                }
-            }
-            rest = &value[literal.len()..];
-        }
-        match rest.as_bytes().first() {
-            Some(b',') => rest = &rest[1..],
-            _ => break,
-        }
+/// The row of one id's observations: median, extremes and count.
+fn from_samples(id: String, samples: &mut [u64]) -> Record {
+    samples.sort_unstable();
+    Record {
+        id,
+        median_ns: samples[samples.len() / 2],
+        min_ns: samples[0],
+        max_ns: samples[samples.len() - 1],
+        iters: samples.len() as u64,
     }
-    out
 }
 
 /// Aggregates a trace JSONL text into benchmark-schema statistics.
+///
+/// A span field is aggregated when it reads as a non-negative `Int`
+/// ([`Json::as_u64`]): counts such as Newton iterations, repivots and
+/// chunk sizes. Floats, strings, bools, nulls and integers above
+/// `i64::MAX` are skipped.
 pub fn summarize(text: &str) -> TraceSummary {
     let mut span_durs: BTreeMap<String, Vec<u64>> = BTreeMap::new();
     let mut span_fields: BTreeMap<(String, String), Vec<u64>> = BTreeMap::new();
     let mut instants: BTreeMap<String, u64> = BTreeMap::new();
     let mut skipped = 0usize;
 
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
+    for line in text.lines().filter(|line| !line.trim().is_empty()) {
+        let Ok(event) = Json::parse(line) else {
+            skipped += 1;
             continue;
-        }
-        let classified = (|| {
-            let ev = string_field(line, "ev")?;
-            let name = string_field(line, "name")?;
-            match ev.as_str() {
-                "span" => {
-                    let dur = u64_field(line, "dur_ns")?;
-                    span_durs.entry(name.clone()).or_default().push(dur);
-                    for (key, value) in integer_fields(line) {
-                        span_fields
-                            .entry((name.clone(), key))
-                            .or_default()
-                            .push(value);
+        };
+        let text_of = |key| event.get(key).and_then(Json::as_str);
+        match (text_of("ev"), text_of("name")) {
+            (Some("span"), Some(name)) => {
+                let Some(dur) = event.get("dur_ns").and_then(Json::as_u64) else {
+                    skipped += 1;
+                    continue;
+                };
+                span_durs.entry(name.to_owned()).or_default().push(dur);
+                if let Some(Json::Obj(fields)) = event.get("fields") {
+                    for (key, value) in fields {
+                        if let Some(value) = value.as_u64() {
+                            span_fields
+                                .entry((name.to_owned(), key.clone()))
+                                .or_default()
+                                .push(value);
+                        }
                     }
                 }
-                "instant" => *instants.entry(name).or_insert(0) += 1,
-                _ => return None,
             }
-            Some(())
-        })();
-        if classified.is_none() {
-            skipped += 1;
+            (Some("instant"), Some(name)) => *instants.entry(name.to_owned()).or_insert(0) += 1,
+            _ => skipped += 1,
         }
     }
 
-    let mut stats = Vec::new();
-    for (name, mut durs) in span_durs {
-        stats.push(TraceStat::from_samples(
-            format!("trace/{name}/dur_ns"),
-            &mut durs,
-        ));
-    }
-    for ((name, key), mut values) in span_fields {
-        stats.push(TraceStat::from_samples(
-            format!("trace/{name}/{key}"),
-            &mut values,
-        ));
-    }
-    for (name, hits) in instants {
-        stats.push(TraceStat {
-            id: format!("trace/instant/{name}"),
-            median: hits,
-            min: hits,
-            max: hits,
-            count: hits,
-        });
-    }
+    let durs = span_durs
+        .into_iter()
+        .map(|(name, mut durs)| from_samples(format!("trace/{name}/dur_ns"), &mut durs));
+    let fields = span_fields
+        .into_iter()
+        .map(|((name, key), mut values)| from_samples(format!("trace/{name}/{key}"), &mut values));
+    let instants = instants.into_iter().map(|(name, hits)| Record {
+        id: format!("trace/instant/{name}"),
+        median_ns: hits,
+        min_ns: hits,
+        max_ns: hits,
+        iters: hits,
+    });
+    let mut stats: Vec<Record> = durs.chain(fields).chain(instants).collect();
     stats.sort_by(|a, b| a.id.cmp(&b.id));
     TraceSummary { stats, skipped }
 }
@@ -206,22 +139,25 @@ pub fn folded(text: &str) -> String {
     }
     let mut spans: BTreeMap<u64, SpanRec> = BTreeMap::new();
     for line in text.lines() {
-        let line = line.trim();
-        if string_field(line, "ev").as_deref() != Some("span") {
+        let Ok(event) = Json::parse(line) else {
+            continue;
+        };
+        if event.get("ev").and_then(Json::as_str) != Some("span") {
             continue;
         }
+        let int = |key| event.get(key).and_then(Json::as_u64);
         let (Some(name), Some(id), Some(dur)) = (
-            string_field(line, "name"),
-            u64_field(line, "id"),
-            u64_field(line, "dur_ns"),
+            event.get("name").and_then(Json::as_str),
+            int("id"),
+            int("dur_ns"),
         ) else {
             continue;
         };
         spans.insert(
             id,
             SpanRec {
-                name,
-                parent: u64_field(line, "parent"),
+                name: name.to_owned(),
+                parent: int("parent"),
                 dur,
                 child_ns: 0,
             },
@@ -281,20 +217,20 @@ mod tests {
     fn aggregates_span_durations_and_fields() {
         let summary = summarize(TRACE);
         assert_eq!(summary.skipped, 0);
-        let by_id: BTreeMap<&str, &TraceStat> =
+        let by_id: BTreeMap<&str, &Record> =
             summary.stats.iter().map(|s| (s.id.as_str(), s)).collect();
 
         let dur = by_id["trace/spice.newton_solve/dur_ns"];
         assert_eq!(
-            (dur.median, dur.min, dur.max, dur.count),
+            (dur.median_ns, dur.min_ns, dur.max_ns, dur.iters),
             (700, 500, 900, 3)
         );
 
         let iters = by_id["trace/spice.newton_solve/iters"];
-        assert_eq!((iters.median, iters.min, iters.max), (4, 3, 9));
+        assert_eq!((iters.median_ns, iters.min_ns, iters.max_ns), (4, 3, 9));
 
         let halvings = by_id["trace/instant/spice.continuation_halve"];
-        assert_eq!(halvings.median, 1);
+        assert_eq!(halvings.median_ns, 1);
 
         // Non-integer fields (bool, float, string) are not aggregated.
         assert!(!by_id.contains_key("trace/spice.newton_solve/converged"));
@@ -307,7 +243,7 @@ mod tests {
         let summary = summarize(TRACE);
         let rendered = summary.to_string();
         let parsed = crate::compare::parse_jsonl(&rendered).expect("schema round-trips");
-        assert_eq!(parsed.len(), summary.stats.len());
+        assert_eq!(parsed, summary.stats);
         let ids: Vec<&str> = summary.stats.iter().map(|s| s.id.as_str()).collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -361,9 +297,11 @@ mod tests {
     }
 
     #[test]
-    fn field_scanner_survives_tricky_strings() {
+    fn only_non_negative_json_integers_are_aggregated() {
         let line = "{\"ev\":\"span\",\"name\":\"s\",\"id\":1,\"thread\":1,\"start_ns\":0,\
-                    \"dur_ns\":1,\"fields\":{\"label\":\"a,}\\\"b\",\"n\":7}}";
-        assert_eq!(integer_fields(line), vec![("n".to_owned(), 7)]);
+                    \"dur_ns\":1,\"fields\":{\"label\":\"a,}\\\"b\",\"n\":7,\"neg\":-2,\
+                    \"big\":18446744073709551615,\"x\":2.0}}";
+        let ids: Vec<String> = summarize(line).stats.into_iter().map(|s| s.id).collect();
+        assert_eq!(ids, ["trace/s/dur_ns", "trace/s/n"]);
     }
 }

@@ -2,16 +2,18 @@
 //! report: the same bytes at `CARBON_THREADS` 1, 2, 4 and 8, with and
 //! without the `CARBON_TRACE` exporter, pinned to golden FNV-1a 64
 //! digests; the report's spans in every traced run's `trace-summary`;
-//! and no growth past the baselines in `benches/baseline/`. Each run is
+//! and every row of the baselines in `benches/baseline/` present and
+//! no larger. Each run is
 //! a fresh process, so the thread count and the env-installed exporter
 //! behave exactly as on the command line. EXPERIMENTS.md says how to
 //! update the golden values.
 
 use std::process::Command;
 
-use carbon_bench::compare::{compare, parse_jsonl, BenchRecord};
+use carbon_bench::compare::{compare, parse_jsonl};
 use carbon_bench::summary::summarize;
 use carbon_bench::Fnv;
+use carbon_runtime::bench::Record;
 
 /// `carbon-bench` arguments, golden FNV-1a 64 of stdout, and the spans
 /// (space-separated) every traced run must record; `name=k` also pins
@@ -72,11 +74,11 @@ fn check_run((args, golden, spans): Case, threads: &str, traced: bool) -> Result
         let Some(stat) = summary.stats.iter().find(|s| s.id == id) else {
             return Err(format!("trace summary has no {id} row"));
         };
-        if !count.is_empty() && stat.count.to_string() != count {
-            return Err(format!("{} {span} spans, want {count}", stat.count));
+        if !count.is_empty() && stat.iters.to_string() != count {
+            return Err(format!("{} {span} spans, want {count}", stat.iters));
         }
     }
-    let mut rows = parse_jsonl(&summary.to_string()).map_err(|e| e.to_string())?;
+    let mut rows = summary.stats;
     let baseline = match (args, threads) {
         ("fig2", BASELINE_THREADS) => include_str!("../../../benches/baseline/fig2-trace.jsonl"),
         ("fig7", BASELINE_THREADS) => include_str!("../../../benches/baseline/fig7-trace.jsonl"),
@@ -114,11 +116,19 @@ fn run(args: &str, threads: &str, traced: bool) -> Result<(String, Option<String
     Ok((stdout, trace.transpose()?))
 }
 
-/// Fails when any row's median grew past the committed baseline's
-/// (`carbon-bench compare --threshold 0`).
-fn no_growth(baseline: &str, rows: &[BenchRecord]) -> Result<(), String> {
-    let old = parse_jsonl(baseline).map_err(|e| e.to_string())?;
+/// Fails when a baseline row is missing from `rows` (a renamed span or
+/// a dropped field would otherwise leave the gate unseen), or when any
+/// row's median grew past the committed baseline's (`carbon-bench
+/// compare --threshold 0`).
+fn no_growth(baseline: &str, rows: &[Record]) -> Result<(), String> {
+    let old = parse_jsonl(baseline)?;
     let cmp = compare(&old, rows, 0.0);
+    if !cmp.only_old.is_empty() {
+        return Err(format!(
+            "baseline rows missing from the traced run: {}",
+            cmp.only_old.join(", ")
+        ));
+    }
     if cmp.regressions().is_empty() {
         return Ok(());
     }

@@ -101,8 +101,7 @@ pub struct BallisticFetBuilder {
     c_ins: f64,
     alpha_g: f64,
     alpha_d: f64,
-    ef0: Option<f64>,
-    vt: Option<f64>,
+    vt: f64,
     temperature: Temperature,
     ballisticity: f64,
     polarity: Polarity,
@@ -129,21 +128,11 @@ impl BallisticFetBuilder {
         self
     }
 
-    /// Places the zero-bias source Fermi level `ef0` eV above mid-gap.
-    /// Mutually exclusive with [`threshold_voltage`](Self::threshold_voltage)
-    /// (the later call wins).
-    pub fn fermi_offset_ev(mut self, ef0: f64) -> Self {
-        self.ef0 = Some(ef0);
-        self.vt = None;
-        self
-    }
-
     /// Sets an approximate threshold voltage by positioning the Fermi
     /// level: `ef0 = Δ₁ − α_G·V_T` (barrier reaches the Fermi level at
     /// `V_GS ≈ V_T`). Default: `V_T = 0.3 V`.
     pub fn threshold_voltage(mut self, vt: f64) -> Self {
-        self.vt = Some(vt);
-        self.ef0 = None;
+        self.vt = vt;
         self
     }
 
@@ -214,11 +203,7 @@ impl BallisticFetBuilder {
             .first()
             .map(|s| s.edge.electron_volts())
             .unwrap_or(0.0);
-        let ef0 = match (self.ef0, self.vt) {
-            (Some(e), _) => e,
-            (None, Some(vt)) => delta1 - self.alpha_g * vt,
-            (None, None) => delta1 - self.alpha_g * 0.3,
-        };
+        let ef0 = delta1 - self.alpha_g * self.vt;
         let mut fet = BallisticFet {
             band: self.band,
             c_ins: self.c_ins,
@@ -244,8 +229,7 @@ impl BallisticFet {
             c_ins: 4e-10,
             alpha_g: 0.88,
             alpha_d: 0.035,
-            ef0: None,
-            vt: None,
+            vt: 0.3,
             temperature: Temperature::room(),
             ballisticity: 1.0,
             polarity: Polarity::NType,

@@ -87,11 +87,6 @@ impl SeriesResistance {
         Self::new(inner, r_each, r_each)
     }
 
-    /// Total series resistance `R_S + R_D`.
-    pub fn total_resistance(&self) -> Resistance {
-        Resistance::from_ohms(self.rs + self.rd)
-    }
-
     fn solve(&self, vgs: f64, vds: f64) -> f64 {
         if self.rs == 0.0 && self.rd == 0.0 {
             return self.inner.ids(vgs, vds);

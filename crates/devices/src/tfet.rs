@@ -109,19 +109,6 @@ impl CntTfet {
         self
     }
 
-    /// Returns the device with a different turn-on knee width (V) — the
-    /// thermal-occupancy-tail proxy that limits the steepest observable
-    /// swing.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `knee_width` is positive.
-    pub fn with_knee_width(mut self, knee_width: f64) -> Self {
-        assert!(knee_width > 0.0, "knee width must be positive");
-        self.knee_width = knee_width;
-        self
-    }
-
     /// Band overlap `φ(V_G)` in eV.
     fn overlap(&self, vg: f64) -> f64 {
         let x = (self.v_knee - vg) / self.knee_width;

@@ -184,11 +184,6 @@ impl WaferSample {
     pub fn total_dies(&self) -> usize {
         self.dies.iter().filter(|d| d.is_some()).count()
     }
-
-    /// Working-die fraction.
-    pub fn yield_fraction(&self) -> f64 {
-        self.good_dies() as f64 / self.total_dies().max(1) as f64
-    }
 }
 
 impl std::fmt::Display for WaferSample {

@@ -1,20 +1,19 @@
 //! Minimal hand-rolled JSON, shared across the workspace instead of a
 //! registry dependency.
 //!
-//! Three layers, each grown from a previously duplicated hand-rolled
+//! Two layers, each grown from a previously duplicated hand-rolled
 //! implementation:
 //!
 //! * **Escaping and value rendering** ([`escape`], [`write_f64`]) — the
 //!   exact behaviour of the `carbon-trace` JSONL exporter (non-finite
 //!   floats serialize as `null` so every emitted line stays valid
 //!   JSON).
-//! * **Flat field extraction** ([`string_field`], [`u64_field`],
-//!   [`find_string_end`]) — the scanners `carbon-bench` uses to read
-//!   harness snapshots and trace lines without materializing a tree.
 //! * **A full value tree** ([`Json`] with [`Json::parse`] and
-//!   [`Json::render`]) — what the `carbon-serve` protocol uses for job
-//!   requests and responses. Object fields keep insertion order, so a
-//!   rendered response is deterministic byte for byte.
+//!   [`Json::render`]) — the workspace's one JSON reader: the
+//!   `carbon-serve` protocol's requests and responses, the bench
+//!   harness's rows and `carbon-bench`'s trace lines. Object fields
+//!   keep insertion order, so a rendered response is deterministic
+//!   byte for byte.
 //!
 //! The parser is a strict recursive-descent reader of RFC 8259 JSON:
 //! `NaN`/`Infinity` literals, trailing garbage, unterminated strings,
@@ -71,60 +70,6 @@ pub fn write_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
-}
-
-/// Extracts a JSON string field (`"key":"..."`) from a flat object
-/// line, un-escaping the sequences the workspace writers produce.
-pub fn string_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                esc => out.push(esc),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts a JSON unsigned-integer field (`"key":123`) from a flat
-/// object line.
-pub fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-/// Index of the closing quote of a JSON string whose opening quote has
-/// already been consumed, honoring backslash escapes.
-pub fn find_string_end(s: &str) -> Option<usize> {
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' => escaped = true,
-            '"' => return Some(i),
-            _ => {}
-        }
-    }
-    None
 }
 
 /// FNV-1a 64-bit hash — the workspace's standard content digest.
@@ -679,16 +624,6 @@ mod tests {
             write_f64(&mut s, bad);
             assert_eq!(s, "null");
         }
-    }
-
-    #[test]
-    fn flat_field_extractors() {
-        let line = "{\"id\":\"solver/op/8\",\"median_ns\":2763,\"note\":\"a\\\"b\"}";
-        assert_eq!(string_field(line, "id").unwrap(), "solver/op/8");
-        assert_eq!(string_field(line, "note").unwrap(), "a\"b");
-        assert_eq!(u64_field(line, "median_ns"), Some(2763));
-        assert_eq!(u64_field(line, "absent"), None);
-        assert_eq!(find_string_end("ab\\\"c\"rest"), Some(5));
     }
 
     #[test]

@@ -200,11 +200,6 @@ impl GateNetwork {
         Ok(())
     }
 
-    /// Number of gates.
-    pub fn gate_count(&self) -> usize {
-        self.gates.len()
-    }
-
     /// `true` if the named net is driven by a gate output.
     pub fn is_driven(&self, net: &str) -> bool {
         self.net_index

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use carbon_devices::{AlphaPowerFet, Fet, LinearGnrFet};
-use carbon_spice::{Circuit, TranOptions};
+use carbon_spice::{Circuit, DcOptions, TranOptions};
 use carbon_units::{Capacitance, Time, Voltage};
 
 use crate::error::LogicError;
@@ -122,11 +122,10 @@ impl Inverter {
         // Dense curves fan out over the runtime executor in fixed chunks
         // (deterministic at any thread count); short sweeps stay serial
         // where the warm-start chain alone is cheapest.
-        let sweep = if n >= 64 {
-            ckt.dc_sweep_par("vin", 0.0, self.vdd, step, 16)?
-        } else {
-            ckt.dc_sweep("vin", 0.0, self.vdd, step)?
+        let chunked = DcOptions {
+            chunk: (n >= 64).then_some(16),
         };
+        let sweep = ckt.dc_sweep("vin", 0.0, self.vdd, step, chunked)?;
         let vin = sweep.sweep_values().to_vec();
         let vout = sweep.voltages("out")?;
         let supply_current = sweep
@@ -491,10 +490,14 @@ mod tests {
         // reference.
         let inv = Inverter::fig2_saturating();
         let ckt = inv.circuit().unwrap();
-        let warm = ckt.dc_sweep("vin", 0.0, 1.0, 0.01).unwrap();
+        let warm = ckt
+            .dc_sweep("vin", 0.0, 1.0, 0.01, DcOptions::default())
+            .unwrap();
         let (mut cold_iterations, mut cold_out) = (0, Vec::new());
         for &v in warm.sweep_values() {
-            let cold = ckt.dc_sweep("vin", v, v, 0.01).unwrap();
+            let cold = ckt
+                .dc_sweep("vin", v, v, 0.01, DcOptions::default())
+                .unwrap();
             cold_iterations += cold.total_newton_iterations();
             cold_out.push(cold.voltages("out").unwrap()[0]);
         }

@@ -4,8 +4,8 @@
 //! `harness = false` bench targets. The model is deliberately small:
 //! each benchmark is a closure, timed as median-of-[`SAMPLES`] where
 //! each sample runs enough iterations to exceed a minimum measurable
-//! window. Results print as a console table and are appended as
-//! line-delimited JSON under `target/carbon-bench/` for diffing across
+//! window. Results print as a console table and are written as one
+//! [`Record`] per line under `target/carbon-bench/` for diffing across
 //! runs.
 //!
 //! `cargo test` executes `harness = false` binaries with a `--test`
@@ -14,6 +14,8 @@
 //! tier-1 suite without paying measurement cost.
 
 use std::time::{Duration, Instant};
+
+use carbon_json::Json;
 
 pub use std::hint::black_box;
 
@@ -24,19 +26,63 @@ pub const SAMPLES: usize = 11;
 /// until one sample takes at least this long.
 const MIN_SAMPLE_TIME: Duration = Duration::from_millis(20);
 
-/// One measured benchmark result.
-#[derive(Debug, Clone)]
-pub struct Measurement {
+/// One row of a benchmark snapshot, one JSON line in the key order
+/// below. The harness writes one per benchmark; `carbon-bench
+/// trace-summary` writes trace statistics in the same row, and
+/// `carbon-bench compare` reads both.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
     /// Benchmark id, e.g. `"fig7/park_campaign"`.
     pub id: String,
-    /// Median time per iteration.
-    pub median: Duration,
-    /// Fastest sample (per iteration).
-    pub min: Duration,
-    /// Slowest sample (per iteration).
-    pub max: Duration,
-    /// Iterations per sample after calibration.
+    /// Median time per iteration, ns.
+    pub median_ns: u64,
+    /// Fastest sample per iteration, ns: the lower edge of the run's
+    /// noise band.
+    pub min_ns: u64,
+    /// Slowest sample per iteration, ns: the upper edge of the band.
+    pub max_ns: u64,
+    /// Iterations per sample after calibration (for a trace
+    /// statistic, the observations folded in).
     pub iters: u64,
+}
+
+impl Record {
+    /// The row as one compact JSON line, without the newline.
+    pub fn render(&self) -> String {
+        Json::obj()
+            .push("id", self.id.as_str())
+            .push("median_ns", self.median_ns)
+            .push("min_ns", self.min_ns)
+            .push("max_ns", self.max_ns)
+            .push("iters", self.iters)
+            .render()
+    }
+
+    /// Reads one row back from its JSON line.
+    ///
+    /// # Errors
+    ///
+    /// Says why a line is not JSON, or which field is missing: a
+    /// string `id` and four non-negative integers are required.
+    pub fn parse(line: &str) -> Result<Self, String> {
+        let row = Json::parse(line).map_err(|e| e.to_string())?;
+        let int = |key: &str| {
+            row.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing \"{key}\" integer field"))
+        };
+        Ok(Self {
+            id: row
+                .get("id")
+                .and_then(Json::as_str)
+                .ok_or("missing \"id\" string field")?
+                .to_owned(),
+            median_ns: int("median_ns")?,
+            min_ns: int("min_ns")?,
+            max_ns: int("max_ns")?,
+            iters: int("iters")?,
+        })
+    }
 }
 
 /// A named group of benchmarks, mirroring the former criterion group
@@ -44,7 +90,7 @@ pub struct Measurement {
 pub struct Harness {
     group: String,
     smoke: bool,
-    results: Vec<Measurement>,
+    results: Vec<Record>,
 }
 
 impl Harness {
@@ -95,18 +141,17 @@ impl Harness {
             .map(|_| Self::sample(&mut f, iters) / iters as u32)
             .collect();
         per_iter.sort();
-        let m = Measurement {
-            id: full,
-            median: per_iter[SAMPLES / 2],
-            min: per_iter[0],
-            max: per_iter[SAMPLES - 1],
-            iters,
-        };
+        let (median, min, max) = (per_iter[SAMPLES / 2], per_iter[0], per_iter[SAMPLES - 1]);
         println!(
-            "{:<40} median {:>12?}  (min {:?}, max {:?}, {} iters/sample)",
-            m.id, m.median, m.min, m.max, m.iters
+            "{full:<40} median {median:>12?}  (min {min:?}, max {max:?}, {iters} iters/sample)"
         );
-        self.results.push(m);
+        self.results.push(Record {
+            id: full,
+            median_ns: median.as_nanos() as u64,
+            min_ns: min.as_nanos() as u64,
+            max_ns: max.as_nanos() as u64,
+            iters,
+        });
         self
     }
 
@@ -118,10 +163,9 @@ impl Harness {
         start.elapsed()
     }
 
-    /// Writes collected results as JSON lines to
+    /// Writes collected results, one [`Record`] line each, to
     /// `target/carbon-bench/<group>.jsonl` (measurement mode only).
     pub fn finish(&self) {
-        use std::fmt::Write as _;
         if self.smoke || self.results.is_empty() {
             return;
         }
@@ -129,18 +173,7 @@ impl Harness {
         if std::fs::create_dir_all(&dir).is_err() {
             return;
         }
-        let mut out = String::new();
-        for m in &self.results {
-            let _ = writeln!(
-                out,
-                "{{\"id\":\"{}\",\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"iters\":{}}}",
-                json_escape(&m.id),
-                m.median.as_nanos(),
-                m.min.as_nanos(),
-                m.max.as_nanos(),
-                m.iters
-            );
-        }
+        let out: String = self.results.iter().map(|r| r.render() + "\n").collect();
         let path = dir.join(format!("{}.jsonl", self.group.replace('/', "_")));
         if std::fs::write(&path, out).is_ok() {
             println!("bench results written to {}", path.display());
@@ -170,19 +203,6 @@ fn output_dir() -> std::path::PathBuf {
     std::path::Path::new("target").join("carbon-bench")
 }
 
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,10 +220,10 @@ mod tests {
         h.bench("spin", || {
             acc = black_box(acc.wrapping_add(1));
         });
-        let m = &h.results[0];
-        assert_eq!(m.id, "unit/spin");
-        assert!(m.min <= m.median && m.median <= m.max);
-        assert!(m.iters >= 1);
+        let r = &h.results[0];
+        assert_eq!(r.id, "unit/spin");
+        assert!(r.min_ns <= r.median_ns && r.median_ns <= r.max_ns);
+        assert!(r.iters >= 1);
     }
 
     #[test]
@@ -221,8 +241,29 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("plain/id"), "plain/id");
+    fn a_record_renders_its_line_and_parses_it_back() {
+        let line = "{\"id\":\"solver/op/8\",\"median_ns\":2763,\"min_ns\":2659,\"max_ns\":3193,\"iters\":10000}";
+        let r = Record::parse(line).unwrap();
+        assert_eq!(
+            (r.id.as_str(), r.median_ns, r.min_ns, r.max_ns, r.iters),
+            ("solver/op/8", 2763, 2659, 3193, 10_000)
+        );
+        assert_eq!(r.render(), line);
+        let quoted = Record {
+            id: "a\"b\\c\nd".into(),
+            ..r
+        };
+        assert_eq!(Record::parse(&quoted.render()).unwrap(), quoted);
+    }
+
+    #[test]
+    fn a_record_line_names_what_it_lacks() {
+        let err = Record::parse("{\"id\":\"x\",\"median_ns\":5,\"max_ns\":9,\"iters\":1}");
+        assert_eq!(err.unwrap_err(), "missing \"min_ns\" integer field");
+        let err = Record::parse("{\"median_ns\":5}").unwrap_err();
+        assert_eq!(err, "missing \"id\" string field");
+        assert!(Record::parse("{\"id\":\"x\",")
+            .unwrap_err()
+            .contains("invalid JSON"));
     }
 }

@@ -36,7 +36,7 @@
 use carbon_econ::{CampaignGrid, CostModel, EconConfig, EconError, McMode, NodeSpec, YieldModel};
 use carbon_json::Json;
 use carbon_spice::parser::parse_deck;
-use carbon_spice::{AcOptions, Circuit, SpiceError, TranMethod, TranOptions};
+use carbon_spice::{AcOptions, Circuit, DcOptions, SpiceError, TranMethod, TranOptions};
 
 /// The job kinds the service accepts, in the order error messages list
 /// them.
@@ -436,16 +436,7 @@ impl Job {
             "ping" => Ok(Self::Ping),
             "stats" => Ok(Self::Stats),
             "fig7" => {
-                let target_ci = match job.get("target_ci") {
-                    None => None,
-                    Some(v) => Some(
-                        v.as_f64()
-                            .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
-                            .ok_or_else(|| {
-                                JobError::invalid("job.target_ci must be a number in (0, 1)")
-                            })?,
-                    ),
-                };
+                let target_ci = target_ci_field(job)?;
                 let max_devices = match job.get("max_devices") {
                     None => None,
                     Some(v) => {
@@ -543,7 +534,7 @@ impl Job {
                 nodes,
             } => {
                 let sweep = circuit
-                    .dc_sweep(source, *from, *to, *step)
+                    .dc_sweep(source, *from, *to, *step, DcOptions::default())
                     .map_err(|e| JobError::from_spice(&e))?;
                 let mut traces = Json::obj();
                 for node in nodes {
@@ -771,6 +762,18 @@ fn num_array_field(job: &Json, field: &str) -> Result<Vec<f64>, JobError> {
         .collect()
 }
 
+/// `job.target_ci`, when present: a number in (0, 1). It switches the
+/// `fig7` and econ Monte-Carlo sizing to adaptive.
+fn target_ci_field(job: &Json) -> Result<Option<f64>, JobError> {
+    job.get("target_ci")
+        .map(|v| {
+            v.as_f64()
+                .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
+                .ok_or_else(|| JobError::invalid("job.target_ci must be a number in (0, 1)"))
+        })
+        .transpose()
+}
+
 /// The shared econ config fields: `yield_model`/`alpha`,
 /// `devices` or `target_ci`/`max_devices`, `circuit_devices`, `seed`.
 ///
@@ -779,8 +782,8 @@ fn num_array_field(job: &Json, field: &str) -> Result<Vec<f64>, JobError> {
 /// `max_devices` only with `target_ci`, and a fixed `devices` count
 /// conflicts with `target_ci` (one of them would be silently ignored).
 fn econ_config_fields(job: &Json) -> Result<EconConfig, JobError> {
-    let yield_model = match job.get("yield_model") {
-        None => {
+    let yield_model = match job.get("yield_model").map(Json::as_str) {
+        None | Some(Some("poisson")) => {
             if job.get("alpha").is_some() {
                 return Err(JobError::invalid(
                     "job.alpha is only accepted with job.yield_model = \"negative_binomial\"",
@@ -788,48 +791,28 @@ fn econ_config_fields(job: &Json) -> Result<EconConfig, JobError> {
             }
             YieldModel::Poisson
         }
-        Some(m) => match m.as_str() {
-            Some("poisson") => {
-                if job.get("alpha").is_some() {
-                    return Err(JobError::invalid(
-                        "job.alpha is only accepted with job.yield_model = \"negative_binomial\"",
-                    ));
-                }
-                YieldModel::Poisson
-            }
-            Some("negative_binomial") => {
-                let alpha = job
-                    .get("alpha")
-                    .ok_or_else(|| {
-                        JobError::invalid(
-                            "job.alpha is required with job.yield_model = \"negative_binomial\"",
-                        )
-                    })?
-                    .as_f64()
-                    .filter(|v| v.is_finite() && *v > 0.0)
-                    .ok_or_else(|| {
-                        JobError::invalid("job.alpha must be a positive finite number")
-                    })?;
-                YieldModel::negative_binomial(alpha).map_err(JobError::from_econ)?
-            }
-            Some(other) => {
-                return Err(JobError::invalid(format!(
-                    "job.yield_model '{other}' is not a yield model: valid models are \
-                     poisson, negative_binomial"
-                )))
-            }
-            None => return Err(JobError::invalid("job.yield_model must be a string")),
-        },
+        Some(Some("negative_binomial")) => {
+            let alpha = job
+                .get("alpha")
+                .ok_or_else(|| {
+                    JobError::invalid(
+                        "job.alpha is required with job.yield_model = \"negative_binomial\"",
+                    )
+                })?
+                .as_f64()
+                .filter(|v| v.is_finite() && *v > 0.0)
+                .ok_or_else(|| JobError::invalid("job.alpha must be a positive finite number"))?;
+            YieldModel::negative_binomial(alpha).map_err(JobError::from_econ)?
+        }
+        Some(Some(other)) => {
+            return Err(JobError::invalid(format!(
+                "job.yield_model '{other}' is not a yield model: valid models are \
+                 poisson, negative_binomial"
+            )))
+        }
+        Some(None) => return Err(JobError::invalid("job.yield_model must be a string")),
     };
-    let target_ci = match job.get("target_ci") {
-        None => None,
-        Some(v) => Some(
-            v.as_f64()
-                .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
-                .ok_or_else(|| JobError::invalid("job.target_ci must be a number in (0, 1)"))?,
-        ),
-    };
-    let mc = if let Some(target_ci) = target_ci {
+    let mc = if let Some(target_ci) = target_ci_field(job)? {
         if job.get("devices").is_some() {
             return Err(JobError::invalid(
                 "job.devices conflicts with job.target_ci: fixed and adaptive sizing \

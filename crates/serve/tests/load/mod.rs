@@ -181,11 +181,12 @@ pub fn run_set(
                         .into_iter()
                         .map(|body| {
                             let raw = client.call_raw(body.as_bytes()).expect("response");
-                            let id = carbon_json::u64_field(
-                                std::str::from_utf8(&raw).expect("utf-8 response"),
-                                "id",
-                            )
-                            .expect("response carries the job id");
+                            let id =
+                                Json::parse(std::str::from_utf8(&raw).expect("utf-8 response"))
+                                    .expect("JSON response")
+                                    .get("id")
+                                    .and_then(Json::as_u64)
+                                    .expect("response carries the job id");
                             (id, raw)
                         })
                         .collect();

@@ -9,10 +9,9 @@
 //!   continuation (each point starts from the previous solution, with
 //!   step-halving source continuation when a point refuses to
 //!   converge), the analysis behind every I-V curve and
-//!   voltage-transfer curve in the paper,
-//! * [`Circuit::dc_sweep_par`] — the same sweep fanned out over the
-//!   deterministic executor: a coarse serial pre-solve seeds each
-//!   parallel chunk, and the result is bit-identical across
+//!   voltage-transfer curve in the paper; [`DcOptions::chunk`] fans it
+//!   out over the deterministic executor: a coarse serial pre-solve
+//!   seeds each parallel chunk, and the result is bit-identical across
 //!   `CARBON_THREADS` (though not always to the last bit of the serial
 //!   sweep, whose warm-start chain runs through every point),
 //! * [`Circuit::transient`] — time-domain integration (fixed-step or
@@ -93,6 +92,23 @@ impl OpResult {
 /// How many times a warm-started sweep point may halve its source step
 /// (recursively) before its non-convergence is reported.
 const MAX_STEP_HALVINGS: u32 = 6;
+
+/// Options for [`Circuit::dc_sweep`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DcOptions {
+    /// `None` (the default) sweeps serially: one warm-start chain runs
+    /// through every point, and the executor is never touched. `Some(c)`
+    /// cuts the grid into `c`-point chunks (at least 1): a coarse serial
+    /// pre-solve, itself warm-chained, solves each chunk's first point,
+    /// and the chunks then run over [`Executor::new`], each warm-started
+    /// from its pre-solved head on a private circuit clone. The chunking
+    /// depends only on `c`, so the result is bit-identical at every
+    /// `CARBON_THREADS`, though not always to the last bit of the serial
+    /// sweep.
+    ///
+    /// [`Executor::new`]: carbon_runtime::Executor::new
+    pub chunk: Option<usize>,
+}
 
 /// Result of a DC sweep: the swept values and one solution per point.
 #[derive(Debug, Clone)]
@@ -389,119 +405,92 @@ impl Circuit {
     /// `to < from`), with warm-started continuation: each point's Newton
     /// iteration starts from the previous converged solution, and a
     /// point that refuses to converge halves its source step up to six
-    /// times before the failure is reported.
+    /// times before the failure is reported. [`DcOptions::chunk`] fans
+    /// the grid out over the executor instead of one chain.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::UnknownSource`] for unknown sources,
     /// [`SpiceError::InvalidSweep`] for non-finite bounds, non-positive
     /// steps or a point count that does not fit in memory, and any
-    /// solver error from the underlying operating points.
+    /// solver error from the underlying operating points (with several
+    /// failing chunks, the lowest-indexed chunk's).
     pub fn dc_sweep(
         &self,
         source: &str,
         from: f64,
         to: f64,
         step: f64,
+        opts: DcOptions,
     ) -> Result<SweepResult, SpiceError> {
         let grid = sweep_grid(from, to, step)?;
-        let mut sweep_span = span!("spice.dc_sweep");
+        let chunk = opts.chunk.map(|c| c.max(1));
+        let mut sweep_span = span!(match chunk {
+            None => "spice.dc_sweep",
+            Some(_) => "spice.dc_sweep_par",
+        });
         if sweep_span.is_live() {
             sweep_span.record("source", source);
             sweep_span.record("points", grid.len());
+            if let Some(chunk) = chunk {
+                sweep_span.record("chunk", chunk);
+                sweep_span.record("n_chunks", grid.len().div_ceil(chunk));
+            }
         }
         let mut points = reserve_per_point(grid.len() as f64, step)?;
         let mut newton_iterations = reserve_per_point(grid.len() as f64, step)?;
         let zero = vec![0.0; self.num_unknowns()];
-        self.warm_chain(source, &grid, zero, |names, x, iters| {
-            points.push(OpResult::new(names.clone(), x.to_vec()));
-            newton_iterations.push(iters);
-        })?;
-        if sweep_span.is_live() {
-            sweep_span.record("total_iters", newton_iterations.iter().sum::<usize>());
-        }
-        Ok(SweepResult {
-            sweep: grid,
-            points,
-            newton_iterations,
-        })
-    }
+        match chunk {
+            None => self.warm_chain(source, &grid, zero, |names, x, iters| {
+                points.push(OpResult::new(names.clone(), x.to_vec()));
+                newton_iterations.push(iters);
+            })?,
+            Some(chunk) => {
+                // Coarse serial pre-solve: solve the first point of every
+                // chunk, warm-chaining from one chunk head to the next.
+                let heads: Vec<f64> = grid.iter().step_by(chunk).copied().collect();
+                let mut seeds = Vec::with_capacity(heads.len());
+                self.warm_chain(source, &heads, zero, |_, x, _| seeds.push(x.to_vec()))?;
 
-    /// [`dc_sweep`](Self::dc_sweep) fanned out over the deterministic
-    /// executor: the grid is cut into chunks of `chunk` points, a coarse
-    /// serial pre-solve (itself warm-chained) solves each chunk's first
-    /// point, and the chunks then run in parallel, each warm-started
-    /// from its pre-solved seed.
-    ///
-    /// Results are **bit-identical at every `CARBON_THREADS`** — each
-    /// point's solution depends only on its chunk seed, which the serial
-    /// pre-solve fixed — but may differ in the last bits from the serial
-    /// [`dc_sweep`](Self::dc_sweep), whose warm-start chain threads
-    /// through every intermediate point.
-    ///
-    /// # Errors
-    ///
-    /// As [`dc_sweep`](Self::dc_sweep); with several failing points the
-    /// error of the lowest-indexed chunk is reported.
-    pub fn dc_sweep_par(
-        &self,
-        source: &str,
-        from: f64,
-        to: f64,
-        step: f64,
-        chunk: usize,
-    ) -> Result<SweepResult, SpiceError> {
-        let grid = sweep_grid(from, to, step)?;
-        let mut points = reserve_per_point(grid.len() as f64, step)?;
-        let mut newton_iterations = reserve_per_point(grid.len() as f64, step)?;
-        let chunk = chunk.max(1);
-        let n_chunks = grid.len().div_ceil(chunk);
-        let mut sweep_span = span!("spice.dc_sweep_par");
-        if sweep_span.is_live() {
-            sweep_span.record("source", source);
-            sweep_span.record("points", grid.len());
-            sweep_span.record("chunk", chunk);
-            sweep_span.record("n_chunks", n_chunks);
-        }
-
-        // Coarse serial pre-solve: solve the first point of every chunk,
-        // warm-chaining from one chunk head to the next.
-        let heads: Vec<f64> = grid.iter().step_by(chunk).copied().collect();
-        let mut seeds = Vec::with_capacity(n_chunks);
-        let zero = vec![0.0; self.num_unknowns()];
-        self.warm_chain(source, &heads, zero, |_, x, _| seeds.push(x.to_vec()))?;
-
-        // Parallel phase: each chunk sweeps its own points from its
-        // pre-solved seed with a private circuit clone and workspace.
-        type ChunkResult = Result<(Vec<OpResult>, Vec<usize>), SpiceError>;
-        let chunks: Vec<ChunkResult> =
-            carbon_runtime::Executor::new().par_map(n_chunks, |c| -> ChunkResult {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(grid.len());
-                let mut chunk_span = span!("spice.sweep_chunk");
-                if chunk_span.is_live() {
-                    chunk_span.record("chunk", c);
-                    chunk_span.record("points", hi - lo);
+                // Parallel phase: each chunk sweeps its own points from
+                // its pre-solved seed with a private circuit clone and
+                // workspace.
+                type ChunkResult = Result<(Vec<OpResult>, Vec<usize>), SpiceError>;
+                let chunks: Vec<ChunkResult> =
+                    carbon_runtime::Executor::new().par_map(heads.len(), |c| -> ChunkResult {
+                        let lo = c * chunk;
+                        let hi = (lo + chunk).min(grid.len());
+                        let mut chunk_span = span!("spice.sweep_chunk");
+                        if chunk_span.is_live() {
+                            chunk_span.record("chunk", c);
+                            chunk_span.record("points", hi - lo);
+                        }
+                        let mut points = Vec::with_capacity(hi - lo);
+                        let mut iters = Vec::with_capacity(hi - lo);
+                        // The chunk head was solved by the pre-solve;
+                        // re-running Newton from its own solution
+                        // converges immediately and records the true
+                        // residual iteration count.
+                        self.warm_chain(
+                            source,
+                            &grid[lo..hi],
+                            seeds[c].clone(),
+                            |names, x, it| {
+                                points.push(OpResult::new(names.clone(), x.to_vec()));
+                                iters.push(it);
+                            },
+                        )?;
+                        if chunk_span.is_live() {
+                            chunk_span.record("iters", iters.iter().sum::<usize>());
+                        }
+                        Ok((points, iters))
+                    });
+                for chunk_result in chunks {
+                    let (p, it) = chunk_result?;
+                    points.extend(p);
+                    newton_iterations.extend(it);
                 }
-                let mut points = Vec::with_capacity(hi - lo);
-                let mut iters = Vec::with_capacity(hi - lo);
-                // The chunk head was solved by the pre-solve; re-running
-                // Newton from its own solution converges immediately and
-                // records the true residual iteration count.
-                self.warm_chain(source, &grid[lo..hi], seeds[c].clone(), |names, x, it| {
-                    points.push(OpResult::new(names.clone(), x.to_vec()));
-                    iters.push(it);
-                })?;
-                if chunk_span.is_live() {
-                    chunk_span.record("iters", iters.iter().sum::<usize>());
-                }
-                Ok((points, iters))
-            });
-
-        for chunk_result in chunks {
-            let (p, it) = chunk_result?;
-            points.extend(p);
-            newton_iterations.extend(it);
+            }
         }
         if sweep_span.is_live() {
             sweep_span.record("total_iters", newton_iterations.iter().sum::<usize>());

@@ -56,7 +56,7 @@ pub mod sparse;
 pub mod waveform;
 
 pub use analysis::ac::{AcMethod, AcOptions, AcResult};
-pub use analysis::{OpResult, SweepResult, TranMethod, TranOptions, TranResult};
+pub use analysis::{DcOptions, OpResult, SweepResult, TranMethod, TranOptions, TranResult};
 pub use complex::Complex;
 pub use element::{batch_lanes_match, FetCurve};
 pub use error::SpiceError;

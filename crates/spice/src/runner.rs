@@ -3,7 +3,7 @@
 //! `.ac`, `.print`) rather than only as a library.
 
 use crate::analysis::ac::AcOptions;
-use crate::analysis::TranOptions;
+use crate::analysis::{DcOptions, TranOptions};
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
 use crate::parser::{parse_card_into, parse_value};
@@ -185,7 +185,9 @@ impl Deck {
                     to,
                     step,
                 } => {
-                    let sweep = self.circuit.dc_sweep(source, *from, *to, *step)?;
+                    let sweep =
+                        self.circuit
+                            .dc_sweep(source, *from, *to, *step, DcOptions::default())?;
                     let _ = writeln!(out, "* .dc {source} {from} {to} {step}");
                     let traces: Vec<(String, Vec<f64>)> = nodes
                         .iter()

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use carbon_spice::{AcOptions, Circuit, FetCurve, SpiceError, TranOptions, Waveform};
+use carbon_spice::{AcOptions, Circuit, DcOptions, FetCurve, SpiceError, TranOptions, Waveform};
 
 #[test]
 fn resistive_divider() {
@@ -167,7 +167,9 @@ fn dc_sweep_traces_square_law() {
     ckt.voltage_source("vd", "d", "0", 1.0);
     ckt.voltage_source("vg", "g", "0", 1.0);
     ckt.fet("m1", "d", "g", "0", model).unwrap();
-    let sweep = ckt.dc_sweep("vg", 0.0, 1.0, 0.05).unwrap();
+    let sweep = ckt
+        .dc_sweep("vg", 0.0, 1.0, 0.05, DcOptions::default())
+        .unwrap();
     assert_eq!(sweep.len(), 21);
     let id: Vec<f64> = sweep.currents("vd").unwrap().iter().map(|i| -i).collect();
     // Monotone non-decreasing, zero below Vt, 180 µA at Vgs = 1 V.
@@ -181,7 +183,9 @@ fn downward_sweep_works() {
     let mut ckt = Circuit::new();
     ckt.voltage_source("v", "a", "0", 0.0);
     ckt.resistor("r", "a", "0", 1e3).unwrap();
-    let sweep = ckt.dc_sweep("v", 1.0, 0.0, 0.25).unwrap();
+    let sweep = ckt
+        .dc_sweep("v", 1.0, 0.0, 0.25, DcOptions::default())
+        .unwrap();
     assert_eq!(sweep.sweep_values(), &[1.0, 0.75, 0.5, 0.25, 0.0]);
 }
 
@@ -191,15 +195,17 @@ fn sweep_rejects_bad_step() {
     ckt.voltage_source("v", "a", "0", 0.0);
     ckt.resistor("r", "a", "0", 1e3).unwrap();
     assert!(matches!(
-        ckt.dc_sweep("v", 0.0, 1.0, 0.0),
+        ckt.dc_sweep("v", 0.0, 1.0, 0.0, DcOptions::default()),
         Err(SpiceError::InvalidSweep { .. })
     ));
     assert!(matches!(
-        ckt.dc_sweep("nope", 0.0, 1.0, 0.1),
+        ckt.dc_sweep("nope", 0.0, 1.0, 0.1, DcOptions::default()),
         Err(SpiceError::UnknownSource { .. })
     ));
     for (from, to, field) in [(0.0, f64::INFINITY, "to ="), (f64::NAN, 1.0, "from =")] {
-        let err = ckt.dc_sweep("v", from, to, 0.1).unwrap_err();
+        let err = ckt
+            .dc_sweep("v", from, to, 0.1, DcOptions::default())
+            .unwrap_err();
         assert!(matches!(&err, SpiceError::InvalidSweep { reason } if reason.contains(field)));
     }
 }
@@ -223,8 +229,8 @@ fn sweep_rejects_a_point_count_that_does_not_fit() {
         (0.0, 1e17, 2.0, "5e16"),
     ] {
         for result in [
-            ckt.dc_sweep("v", from, to, step),
-            ckt.dc_sweep_par("v", from, to, step, 16),
+            ckt.dc_sweep("v", from, to, step, DcOptions::default()),
+            ckt.dc_sweep("v", from, to, step, DcOptions { chunk: Some(16) }),
         ] {
             let err = result.unwrap_err();
             assert!(
@@ -339,7 +345,9 @@ fn cmos_like_inverter_vtc_with_toy_models() {
     ckt.voltage_source("vin", "in", "0", 0.0);
     ckt.fet("mp", "out", "in", "vdd", pfet).unwrap();
     ckt.fet("mn", "out", "in", "0", nfet).unwrap();
-    let sweep = ckt.dc_sweep("vin", 0.0, 1.0, 0.02).unwrap();
+    let sweep = ckt
+        .dc_sweep("vin", 0.0, 1.0, 0.02, DcOptions::default())
+        .unwrap();
     let vout = sweep.voltages("out").unwrap();
     assert!(vout[0] > 0.99, "output high at Vin = 0: {}", vout[0]);
     assert!(vout[50] < 0.01, "output low at Vin = 1: {}", vout[50]);
@@ -509,7 +517,7 @@ fn pre_cancelled_token_stops_every_analysis() {
     cancel::scope(&token, || {
         assert!(matches!(ckt.op(), Err(SpiceError::Cancelled { .. })));
         assert!(matches!(
-            ckt.dc_sweep("v", 0.0, 1.0, 0.1),
+            ckt.dc_sweep("v", 0.0, 1.0, 0.1, DcOptions::default()),
             Err(SpiceError::Cancelled { .. })
         ));
         assert!(matches!(

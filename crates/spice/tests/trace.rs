@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use carbon_spice::{AcOptions, Circuit, FetCurve, SpiceError, TranOptions, Waveform};
+use carbon_spice::{AcOptions, Circuit, DcOptions, FetCurve, SpiceError, TranOptions, Waveform};
 use carbon_trace::collect::Collector;
 use carbon_trace::{with_subscriber, Event, Value};
 
@@ -122,7 +122,8 @@ fn dc_sweep_spans_nest_newton_solves() {
 
     let collector = Collector::new();
     with_subscriber(collector.clone(), || {
-        ckt.dc_sweep("vin", 0.0, 1.0, 0.1).expect("sweeps")
+        ckt.dc_sweep("vin", 0.0, 1.0, 0.1, DcOptions::default())
+            .expect("sweeps")
     });
 
     let sweeps = collector.spans("spice.dc_sweep");
@@ -283,7 +284,9 @@ fn continuation_exhaustion_reports_sweep_value_and_residual() {
 
     let collector = Collector::new();
     let (result, [halvings]) = deltas(["spice.continuation_halvings"], || {
-        with_subscriber(collector.clone(), || ckt.dc_sweep("vin", 0.0, 1.0, 0.25))
+        with_subscriber(collector.clone(), || {
+            ckt.dc_sweep("vin", 0.0, 1.0, 0.25, DcOptions::default())
+        })
     });
     let err = result.expect_err("the snap device cannot converge past threshold");
 

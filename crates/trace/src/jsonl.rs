@@ -10,12 +10,14 @@
 //! {"ev":"instant","name":"spice.continuation_halve","parent":9,"thread":2,"at_ns":9000,"fields":{"v_from":0.5,"v_to":0.75}}
 //! ```
 //!
-//! The schema is flat and hand-parseable (see `carbon-bench`'s
-//! `trace-summary`, which aggregates these files without a JSON
-//! dependency). Non-finite floats serialize as `null` to keep every
-//! line valid JSON. Escaping and float rendering come from the shared
-//! `carbon-json` module, so the exporter, the bench tooling, and the
-//! `carbon-serve` protocol all speak one dialect.
+//! The schema is flat; `carbon-bench`'s `trace-summary` reads each line
+//! back with `carbon_json::Json::parse`. Non-finite floats serialize as
+//! `null` to keep every line valid JSON. The exporter writes each line
+//! by hand from the shared `carbon-json` escaping and float primitives
+//! rather than through a `Json` tree: it runs once per event, and a
+//! `Value::U64` above `i64::MAX` has no lossless `Json` form. So the
+//! exporter, the bench tooling, and the `carbon-serve` protocol all
+//! speak one dialect.
 
 use std::fmt::Write as _;
 use std::fs::File;

@@ -48,9 +48,6 @@ pub const GAMMA_0: f64 = 3.0 * Q_E;
 /// Graphene Fermi velocity v_F = 3·γ₀·a_cc / (2ħ), m/s (≈ 9.7·10⁵).
 pub const FERMI_VELOCITY: f64 = 1.5 * GAMMA_0 * A_CC / HBAR;
 
-/// Quantum of conductance per spin-degenerate mode G₀ = 2q²/h, S.
-pub const G_QUANTUM: f64 = 2.0 * Q_E * Q_E / PLANCK_H;
-
 /// Minimum two-terminal resistance of a single-walled CNT with 2 conducting
 /// subbands (4 modes counting spin): h/(4q²) ≈ 6.45 kΩ.
 ///
@@ -61,18 +58,6 @@ pub const R_QUANTUM_CNT: f64 = PLANCK_H / (4.0 * Q_E * Q_E);
 
 /// Relative permittivity of SiO₂.
 pub const EPS_R_SIO2: f64 = 3.9;
-
-/// Relative permittivity of HfO₂ (a representative high-k used on CNTs).
-pub const EPS_R_HFO2: f64 = 20.0;
-
-/// Relative permittivity of silicon.
-pub const EPS_R_SI: f64 = 11.7;
-
-/// Relative permittivity of In₀.₅₃Ga₀.₄₇As.
-pub const EPS_R_INGAAS: f64 = 13.9;
-
-/// Relative permittivity of InAs.
-pub const EPS_R_INAS: f64 = 15.15;
 
 #[cfg(test)]
 mod tests {

@@ -341,12 +341,6 @@ impl Energy {
     pub const fn electron_volts(self) -> f64 {
         self.0 / consts::Q_E
     }
-
-    /// The energy `q·V` an elementary charge gains across a potential.
-    #[inline]
-    pub fn from_charge_voltage(v: Voltage) -> Self {
-        Self(consts::Q_E * v.0)
-    }
 }
 
 impl Charge {

@@ -6,7 +6,7 @@
 //! cargo run --release --example spice_deck
 //! ```
 
-use carbon_electronics::spice::{parser::parse_deck, TranOptions};
+use carbon_electronics::spice::{parser::parse_deck, DcOptions, TranOptions};
 
 const DECK: &str = "
 * full-wave-ish diode clipper with an RC tail
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          D1 a 0 is=1e-15 n=1.0
          D2 0 a is=1e-15 n=1.0",
     )?;
-    let sweep = ckt2.dc_sweep("v1", -2.0, 2.0, 0.1)?;
+    let sweep = ckt2.dc_sweep("v1", -2.0, 2.0, 0.1, DcOptions::default())?;
     println!("\ntransfer V(a) vs V(in):");
     for k in (0..sweep.len()).step_by(8) {
         println!(

@@ -9,7 +9,7 @@ use carbon_electronics::devices::{AlphaPowerFet, BallisticFet, TableFet};
 use carbon_electronics::experiments::{ablations, rf};
 use carbon_electronics::fab::{ChiralitySeparation, SelfAssembly, SynthesisRecipe, VmrProcess};
 use carbon_electronics::logic::{GateTopology, RfStage, StaticGate};
-use carbon_electronics::spice::{parser::parse_deck, AcOptions, TranOptions};
+use carbon_electronics::spice::{parser::parse_deck, AcOptions, DcOptions, TranOptions};
 use carbon_electronics::units::{Capacitance, Resistance, Voltage};
 use carbon_runtime::Xoshiro256pp;
 
@@ -55,7 +55,9 @@ fn deck_parser_to_all_four_analyses() {
     .expect("parses");
     let op = ckt.op().expect("op");
     assert!((op.voltage("mid").expect("node") - 0.0).abs() < 1e-6);
-    let sweep = ckt.dc_sweep("V1", 0.0, 1.0, 0.1).expect("sweep");
+    let sweep = ckt
+        .dc_sweep("V1", 0.0, 1.0, 0.1, DcOptions::default())
+        .expect("sweep");
     assert!((sweep.voltages("mid").expect("node")[10] - 0.5).abs() < 1e-6);
     let tran = ckt
         .transient(1e-7, 2e-5, TranOptions::default())

@@ -9,7 +9,7 @@ use carbon_electronics::devices::{
 };
 use carbon_electronics::fab::{CircuitYield, SortingProcess};
 use carbon_electronics::spice::parser::parse_deck;
-use carbon_electronics::spice::{Circuit, FetCurve, Waveform};
+use carbon_electronics::spice::{Circuit, DcOptions, FetCurve, Waveform};
 use carbon_electronics::units::{Energy, Resistance, Temperature};
 use carbon_runtime::prop::prelude::*;
 
@@ -172,7 +172,7 @@ proptest! {
         ckt.voltage_source("v", "in", "0", 0.0);
         ckt.resistor("r", "in", "d", r).expect("resistor");
         ckt.diode("d1", "d", "0", 1e-15, 1.0).expect("diode");
-        let sweep = ckt.dc_sweep("v", -1.0, 2.0, 0.05).expect("sweeps");
+        let sweep = ckt.dc_sweep("v", -1.0, 2.0, 0.05, DcOptions::default()).expect("sweeps");
         let vd = sweep.voltages("d").expect("node");
         prop_assert!(vd.windows(2).all(|w| (w[1] - w[0]).abs() < 0.2));
     }
