@@ -30,7 +30,7 @@ run cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
 run cargo build --workspace --release --locked --offline
 run cargo test --workspace -q --locked --offline
-# Bench targets in run-once smoke mode: keeps the six harness=false
+# Bench targets in run-once smoke mode: keeps the five harness=false
 # binaries compiling and their workloads alive without paying
 # measurement cost.
 run cargo bench --locked --offline -- --test
@@ -38,15 +38,15 @@ run cargo bench --locked --offline -- --test
 # path: only this step compiles it before the benchmark runs.
 run cargo test --release --offline -q --manifest-path servebench/Cargo.toml --target-dir target/servebench
 
-# Opt-in benchmark regression gate: measure the solver, transient,
-# device-batch, and econ groups for real and compare them against the
-# committed baselines, failing on >10 % median regressions. Off by
+# Opt-in benchmark regression gate: measure the solver, transient and
+# econ groups for real and compare them against the committed
+# baselines, failing on >10 % median regressions. Off by
 # default — timings are only meaningful on a quiet machine. Regenerate
 # a baseline with:
 #   cargo bench --offline -p carbon-bench --bench <group>
 #   cp target/carbon-bench/<group>.jsonl benches/baseline/<group>.jsonl
 if [[ "${CARBON_BENCH_COMPARE:-0}" == "1" ]]; then
-  for group in solver tran device_batch econ; do
+  for group in solver tran econ; do
     run cargo bench --offline -p carbon-bench --bench "$group"
     run cargo run --offline --release -p carbon-bench --bin carbon-bench -- \
       compare "benches/baseline/$group.jsonl" "target/carbon-bench/$group.jsonl"

@@ -19,10 +19,10 @@
 //! `root;child;leaf self_ns` line per call path, self time only — for
 //! direct consumption by `flamegraph.pl` / `inferno`.
 //!
-//! `batch` evaluates every device model through both the scalar entry
-//! point and the structure-of-arrays batch kernel over fixed lanes,
-//! asserts the outputs are bit-identical, and prints one digest row per
-//! model plus one row for the adaptive §V Monte-Carlo campaign.
+//! `batch` evaluates every device model's scalar `ids` over fixed bias
+//! lanes and prints one digest row per model, one row for the same
+//! table lanes through the executor-chunked `carbon_devices::par_ids`,
+//! and one row for the adaptive §V Monte-Carlo campaign.
 //!
 //! `fig2` runs the Fig. 2 experiment and prints its report.
 //!
@@ -144,21 +144,13 @@ fn batch_lanes(n: usize) -> (Vec<f64>, Vec<f64>) {
     (vgs, vds)
 }
 
-/// Evaluates one model scalar and batched, asserts bit-identity, and
-/// prints the digest row.
-fn batch_row(name: &str, model: &(impl carbon_devices::batch::BatchEval + ?Sized), n: usize) {
+/// Evaluates one model's scalar `ids` over the lanes and prints the
+/// digest row.
+fn batch_row(name: &str, model: &dyn carbon_spice::FetCurve, n: usize) {
     let (vgs, vds) = batch_lanes(n);
-    let mut soa = vec![0.0; n];
-    model.ids_soa(&vgs, &vds, &mut soa);
     let mut digest = carbon_bench::Fnv::new();
-    for k in 0..n {
-        let scalar = model.ids(vgs[k], vds[k]);
-        assert_eq!(
-            scalar.to_bits(),
-            soa[k].to_bits(),
-            "{name}: SoA kernel diverged from scalar at lane {k}"
-        );
-        digest.write_f64(soa[k]);
+    for (&g, &d) in vgs.iter().zip(&vds) {
+        digest.write_f64(model.ids(g, d));
     }
     println!(
         "batch model={name} lanes={n} digest={:016x}",
@@ -191,13 +183,13 @@ fn run_batch() -> ExitCode {
     batch_row("linear_gnr", &gnr, 4096);
     batch_row("table", &table, 4096);
     // The live ballistic model is transcendental-heavy; a short lane
-    // still covers every branch of its SoA kernel.
+    // still covers every branch of the model.
     batch_row("ballistic", &table_src, 64);
 
     // The executor-chunked entry point: this row is what makes the
     // batch digest's thread-count independence meaningful.
     let (vgs, vds) = batch_lanes(4096);
-    let par = carbon_devices::batch::par_ids_soa(&table, &vgs, &vds);
+    let par = carbon_devices::par_ids(&table, &vgs, &vds);
     let mut digest = carbon_bench::Fnv::new();
     for v in &par {
         digest.write_f64(*v);

@@ -8,7 +8,6 @@
 //! * `montecarlo` — the §V statistics workloads and the device-model
 //!   evaluation costs (live ballistic solve vs table lookup),
 //! * `tran` — fixed vs adaptive transient stepping,
-//! * `device_batch` — scalar vs structure-of-arrays device kernels,
 //! * `econ` — the wafer-economics campaign engine.
 
 #![deny(missing_docs)]

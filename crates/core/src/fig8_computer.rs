@@ -263,6 +263,13 @@ mod tests {
             first.2,
             last.2
         );
+        // The `verify` claim: at five-nines purity the computer yields.
+        assert!(
+            last.2 > 0.9,
+            "computer yield at purity {}: {:.2}",
+            last.0,
+            last.2
+        );
     }
 
     #[test]

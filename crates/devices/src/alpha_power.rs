@@ -152,41 +152,18 @@ impl AlphaPowerFet {
         Voltage::from_volts(self.vt)
     }
 
-    /// Returns a copy with threshold voltage `vt` — the scalar oracle
-    /// for the [`ids_soa_vt`](Self::ids_soa_vt) parameter lane.
-    ///
-    /// # Errors
-    ///
-    /// Same `vt` validation as [`new`](Self::new).
-    pub fn with_vt(&self, vt: f64) -> Result<Self, BuildAlphaPowerError> {
-        if !(vt.is_finite() && vt > 0.0) {
-            return Err(BuildAlphaPowerError(format!(
-                "vt must be positive, got {vt}"
-            )));
-        }
-        Ok(Self { vt, ..self.clone() })
-    }
-
-    /// Softplus scale chosen so the subthreshold decade slope is ss:
-    /// below Vt, veff ≈ s·exp((vgs−vt)/s); current ∝ veff^alpha, so
-    /// slope in decades/V is alpha/(s·ln10) → s = alpha·ss_v/ln10,
-    /// expressed directly with ss in volts/decade. Vt-independent, so
-    /// the SoA kernels hoist it out of their lane loops.
-    #[inline]
-    fn softplus_scale(&self) -> f64 {
-        let ss_v = self.ss_mv_per_dec / 1e3;
-        self.alpha * ss_v / std::f64::consts::LN_10
-    }
-
     /// Effective overdrive: softplus interpolation that is exponential
-    /// `ss` mV/dec below threshold and `(v_gs − v_t)` above, with the
-    /// scale `s` and threshold `vt` supplied by the caller (the scalar
-    /// path passes `self` values; SoA kernels pass hoisted/lane values).
-    #[inline]
-    fn overdrive_scaled(s: f64, vt: f64, vgs: f64) -> f64 {
-        let x = (vgs - vt) / s;
+    /// `ss` mV/dec below threshold and `(v_gs − v_t)` above.
+    fn overdrive(&self, vgs: f64) -> f64 {
+        // Softplus scale chosen so the subthreshold decade slope is ss:
+        // below Vt, veff ≈ s·exp((vgs−vt)/s); current ∝ veff^alpha, so
+        // slope in decades/V is alpha/(s·ln10) → s = alpha·ss_v/ln10,
+        // expressed directly with ss in volts/decade:
+        let ss_v = self.ss_mv_per_dec / 1e3;
+        let s = self.alpha * ss_v / std::f64::consts::LN_10;
+        let x = (vgs - self.vt) / s;
         if x > 35.0 {
-            vgs - vt
+            vgs - self.vt
         } else if x < -35.0 {
             s * x.exp()
         } else {
@@ -194,12 +171,11 @@ impl AlphaPowerFet {
         }
     }
 
-    #[inline]
-    fn ids_ntype_scaled(&self, s: f64, vt: f64, vgs: f64, vds: f64) -> f64 {
+    fn ids_ntype(&self, vgs: f64, vds: f64) -> f64 {
         if vds < 0.0 {
-            return -self.ids_ntype_scaled(s, vt, vgs - vds, -vds);
+            return -self.ids_ntype(vgs - vds, -vds);
         }
-        let vov = Self::overdrive_scaled(s, vt, vgs);
+        let vov = self.overdrive(vgs);
         if vov <= 0.0 {
             return 0.0;
         }
@@ -212,43 +188,6 @@ impl AlphaPowerFet {
             idsat * (1.0 + self.lambda * (vds - vdsat))
         }
     }
-
-    fn ids_ntype(&self, vgs: f64, vds: f64) -> f64 {
-        self.ids_ntype_scaled(self.softplus_scale(), self.vt, vgs, vds)
-    }
-
-    /// SoA drain current over `vgs`/`vds` bias lanes **and** a `vt`
-    /// parameter lane: `out[i]` is bit-identical to
-    /// `self.with_vt(vt[i])?.ids(vgs[i], vds[i])`.
-    ///
-    /// The threshold enters the model only through the overdrive
-    /// `(v_gs − v_t)`, so one call covers N bias points × M Monte-Carlo
-    /// threshold samples without constructing M models; the softplus
-    /// scale is vt-independent and hoisted once.
-    ///
-    /// # Panics
-    ///
-    /// Panics per [`carbon_spice::batch_lanes_match`] on mismatched
-    /// lane lengths; empty lanes return immediately.
-    pub fn ids_soa_vt(&self, vgs: &[f64], vds: &[f64], vt: &[f64], out: &mut [f64]) {
-        if !carbon_spice::batch_lanes_match(&[
-            ("vgs", vgs.len()),
-            ("vds", vds.len()),
-            ("vt", vt.len()),
-            ("out", out.len()),
-        ]) {
-            return;
-        }
-        let s = self.softplus_scale();
-        match self.polarity {
-            Polarity::NType => crate::batch::soa_loop_param(vgs, vds, vt, out, |g, d, t| {
-                self.ids_ntype_scaled(s, t, g, d)
-            }),
-            Polarity::PType => crate::batch::soa_loop_param(vgs, vds, vt, out, |g, d, t| {
-                -self.ids_ntype_scaled(s, t, -g, -d)
-            }),
-        }
-    }
 }
 
 impl carbon_spice::FetCurve for AlphaPowerFet {
@@ -256,34 +195,6 @@ impl carbon_spice::FetCurve for AlphaPowerFet {
         match self.polarity {
             Polarity::NType => self.ids_ntype(vgs, vds),
             Polarity::PType => -self.ids_ntype(-vgs, -vds),
-        }
-    }
-
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        // Route the Newton-stamp hot path through the SoA kernel: one
-        // polarity dispatch + one hoisted softplus scale for all five
-        // stencil lanes, bit-identical to the composed default.
-        crate::batch::eval_via_soa(self, vgs, vds)
-    }
-}
-
-impl crate::batch::BatchEval for AlphaPowerFet {
-    fn ids_soa(&self, vgs: &[f64], vds: &[f64], out: &mut [f64]) {
-        if !carbon_spice::batch_lanes_match(&[
-            ("vgs", vgs.len()),
-            ("vds", vds.len()),
-            ("out", out.len()),
-        ]) {
-            return;
-        }
-        let s = self.softplus_scale();
-        match self.polarity {
-            Polarity::NType => crate::batch::soa_loop(vgs, vds, out, |g, d| {
-                self.ids_ntype_scaled(s, self.vt, g, d)
-            }),
-            Polarity::PType => crate::batch::soa_loop(vgs, vds, out, |g, d| {
-                -self.ids_ntype_scaled(s, self.vt, -g, -d)
-            }),
         }
     }
 }

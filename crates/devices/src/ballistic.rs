@@ -346,34 +346,6 @@ impl carbon_spice::FetCurve for BallisticFet {
     }
 }
 
-impl crate::batch::BatchEval for BallisticFet {
-    fn ids_soa(&self, vgs: &[f64], vds: &[f64], out: &mut [f64]) {
-        if !carbon_spice::batch_lanes_match(&[
-            ("vgs", vgs.len()),
-            ("vds", vds.len()),
-            ("out", out.len()),
-        ]) {
-            return;
-        }
-        // Each lane is a self-consistent Brent root-find with nested
-        // quadrature — nothing to vectorize — so the kernel only hoists
-        // the polarity dispatch out of the loop. Bit-identity with the
-        // scalar path is trivial: the same `ids_ntype` runs per lane.
-        match self.polarity {
-            Polarity::NType => {
-                for ((o, &g), &d) in out.iter_mut().zip(vgs).zip(vds) {
-                    *o = self.ids_ntype(g, d);
-                }
-            }
-            Polarity::PType => {
-                for ((o, &g), &d) in out.iter_mut().zip(vgs).zip(vds) {
-                    *o = -self.ids_ntype(-g, -d);
-                }
-            }
-        }
-    }
-}
-
 impl Fet for BallisticFet {
     fn polarity(&self) -> Polarity {
         self.polarity

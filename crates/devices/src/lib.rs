@@ -31,7 +31,7 @@
 
 pub mod alpha_power;
 pub mod ballistic;
-pub mod batch;
+mod batch;
 pub mod linear_gnr;
 pub mod metrics;
 pub mod series;
@@ -40,13 +40,14 @@ pub mod tfet;
 
 pub use alpha_power::AlphaPowerFet;
 pub use ballistic::BallisticFet;
-pub use batch::BatchEval;
+pub use batch::par_ids;
 pub use linear_gnr::LinearGnrFet;
 pub use metrics::IvCurve;
 pub use series::SeriesResistance;
 pub use table_model::TableFet;
 pub use tfet::CntTfet;
 
+use carbon_spice::FetCurve;
 use carbon_units::{Current, Length, Voltage};
 
 /// Channel polarity of a FET model.
@@ -60,17 +61,16 @@ pub enum Polarity {
 
 /// A transistor compact model.
 ///
-/// `Fet` extends [`carbon_spice::FetCurve`] (the `ids` and `eval` a
-/// circuit simulation reads) and [`BatchEval`] (the structure-of-arrays
-/// `ids_soa` — its default gives every model a correct, bit-identical
-/// batched path) with a typed, quantity-based API for device-level
-/// experiments.
+/// `Fet` extends [`FetCurve`] (the `ids` and `eval` a circuit
+/// simulation reads) with a typed, quantity-based API for device-level
+/// experiments. Every model answers through its scalar `ids` and the
+/// trait's default `eval` stencil, whether it is swept here or solved
+/// in a circuit.
 ///
 /// A model enters a circuit by upcast: an `Arc<dyn Fet>` passed to
 /// [`Circuit::fet`](carbon_spice::Circuit::fet) coerces to the
-/// `Arc<dyn FetCurve>` it takes and keeps dispatching the model's own
-/// `eval` override.
-pub trait Fet: BatchEval + Send + Sync {
+/// `Arc<dyn FetCurve>` it takes.
+pub trait Fet: FetCurve + Send + Sync {
     /// Channel polarity.
     fn polarity(&self) -> Polarity;
 
@@ -88,11 +88,11 @@ pub trait Fet: BatchEval + Send + Sync {
     /// Transfer characteristic `I_D(V_GS)` at fixed `V_DS` over a
     /// uniform grid of `n ≥ 2` points.
     ///
-    /// Bias points are independent, so the grid goes through the SoA
-    /// batch layer ([`batch::par_ids_soa`]) in fixed chunks on the
-    /// runtime executor: identical results at any thread count, and
-    /// bit-identical to per-point scalar `ids` calls; runs inline when
-    /// called from inside another parallel region.
+    /// Bias points are independent, so the grid goes through
+    /// [`par_ids`] in fixed chunks on the runtime executor: identical
+    /// results at any thread count, and bit-identical to per-point
+    /// scalar `ids` calls; runs inline when called from inside another
+    /// parallel region.
     ///
     /// # Panics
     ///
@@ -100,14 +100,14 @@ pub trait Fet: BatchEval + Send + Sync {
     fn transfer(&self, vgs_from: Voltage, vgs_to: Voltage, n: usize, vds: Voltage) -> IvCurve {
         let grid = carbon_band::math::linspace(vgs_from.volts(), vgs_to.volts(), n);
         let vds_lane = vec![vds.volts(); grid.len()];
-        let current = batch::par_ids_soa(self, &grid, &vds_lane);
+        let current = par_ids(self, &grid, &vds_lane);
         IvCurve::new(grid, current)
     }
 
     /// Output characteristic `I_D(V_DS)` at fixed `V_GS` over a uniform
     /// grid of `n ≥ 2` points.
     ///
-    /// Evaluated through the batch layer, like
+    /// Evaluated through [`par_ids`], like
     /// [`transfer`](Self::transfer).
     ///
     /// # Panics
@@ -116,7 +116,7 @@ pub trait Fet: BatchEval + Send + Sync {
     fn output(&self, vds_from: Voltage, vds_to: Voltage, n: usize, vgs: Voltage) -> IvCurve {
         let grid = carbon_band::math::linspace(vds_from.volts(), vds_to.volts(), n);
         let vgs_lane = vec![vgs.volts(); grid.len()];
-        let current = batch::par_ids_soa(self, &vgs_lane, &grid);
+        let current = par_ids(self, &vgs_lane, &grid);
         IvCurve::new(grid, current)
     }
 }

@@ -159,27 +159,13 @@ impl LinearGnrFet {
         Self::fig2_nfet().into_p_type()
     }
 
-    /// Returns a copy with threshold voltage `vt` — the scalar oracle
-    /// for the [`ids_soa_vt`](Self::ids_soa_vt) parameter lane. Any
-    /// finite `vt` is physical for this model ([`new`](Self::new) does
-    /// not constrain it).
-    pub fn with_vt(&self, vt: f64) -> Self {
-        Self { vt, ..self.clone() }
-    }
-
-    /// Softplus scale of the gate turn-on. Vt-independent, hoisted by
-    /// the SoA kernels.
-    #[inline]
-    fn softplus_scale(&self) -> f64 {
+    /// Gate-controlled conductance `G(V_GS)`, S.
+    pub fn conductance(&self, vgs: Voltage) -> f64 {
         let ss_v = self.ss_mv_per_dec / 1e3;
-        ss_v / std::f64::consts::LN_10
-    }
-
-    #[inline]
-    fn conductance_scaled(&self, s: f64, vt: f64, vgs: f64) -> f64 {
-        let x = (vgs - vt) / s;
+        let s = ss_v / std::f64::consts::LN_10;
+        let x = (vgs.volts() - self.vt) / s;
         let soft = if x > 35.0 {
-            vgs - vt
+            vgs.volts() - self.vt
         } else if x < -35.0 {
             s * x.exp()
         } else {
@@ -188,49 +174,9 @@ impl LinearGnrFet {
         self.g_on * (soft / self.v_on).min(1.0)
     }
 
-    /// Gate-controlled conductance `G(V_GS)`, S.
-    pub fn conductance(&self, vgs: Voltage) -> f64 {
-        self.conductance_scaled(self.softplus_scale(), self.vt, vgs.volts())
-    }
-
-    #[inline]
-    fn ids_ntype_scaled(&self, s: f64, vt: f64, vgs: f64, vds: f64) -> f64 {
-        let g = self.conductance_scaled(s, vt, vgs);
-        g * vds / (1.0 + vds.abs() / self.v_crit)
-    }
-
     fn ids_ntype(&self, vgs: f64, vds: f64) -> f64 {
-        self.ids_ntype_scaled(self.softplus_scale(), self.vt, vgs, vds)
-    }
-
-    /// SoA drain current over `vgs`/`vds` bias lanes **and** a `vt`
-    /// parameter lane: `out[i]` is bit-identical to
-    /// `self.with_vt(vt[i]).ids(vgs[i], vds[i])`. The threshold enters
-    /// only through `(v_gs − v_t)` inside the conductance softplus, so
-    /// one call covers N bias points × M Monte-Carlo threshold samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics per [`carbon_spice::batch_lanes_match`] on mismatched
-    /// lane lengths; empty lanes return immediately.
-    pub fn ids_soa_vt(&self, vgs: &[f64], vds: &[f64], vt: &[f64], out: &mut [f64]) {
-        if !carbon_spice::batch_lanes_match(&[
-            ("vgs", vgs.len()),
-            ("vds", vds.len()),
-            ("vt", vt.len()),
-            ("out", out.len()),
-        ]) {
-            return;
-        }
-        let s = self.softplus_scale();
-        match self.polarity {
-            Polarity::NType => crate::batch::soa_loop_param(vgs, vds, vt, out, |g, d, t| {
-                self.ids_ntype_scaled(s, t, g, d)
-            }),
-            Polarity::PType => crate::batch::soa_loop_param(vgs, vds, vt, out, |g, d, t| {
-                -self.ids_ntype_scaled(s, t, -g, -d)
-            }),
-        }
+        let g = self.conductance(Voltage::from_volts(vgs));
+        g * vds / (1.0 + vds.abs() / self.v_crit)
     }
 }
 
@@ -239,34 +185,6 @@ impl carbon_spice::FetCurve for LinearGnrFet {
         match self.polarity {
             Polarity::NType => self.ids_ntype(vgs, vds),
             Polarity::PType => -self.ids_ntype(-vgs, -vds),
-        }
-    }
-
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        // One SoA kernel call for the 5-point stencil: the softplus
-        // scale and polarity dispatch are hoisted once, bit-identical
-        // to the composed default.
-        crate::batch::eval_via_soa(self, vgs, vds)
-    }
-}
-
-impl crate::batch::BatchEval for LinearGnrFet {
-    fn ids_soa(&self, vgs: &[f64], vds: &[f64], out: &mut [f64]) {
-        if !carbon_spice::batch_lanes_match(&[
-            ("vgs", vgs.len()),
-            ("vds", vds.len()),
-            ("out", out.len()),
-        ]) {
-            return;
-        }
-        let s = self.softplus_scale();
-        match self.polarity {
-            Polarity::NType => crate::batch::soa_loop(vgs, vds, out, |g, d| {
-                self.ids_ntype_scaled(s, self.vt, g, d)
-            }),
-            Polarity::PType => crate::batch::soa_loop(vgs, vds, out, |g, d| {
-                -self.ids_ntype_scaled(s, self.vt, -g, -d)
-            }),
         }
     }
 }

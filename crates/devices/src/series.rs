@@ -120,10 +120,6 @@ impl carbon_spice::FetCurve for SeriesResistance {
     }
 }
 
-// The per-lane Newton/Brent load solve leaves nothing to hoist; the
-// default scalar-loop kernels are already the bit-identity oracle.
-impl crate::batch::BatchEval for SeriesResistance {}
-
 impl Fet for SeriesResistance {
     fn polarity(&self) -> Polarity {
         self.inner.polarity()

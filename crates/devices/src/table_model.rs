@@ -77,20 +77,17 @@ impl TableFet {
                 "need at least 4 grid points per axis, got {n_vgs}×{n_vds}"
             )));
         }
-        // Each grid row is an independent batch of (often expensive)
-        // model evaluations — fan rows out on the runtime executor and
-        // evaluate each through the inner model's SoA kernel. The grid
-        // expressions are unchanged and the kernel is bit-identical to
-        // scalar `ids`, so the table matches the per-point original.
+        // Each grid row is an independent run of (often expensive)
+        // model evaluations, so rows fan out on the runtime executor;
+        // every point is one pure scalar `ids` call.
         let rows = carbon_runtime::Executor::new().par_map(n_vgs, |i| {
             let vgs = vgs_lo + (vgs_hi - vgs_lo) * i as f64 / (n_vgs - 1) as f64;
-            let vgs_lane = vec![vgs; n_vds];
-            let vds_lane: Vec<f64> = (0..n_vds)
-                .map(|j| vds_lo + (vds_hi - vds_lo) * j as f64 / (n_vds - 1) as f64)
-                .collect();
-            let mut row = vec![0.0; n_vds];
-            inner.ids_soa(&vgs_lane, &vds_lane, &mut row);
-            row
+            (0..n_vds)
+                .map(|j| {
+                    let vds = vds_lo + (vds_hi - vds_lo) * j as f64 / (n_vds - 1) as f64;
+                    inner.ids(vgs, vds)
+                })
+                .collect::<Vec<_>>()
         });
         let data = rows.concat();
         Ok(Self {
@@ -106,8 +103,7 @@ impl TableFet {
         })
     }
 
-    /// The clamp/index geometry of the grid, hoisted once per call so
-    /// lane loops only do interpolation arithmetic.
+    /// The clamp/index geometry of the grid.
     #[inline]
     fn hoisted_geometry(&self) -> HoistedGeometry {
         HoistedGeometry {
@@ -128,13 +124,6 @@ impl carbon_spice::FetCurve for TableFet {
     fn ids(&self, vgs: f64, vds: f64) -> f64 {
         self.hoisted_geometry().lookup(&self.data, vgs, vds)
     }
-
-    fn eval(&self, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        // One batched lookup for the value and the four-point central
-        // difference stencil, via the shared SoA routing (bit-identical
-        // to the trait's default stencil).
-        crate::batch::eval_via_soa(self, vgs, vds)
-    }
 }
 
 /// The clamp/index geometry of a [`TableFet`] grid.
@@ -152,10 +141,9 @@ struct HoistedGeometry {
 }
 
 impl HoistedGeometry {
-    /// The table's one bilinear interpolation, shared by scalar `ids`
-    /// and the `ids_soa` lanes so the two agree bitwise by
-    /// construction. Biases are clamped into the sampled window (flat
-    /// extrapolation — circuits excursion slightly past the rails
+    /// The table's one bilinear interpolation, behind
+    /// [`TableFet`]'s `ids`. Biases are clamped into the sampled window
+    /// (flat extrapolation — circuits excursion slightly past the rails
     /// during Newton iterations).
     #[inline]
     fn lookup(&self, data: &[f64], vgs: f64, vds: f64) -> f64 {
@@ -173,20 +161,6 @@ impl HoistedGeometry {
     }
 }
 
-impl crate::batch::BatchEval for TableFet {
-    fn ids_soa(&self, vgs: &[f64], vds: &[f64], out: &mut [f64]) {
-        if !carbon_spice::batch_lanes_match(&[
-            ("vgs", vgs.len()),
-            ("vds", vds.len()),
-            ("out", out.len()),
-        ]) {
-            return;
-        }
-        let (geom, data) = (self.hoisted_geometry(), &self.data[..]);
-        crate::batch::soa_loop(vgs, vds, out, |g, d| geom.lookup(data, g, d));
-    }
-}
-
 impl Fet for TableFet {
     fn polarity(&self) -> Polarity {
         self.polarity
@@ -200,7 +174,7 @@ impl Fet for TableFet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AlphaPowerFet, BallisticFet, BatchEval};
+    use crate::{par_ids, AlphaPowerFet, BallisticFet};
     use carbon_spice::FetCurve;
 
     #[test]
@@ -269,8 +243,7 @@ mod tests {
             .iter()
             .flat_map(|&vg| [-0.2, 0.013, 0.49, 1.0, 1.3].map(|vd| (vg, vd)))
             .unzip();
-        let mut out = vec![0.0; vgs.len()];
-        table.ids_soa(&vgs, &vds, &mut out);
+        let out = par_ids(&table, &vgs, &vds);
         for ((&vg, &vd), &got) in vgs.iter().zip(&vds).zip(&out) {
             assert_eq!(got.to_bits(), table.ids(vg, vd).to_bits(), "({vg}, {vd})");
         }

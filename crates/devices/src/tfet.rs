@@ -184,10 +184,6 @@ impl carbon_spice::FetCurve for CntTfet {
     }
 }
 
-// Default scalar-loop kernels; the model is cheap and branchy, so the
-// SoA layer's chunking alone is the win.
-impl crate::batch::BatchEval for CntTfet {}
-
 impl Fet for CntTfet {
     fn polarity(&self) -> Polarity {
         // Turn-on with negative gate voltage: hole-branch conduction.

@@ -1,7 +1,8 @@
 //! The job model: what the service runs, validated up front.
 //!
 //! A job arrives as the `"job"` object of a request envelope. Its
-//! `"kind"` selects one of eleven shapes:
+//! `"kind"` selects one of nine shapes, each admitted and run with a
+//! slot held:
 //!
 //! * circuit analyses on a netlist deck carried in the request —
 //!   `"op"`, `"dc_sweep"`, `"ac_sweep"`, `"transient"`; each names the
@@ -15,12 +16,14 @@
 //!   good dies per wafer, cost and carbon per good die) and
 //!   `"econ_campaign"` (a full node × area × defect × purity grid
 //!   with summary percentiles), evaluated by [`carbon_econ`] over the
-//!   deterministic chunked executor;
-//! * service introspection — `"ping"` (liveness: version + uptime) and
-//!   `"stats"` (the full metrics-registry snapshot). These are answered
-//!   on the connection thread's admission-free fast path: they never
-//!   wait for a slot, so a server saturated with solves still answers
-//!   its health checks.
+//!   deterministic chunked executor.
+//!
+//! The two other kinds the service takes, `"ping"` (liveness: version
+//! and uptime) and `"stats"` (the full metrics-registry snapshot),
+//! report the server itself and are not jobs: the connection thread
+//! answers them before any cache probe or admission, so they never
+//! wait for a slot, and a server saturated with solves still answers
+//! its health checks.
 //!
 //! [`Job::from_json`] performs the whole validation — unknown kinds are
 //! rejected with the valid choices listed, missing or ill-typed fields
@@ -38,8 +41,8 @@ use carbon_json::Json;
 use carbon_spice::parser::parse_deck;
 use carbon_spice::{AcOptions, Circuit, DcOptions, SpiceError, TranMethod, TranOptions};
 
-/// The job kinds the service accepts, in the order error messages list
-/// them.
+/// The kinds the service accepts, in the order error messages list
+/// them: the [`QUEUED_JOB_KINDS`], then `ping` and `stats`.
 pub const JOB_KINDS: [&str; 11] = [
     "op",
     "dc_sweep",
@@ -54,10 +57,10 @@ pub const JOB_KINDS: [&str; 11] = [
     "stats",
 ];
 
-/// The job kinds that are admitted and run with a slot held —
-/// everything except the connection-thread fast-path kinds (`ping`,
-/// `stats`). This is the set the server pre-registers latency and
-/// queue-wait histograms for.
+/// The job kinds that are admitted and run with a slot held, one per
+/// [`Job`] variant — every kind except `ping` and `stats`, which the
+/// connection thread answers itself. This is the set the server
+/// pre-registers latency and queue-wait histograms for.
 pub const QUEUED_JOB_KINDS: [&str; 9] = [
     "op",
     "dc_sweep",
@@ -257,15 +260,6 @@ pub enum Job {
         /// Cost model, yield model, and Monte-Carlo sizing.
         config: EconConfig,
     },
-    /// Liveness probe: echoes the request `id`, reports crate version
-    /// and server uptime. Answered on the connection fast path — never
-    /// admitted, so it cannot be starved by a full wait list.
-    Ping,
-    /// Metrics snapshot: the server's registry (per-kind latency and
-    /// queue-wait histograms with p50/p90/p99, counters, gauges) merged
-    /// with the process-global registry. Answered on the connection
-    /// fast path.
-    Stats,
 }
 
 impl Job {
@@ -281,28 +275,12 @@ impl Job {
             Self::Fig7 { .. } => "fig7",
             Self::EconPoint { .. } => "econ_point",
             Self::EconCampaign { .. } => "econ_campaign",
-            Self::Ping => "ping",
-            Self::Stats => "stats",
         }
     }
 
-    /// Whether this job is answered on the connection thread's
-    /// admission-free fast path instead of waiting for a slot.
-    pub fn is_fast_path(&self) -> bool {
-        matches!(self, Self::Ping | Self::Stats)
-    }
-
-    /// Whether an `ok` response for this job may be served from the
-    /// response cache. Exactly the queued kinds: their responses are
-    /// pure functions of the canonical job body under the byte-identity
-    /// contract. The fast-path kinds report operational state (uptime,
-    /// latency aggregates) and are never cached — and never take a
-    /// slot anyway.
-    pub fn is_cacheable(&self) -> bool {
-        !self.is_fast_path()
-    }
-
-    /// Validates the `"job"` object of a request.
+    /// Validates the `"job"` object of a request. `ping` and `stats` are
+    /// not jobs: the server answers them before it calls this, and here
+    /// they are unknown kinds.
     ///
     /// # Errors
     ///
@@ -433,8 +411,6 @@ impl Job {
             }
             "fig2" => Ok(Self::Fig2),
             "fig5" => Ok(Self::Fig5),
-            "ping" => Ok(Self::Ping),
-            "stats" => Ok(Self::Stats),
             "fig7" => {
                 let target_ci = target_ci_field(job)?;
                 let max_devices = match job.get("max_devices") {
@@ -628,16 +604,6 @@ impl Job {
                     .push("points", points)
                     .push("summary", econ_summary_json(&summary)))
             }
-            // Fast-path kinds need server context (uptime, the server's
-            // metrics registry) and are answered by the connection
-            // thread before admission; a served job never runs them.
-            Self::Ping | Self::Stats => Err(JobError::Exec {
-                message: format!(
-                    "'{}' is answered on the server's connection fast path, \
-                     not by a worker",
-                    self.kind()
-                ),
-            }),
         }
     }
 }
@@ -1049,31 +1015,10 @@ mod tests {
         for kind in JOB_KINDS {
             assert!(reason.contains(kind), "missing {kind} in {reason}");
         }
-    }
-
-    #[test]
-    fn fast_path_kinds_parse_but_never_run_on_workers() {
-        for kind in ["ping", "stats"] {
-            let parsed = Job::from_json(&job(&format!("{{\"kind\":\"{kind}\"}}"))).unwrap();
-            assert_eq!(parsed.kind(), kind);
-            assert!(parsed.is_fast_path());
-            let err = parsed.run().unwrap_err();
-            assert!(
-                matches!(&err, JobError::Exec { message } if message.contains("fast path")),
-                "{err:?}"
-            );
-        }
-        // Every queued kind is a listed kind, and the fast-path kinds
-        // are exactly the difference.
-        for kind in QUEUED_JOB_KINDS {
-            assert!(JOB_KINDS.contains(&kind));
-        }
-        let fast: Vec<&str> = JOB_KINDS
-            .iter()
-            .filter(|k| !QUEUED_JOB_KINDS.contains(k))
-            .copied()
-            .collect();
-        assert_eq!(fast, ["ping", "stats"]);
+        // The listed kinds are the queued kinds, then the two the
+        // server answers itself.
+        assert_eq!(JOB_KINDS[..9], QUEUED_JOB_KINDS);
+        assert_eq!(JOB_KINDS[9..], ["ping", "stats"]);
     }
 
     #[test]
@@ -1587,8 +1532,6 @@ mod tests {
                     \"d0\":0.2,\"purity\":0.999,\"devices\":512}";
         let parsed = Job::from_json(&job(body)).unwrap();
         assert_eq!(parsed.kind(), "econ_point");
-        assert!(!parsed.is_fast_path());
-        assert!(parsed.is_cacheable());
         let a = parsed.run().unwrap().render();
         let b = Job::from_json(&job(body)).unwrap().run().unwrap().render();
         assert_eq!(a, b, "same econ job renders byte-identically");

@@ -9,18 +9,18 @@
 //!
 //! - [`protocol`] — frame reader/writer and the request/response envelope;
 //! - [`job`] — the job model (`op`, `dc_sweep`, `ac_sweep`, `transient`,
-//!   `fig2`, `fig5`, `fig7`, `econ_point`, `econ_campaign`, plus the
-//!   fast-path `ping` and `stats`) with up-front validation and
-//!   deterministic result rendering;
+//!   `fig2`, `fig5`, `fig7`, `econ_point`, `econ_campaign`) with
+//!   up-front validation and deterministic result rendering;
 //! - [`cache`] — content-addressed response cache (sharded LRU over
 //!   canonical job keys) with single-flight deduplication of identical
 //!   in-flight solves;
 //! - [`server`] — an acceptor and one thread per connection, which runs
 //!   each job itself under a counting gate (the slots cap how many jobs
 //!   run at once, and a bounded wait list answers `busy` when full),
-//!   with graceful drain shutdown. `ping`/`stats` and every resident
-//!   cache hit are answered without the gate: a hit is neither
-//!   validated nor given a slot;
+//!   with graceful drain shutdown. The connection thread answers the
+//!   fast-path kinds `ping` and `stats` itself, and every resident
+//!   cache hit without the gate: a hit is neither validated nor given
+//!   a slot;
 //! - [`client`] — a minimal blocking client used by the tests and by
 //!   the `servebench` load generator.
 //!

@@ -3,18 +3,20 @@
 //!
 //! # Threading model
 //!
-//! One acceptor thread owns the listener; each accepted connection gets
-//! a thread that reads frames *sequentially* — a connection has at most
-//! one request in flight, so per-connection response order is trivially
-//! the request order, and concurrency comes from the number of
-//! connections. The connection thread parses the envelope, computes the
-//! job's canonical key, and probes the response cache: a resident body
-//! is answered right there, with no validation and no slot. Every other
-//! job is validated and then run on the same thread once it holds one
-//! of the gate's slots, so a request stays on one thread from read to
-//! write. The slots number [`ServerConfig::workers`], which defaults to
-//! the carbon-runtime executor's thread count (`CARBON_THREADS` or the
-//! machine's parallelism). While the jobs holding slots are at least as
+//! One acceptor thread owns the listener and blocks in `accept`; each
+//! accepted connection gets a thread that reads frames *sequentially* —
+//! a connection has at most one request in flight, so per-connection
+//! response order is trivially the request order, and concurrency comes
+//! from the number of connections. The connection thread parses the
+//! envelope and answers `ping` and `stats` at once. For every other
+//! kind it computes the job's canonical key and probes the response
+//! cache: a resident body is answered right there, with no validation
+//! and no slot. Every other job is validated and then run on the same
+//! thread once it holds one of the gate's slots, so a request stays on
+//! one thread from read to write. The slots number
+//! [`ServerConfig::workers`], which defaults to the carbon-runtime
+//! executor's thread count (`CARBON_THREADS` or the machine's
+//! parallelism). While the jobs holding slots are at least as
 //! many as the executor's threads, they alone keep every core busy, and
 //! a job granted its slot then runs under
 //! [`carbon_runtime::executor::as_worker`]: the executor calls inside it
@@ -40,26 +42,28 @@
 //! nobody is waiting. Otherwise it waits, and waiters get slots in
 //! arrival order; when [`ServerConfig::queue_depth`] requests already
 //! wait, it is answered `busy` at once instead of stalling the
-//! connection. A cache hit never needs a slot, so it is answered even
-//! when the wait list is full. Each job runs under a [`CancelToken`]
-//! scope whose deadline is the request's `timeout_ms` (or the server
-//! default), counted from the slot grant; solver checkpoints inside
-//! carbon-spice turn an expired deadline into a `timeout` response
-//! between Newton iterations or sweep points.
+//! connection. Neither a cache hit nor `ping` or `stats` needs a slot,
+//! so they are answered even when the wait list is full. Each job runs
+//! under a [`CancelToken`] scope whose deadline is the request's
+//! `timeout_ms` (or the server default), counted from the slot grant;
+//! solver checkpoints inside carbon-spice turn an expired deadline into
+//! a `timeout` response between Newton iterations or sweep points.
 //!
 //! # Shutdown
 //!
-//! [`Server::shutdown`] is a graceful drain: the acceptor stops
-//! accepting, shuts down the read side of every live connection, and
-//! joins their threads. A thread blocked in a read between requests
-//! sees the end of the stream at once; one in the middle of a request
-//! finishes it and writes the response first, so every admitted job is
-//! answered.
+//! [`Server::shutdown`] is a graceful drain: it sets the shutdown flag
+//! and wakes the acceptor's blocked `accept` by connecting to the
+//! listener once. The acceptor checks the flag whenever `accept`
+//! returns, drops that wake connection uncounted, shuts down the read
+//! side of every live connection, and joins their threads. A thread
+//! blocked in a read between requests sees the end of the stream at
+//! once; one in the middle of a request finishes it and writes the
+//! response first, so every admitted job is answered.
 
 use std::collections::VecDeque;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
@@ -166,7 +170,8 @@ struct Shared {
     /// The executor's thread count, which [`run_job`] compares with the
     /// jobs holding slots.
     threads: usize,
-    /// Set by the drain; ends the accept loop.
+    /// Set by the drain before it wakes the acceptor; ends the accept
+    /// loop.
     shutdown: AtomicBool,
 }
 
@@ -217,7 +222,6 @@ impl Server {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared::new(&config));
         let acceptor = {
@@ -256,9 +260,18 @@ impl Server {
 
     fn drain(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        // The acceptor blocks in `accept` and checks the flag whenever
+        // it returns, so one connection wakes it. A connect can fail,
+        // for instance with no file descriptor left; then retry until
+        // the acceptor has returned on its own.
+        let wake = wake_address(self.addr);
+        while !acceptor.is_finished() && TcpStream::connect(wake).is_err() {
+            std::thread::sleep(Duration::from_millis(5));
         }
+        let _ = acceptor.join();
     }
 }
 
@@ -268,37 +281,62 @@ impl Drop for Server {
     }
 }
 
+/// Where the drain connects to wake the acceptor: the bound address,
+/// with an unspecified IP (`0.0.0.0` or `::`) replaced by loopback.
+fn wake_address(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 /// Accepts connections until the drain, then ends every connection's
-/// reads and joins its thread. Each thread's socket is kept beside its
-/// handle, so the drain can reach a thread blocked in a read.
+/// reads and joins its thread.
+///
+/// Each connection thread holds the only strong reference to its
+/// socket, so a closed connection's socket closes when its thread ends.
+/// The acceptor keeps a [`Weak`] beside each handle, which the drain
+/// upgrades to reach a thread blocked in a read.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut connections: Vec<(Arc<TcpStream>, JoinHandle<()>)> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    let mut connections: Vec<(Weak<TcpStream>, JoinHandle<()>)> = Vec::new();
+    loop {
+        let accepted = listener.accept();
+        // The drain sets the flag, then connects to wake this `accept`:
+        // any return ends the loop, and the wake connection is dropped
+        // uncounted.
+        if shared.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 // Responses are single small frames; Nagle + delayed
                 // ACK would add ~40 ms to every request.
                 let _ = stream.set_nodelay(true);
                 shared.metrics.connections.incr();
                 let stream = Arc::new(stream);
+                let socket = Arc::downgrade(&stream);
                 let thread = {
-                    let stream = Arc::clone(&stream);
                     let shared = Arc::clone(shared);
                     std::thread::spawn(move || connection_loop(&stream, &shared))
                 };
-                connections.push((stream, thread));
+                // Reap finished connection threads so a long-lived
+                // server does not accumulate handles.
+                connections.retain(|(_, thread)| !thread.is_finished());
+                connections.push((socket, thread));
             }
-            // Nothing to accept yet, or a failed accept (no file
-            // descriptor left, a peer that reset first): back off and
-            // retry. Only the drain ends the loop.
+            // A failed accept (no file descriptor left, a peer that
+            // reset first): back off and retry. Only the drain ends the
+            // loop.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
-        // Reap finished connection threads so a long-lived server does
-        // not accumulate handles and sockets.
-        connections.retain(|(_, thread)| !thread.is_finished());
     }
-    for (stream, _) in &connections {
-        let _ = stream.shutdown(Shutdown::Read);
+    for (socket, _) in &connections {
+        if let Some(stream) = socket.upgrade() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
     }
     for (_, thread) in connections {
         let _ = thread.join();
@@ -335,9 +373,8 @@ fn connection_loop(mut stream: &TcpStream, shared: &Shared) {
             }
             // ping/stats are answered before admission — a full wait
             // list cannot starve them.
-            Ok(Request::Job { id, job, .. }) if job.is_fast_path() => {
-                fast_path_response(&id, &job, shared)
-            }
+            Ok(Request::Ping { id }) => ping_response(&id, metrics),
+            Ok(Request::Stats { id }) => stats_response(&id, shared),
             Ok(Request::Job {
                 id,
                 job,
@@ -475,40 +512,42 @@ impl Drop for Slot<'_> {
     }
 }
 
-/// Answers the admission-free kinds (`ping`, `stats`) directly on the
-/// connection thread. These responses intentionally carry timing
-/// (uptime, latency aggregates) — they are operational introspection,
-/// not simulation results, and are excluded from the byte-identity
-/// contract the queued kinds keep.
-fn fast_path_response(id: &Json, job: &Job, shared: &Shared) -> Vec<u8> {
+/// The `ping` response: crate version and server uptime. Like `stats`,
+/// it carries timing on purpose — operational introspection, not a
+/// simulation result — and is excluded from the byte-identity contract
+/// the queued kinds keep.
+fn ping_response(id: &Json, metrics: &ServeMetrics) -> Vec<u8> {
+    metrics.ping.incr();
+    let result = Json::obj()
+        .push("version", env!("CARGO_PKG_VERSION"))
+        .push("uptime_ms", metrics.uptime_ms());
+    ok_response(id, "ping", result)
+}
+
+/// The `stats` response: the server's registry merged with the
+/// process-global one, quantiles included.
+fn stats_response(id: &Json, shared: &Shared) -> Vec<u8> {
     let metrics = &shared.metrics;
-    match job {
-        Job::Ping => {
-            metrics.ping.incr();
-            let result = Json::obj()
-                .push("version", env!("CARGO_PKG_VERSION"))
-                .push("uptime_ms", metrics.uptime_ms());
-            ok_response(id, "ping", result)
+    metrics.stats.incr();
+    let (uptime_ms, snapshot) = metrics.merged_snapshot(shared.gate.waiting());
+    let mut result = Json::obj().push("uptime_ms", uptime_ms);
+    // Splice the snapshot's fixed-order sections (counters, gauges,
+    // histograms) into the result object.
+    if let Json::Obj(sections) = snapshot.to_json() {
+        for (key, value) in sections {
+            result = result.push(&key, value);
         }
-        Job::Stats => {
-            metrics.stats.incr();
-            let (uptime_ms, snapshot) = metrics.merged_snapshot(shared.gate.waiting());
-            let mut result = Json::obj().push("uptime_ms", uptime_ms);
-            // Splice the snapshot's fixed-order sections (counters,
-            // gauges, histograms) into the result object.
-            if let Json::Obj(sections) = snapshot.to_json() {
-                for (key, value) in sections {
-                    result = result.push(&key, value);
-                }
-            }
-            ok_response(id, "stats", result)
-        }
-        _ => unreachable!("fast_path_response called for a queued job kind"),
     }
+    ok_response(id, "stats", result)
 }
 
 /// What one well-formed request envelope asks of the server.
 enum Request {
+    /// A `ping`: liveness, answered before the cache probe.
+    Ping { id: Json },
+    /// A `stats`: the metrics snapshot, answered before the cache
+    /// probe.
+    Stats { id: Json },
     /// The job body is resident in the cache: its stored response,
     /// spliced with this request's id, and the request's open
     /// `serve.request` span.
@@ -523,9 +562,9 @@ enum Request {
     },
 }
 
-/// Parses one request envelope and probes the cache with its job key;
-/// a miss is then validated. Failures come back as ready-to-send
-/// response bytes.
+/// Parses one request envelope, picks out `ping` and `stats` by their
+/// `job.kind`, and probes the cache with any other job's key; a miss is
+/// then validated. Failures come back as ready-to-send response bytes.
 ///
 /// A hit skips `Job::from_json`: the cache stores only `ok` responses
 /// of bodies that passed it, under the canonical key of that same body.
@@ -565,6 +604,11 @@ fn parse_envelope(
     let job_field = envelope
         .get("job")
         .ok_or_else(|| error_response(&id, "validate", "request.job is required"))?;
+    match job_field.get("kind").and_then(Json::as_str) {
+        Some("ping") => return Ok(Request::Ping { id }),
+        Some("stats") => return Ok(Request::Stats { id }),
+        _ => {}
+    }
     // Content identity of the work itself: the `job` field only, in
     // canonical (sorted-key) form. `id` and `timeout_ms` are excluded —
     // an `ok` response is a pure function of the job body, so neither
@@ -622,7 +666,7 @@ fn run_admitted(
     // edge) — so hit + miss == accepted.
     let mut guard = None;
     let mut waited_out = false;
-    if let Some(cache) = shared.cache.as_ref().filter(|_| job.is_cacheable()) {
+    if let Some(cache) = &shared.cache {
         let mut coalesced = false;
         // Loops because a leader may fail: the first retrying waiter
         // then becomes the new leader.
@@ -857,6 +901,15 @@ mod tests {
         while gate.waiting() < n {
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn the_drain_wakes_an_unspecified_bind_address_on_loopback() {
+        let wake = |addr: &str| wake_address(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7000"), "127.0.0.1:7000");
+        assert_eq!(wake("[::]:7000"), "[::1]:7000");
+        assert_eq!(wake("127.0.0.1:7000"), "127.0.0.1:7000");
+        assert_eq!(wake("10.1.2.3:7000"), "10.1.2.3:7000");
     }
 
     #[test]

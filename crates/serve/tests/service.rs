@@ -1,8 +1,8 @@
 //! End-to-end service tests: protocol round trips, validation at the
 //! boundary, backpressure, deadlines, and graceful drain.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use carbon_json::Json;
@@ -766,9 +766,9 @@ fn graceful_drain_answers_every_admitted_job() {
 
 /// A connection that stays open after its last response has its thread
 /// blocked in a read. The drain ends that read at once, so shutdown
-/// does not wait for the peer to send or close. The drain itself waits
-/// at most one 5 ms accept poll; the 40 ms bound leaves room for a
-/// loaded test host.
+/// does not wait for the peer to send or close. The drain wakes the
+/// blocked acceptor with one connection of its own, which is not
+/// counted; the 40 ms bound leaves room for a loaded test host.
 #[test]
 fn shutdown_does_not_wait_on_an_idle_connection() {
     let server = start(1, 4);
@@ -791,4 +791,52 @@ fn shutdown_does_not_wait_on_an_idle_connection() {
     );
     assert_eq!(stats.connections, 1);
     drop(client);
+}
+
+/// The acceptor blocks in `accept`, so no poll interval sits between a
+/// new connection and its first request. Twenty connections in a row,
+/// each timed from its connect to its first `ping` answer.
+#[test]
+fn a_new_connection_is_served_at_once() {
+    let server = start(1, 4);
+    let mut took: Vec<Duration> = (0..20)
+        .map(|i| {
+            let started = Instant::now();
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            let pong = client
+                .call(
+                    &Json::obj()
+                        .push("id", i)
+                        .push("job", Json::obj().push("kind", "ping")),
+                )
+                .unwrap();
+            let elapsed = started.elapsed();
+            assert_eq!(pong.get("status").and_then(Json::as_str), Some("ok"));
+            elapsed
+        })
+        .collect();
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median connect-to-first-ping {median:?} of {took:?}"
+    );
+    assert_eq!(server.shutdown().connections, 20);
+}
+
+/// Each connection thread holds the only strong reference to its
+/// socket, so a connection the peer half-closes is closed when its
+/// thread ends, not at the acceptor's next `accept`.
+#[test]
+fn a_half_closed_connection_reads_eof() {
+    let server = start(1, 4);
+    let mut stream = raw_connect(&server);
+    stream.shutdown(Shutdown::Write).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    let mut byte = [0; 1];
+    let read = stream.read(&mut byte);
+    assert!(matches!(read, Ok(0)), "no EOF within 1 s: {read:?}");
+    drop(server);
 }

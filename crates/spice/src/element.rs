@@ -58,35 +58,6 @@ pub trait FetCurve: Send + Sync {
     }
 }
 
-/// The shared length contract for every batched device-evaluation entry
-/// point: all lanes (the `vgs`/`vds`/parameter/output lanes of the SoA
-/// layer in `carbon-devices`) must have the same length, and an empty
-/// batch is a no-op.
-///
-/// Returns `false` when the (matching) lanes are empty — the caller's
-/// zero-length fast path — and panics with a named-field message on the
-/// first mismatched lane. Implementations call this instead of ad-hoc
-/// `assert_eq!` so the panic text is identical everywhere.
-///
-/// # Panics
-///
-/// Panics if any lane's length differs from the first lane's, naming
-/// both fields, e.g. `batch lane length mismatch: vgs.len() = 5 but
-/// out.len() = 4 (all lanes must match)`.
-#[inline]
-#[track_caller]
-pub fn batch_lanes_match(lanes: &[(&str, usize)]) -> bool {
-    let (first_name, first_len) = lanes[0];
-    for &(name, len) in &lanes[1..] {
-        assert!(
-            len == first_len,
-            "batch lane length mismatch: {first_name}.len() = {first_len} but \
-             {name}.len() = {len} (all lanes must match)"
-        );
-    }
-    first_len != 0
-}
-
 /// A named element instance.
 #[derive(Debug, Clone)]
 pub(crate) struct Element {
@@ -301,18 +272,6 @@ mod tests {
         assert_eq!(m.eval(0.5, 0.5), (QuadraticFet.ids(0.5, 0.5), -1.0, -2.0));
         let d: Arc<dyn FetCurve> = Arc::new(QuadraticFet);
         assert_eq!(d.eval(0.5, 0.5), QuadraticFet.eval(0.5, 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "batch lane length mismatch: vgs.len() = 2 but out.len() = 1")]
-    fn batch_lanes_match_names_the_mismatched_lane() {
-        batch_lanes_match(&[("vgs", 2), ("vds", 2), ("out", 1)]);
-    }
-
-    #[test]
-    fn batch_lanes_match_accepts_equal_lanes() {
-        assert!(batch_lanes_match(&[("a", 3), ("b", 3), ("c", 3)]));
-        assert!(!batch_lanes_match(&[("a", 0), ("b", 0)]));
     }
 
     #[test]

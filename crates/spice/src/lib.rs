@@ -58,7 +58,7 @@ pub mod waveform;
 pub use analysis::ac::{AcMethod, AcOptions, AcResult};
 pub use analysis::{DcOptions, OpResult, SweepResult, TranMethod, TranOptions, TranResult};
 pub use complex::Complex;
-pub use element::{batch_lanes_match, FetCurve};
+pub use element::FetCurve;
 pub use error::SpiceError;
 pub use netlist::{Circuit, NodeId};
 pub use waveform::Waveform;

@@ -221,12 +221,6 @@ impl Current {
         Self(ua * 1e-6)
     }
 
-    /// Constructs a current from a value in nanoamperes.
-    #[inline]
-    pub const fn from_nanoamperes(na: f64) -> Self {
-        Self(na * 1e-9)
-    }
-
     /// Value in microamperes.
     #[inline]
     pub const fn microamperes(self) -> f64 {
@@ -248,28 +242,10 @@ impl Current {
 }
 
 impl CurrentDensity {
-    /// Constructs a density from a value in A/m.
-    #[inline]
-    pub const fn from_amps_per_meter(v: f64) -> Self {
-        Self(v)
-    }
-
-    /// Constructs a density from the paper's customary µA/µm (≡ A/m).
-    #[inline]
-    pub const fn from_microamps_per_micron(v: f64) -> Self {
-        Self(v)
-    }
-
     /// Constructs a density from mA/µm.
     #[inline]
     pub const fn from_milliamps_per_micron(v: f64) -> Self {
         Self(v * 1e3)
-    }
-
-    /// Constructs a density from nA/µm.
-    #[inline]
-    pub const fn from_nanoamps_per_micron(v: f64) -> Self {
-        Self(v * 1e-3)
     }
 
     /// Value in µA/µm (numerically equal to A/m).
@@ -344,12 +320,6 @@ impl Energy {
 }
 
 impl Charge {
-    /// Constructs a charge from a value in coulombs.
-    #[inline]
-    pub const fn from_coulombs(c: f64) -> Self {
-        Self(c)
-    }
-
     /// Charge of `n` elementary charges.
     #[inline]
     pub fn elementary(n: f64) -> Self {
@@ -415,12 +385,6 @@ impl Resistance {
 }
 
 impl Conductance {
-    /// Constructs a conductance from a value in siemens.
-    #[inline]
-    pub const fn from_siemens(s: f64) -> Self {
-        Self(s)
-    }
-
     /// The reciprocal resistance.
     ///
     /// # Panics

@@ -2,13 +2,13 @@
 //!
 //! Every `carbon-logic` analysis that puts a `carbon-devices` model
 //! into a `carbon-spice` circuit runs here for four n/p model pairs:
-//! `AlphaPowerFet`, `LinearGnrFet` and `TableFet` (whose `eval`
-//! overrides route the Newton stencil through the SoA kernels) and
-//! `SeriesResistance` (which keeps the trait's default `eval`). Each
-//! pair hashes FNV-1a 64 over the bits of
+//! `AlphaPowerFet`, `LinearGnrFet`, `TableFet` and `SeriesResistance`,
+//! each answering through its scalar `ids` and the trait's default
+//! `eval` stencil. Each pair hashes FNV-1a 64 over the bits of
 //!
 //! * `Inverter::vtc` at 33 points (serial `dc_sweep`) and at 101
-//!   points (chunked `dc_sweep_par`), and `propagation_delay`;
+//!   points (`dc_sweep` with `DcOptions { chunk: Some(16) }`), and
+//!   `propagation_delay`;
 //! * the NAND2 and NOR2 `truth_table`s;
 //! * a 3-stage `RingOscillator::oscillation`;
 //! * `RfStage::figures` for both devices and `simulated_voltage_gain`
