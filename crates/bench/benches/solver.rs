@@ -6,7 +6,7 @@ use carbon_runtime::bench::{black_box, Harness};
 
 use carbon_bench::{diode_chain, fet_cs_amp, log_freqs, rc_ladder, resistor_ladder};
 use carbon_spice::parser::parse_deck;
-use carbon_spice::{AcMethod, AcOptions, Circuit, DcOptions, TranOptions, Waveform};
+use carbon_spice::{Circuit, DcOptions, TranOptions, Waveform};
 
 fn main() {
     let mut h = Harness::group("solver");
@@ -74,10 +74,7 @@ fn main() {
         .map(|k| 1e3 * 10f64.powf(k as f64 / 16.0))
         .collect();
     h.bench("ac_sweep_100pt", || {
-        black_box(
-            ckt.ac_sweep("vin", &freqs, AcOptions::default())
-                .expect("sweeps"),
-        );
+        black_box(ckt.ac_sweep("vin", &freqs).expect("sweeps"));
     });
 
     // Sparse AC replay scaling: symbolic analysis once, jωC restamp +
@@ -86,30 +83,12 @@ fn main() {
     for n in [32usize, 128] {
         let ckt = rc_ladder(n);
         h.bench(&format!("ac_ladder/{n}"), || {
-            black_box(
-                ckt.ac_sweep("vin", &ac_freqs, AcOptions::default())
-                    .expect("sweeps"),
-            );
+            black_box(ckt.ac_sweep("vin", &ac_freqs).expect("sweeps"));
         });
     }
-    // The dense-complex O(n³)-per-point path on the same 128-stage
-    // workload — the baseline the ≥3× sparse speedup is measured
-    // against.
-    let ckt = rc_ladder(128);
-    let dense = AcOptions {
-        method: AcMethod::Dense,
-        ..AcOptions::default()
-    };
-    h.bench("ac_ladder_dense/128", || {
-        black_box(ckt.ac_sweep("vin", &ac_freqs, dense).expect("sweeps"));
-    });
-
     let ckt = fet_cs_amp();
     h.bench("ac_fet_cs_amp", || {
-        black_box(
-            ckt.ac_sweep("vin", &ac_freqs, AcOptions::default())
-                .expect("sweeps"),
-        );
+        black_box(ckt.ac_sweep("vin", &ac_freqs).expect("sweeps"));
     });
 
     let deck = {

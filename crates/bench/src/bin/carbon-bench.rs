@@ -26,7 +26,7 @@
 //!
 //! `fig2` runs the Fig. 2 experiment and prints its report.
 //!
-//! `ac` runs a parallel sparse AC sweep of the 64-stage RC ladder and
+//! `ac` runs a serial sparse AC sweep of the 64-stage RC ladder and
 //! prints every phasor at full precision.
 //!
 //! `fig7` runs the §V statistics experiment and prints its report.
@@ -242,16 +242,12 @@ fn run_fig2() -> ExitCode {
 }
 
 fn run_ac() -> ExitCode {
-    // A sparse-path system (66 unknowns) swept in parallel chunks of 8:
-    // the chunking is fixed, so this report is byte-identical at every
+    // A sparse-path system (66 unknowns) swept serially: it never
+    // touches the executor, so this report is byte-identical at every
     // CARBON_THREADS.
     let ckt = carbon_bench::rc_ladder(64);
     let freqs = carbon_bench::log_freqs(40, 1e3, 1e9);
-    let chunked = carbon_spice::AcOptions {
-        chunk: Some(8),
-        ..Default::default()
-    };
-    match ckt.ac_sweep("vin", &freqs, chunked) {
+    match ckt.ac_sweep("vin", &freqs) {
         Ok(ac) => {
             for (f, sol) in freqs.iter().zip(ac.solutions()) {
                 print!("f={f:.17e}");

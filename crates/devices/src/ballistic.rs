@@ -311,14 +311,20 @@ impl BallisticFet {
             if flo <= 0.0 && fhi >= 0.0 {
                 match brent(residual, lo, hi, 1e-9) {
                     Ok(u) => return u,
-                    Err(FindRootError::IterationLimit { best }) => return best,
+                    Err(FindRootError::IterationLimit { best }) => {
+                        // Brent's best value so far; counted, so a
+                        // `stats` snapshot shows the fallback.
+                        carbon_metrics::global_counter!("devices.ballistic.iteration_limit").incr();
+                        return best;
+                    }
                     Err(FindRootError::NoBracket { .. }) => break,
                 }
             }
             half_width *= 2.0;
         }
         // Unreachable for physical parameters; fall back to the
-        // charge-free barrier.
+        // charge-free barrier, and count it.
+        carbon_metrics::global_counter!("devices.ballistic.no_bracket").incr();
         laplace
     }
 
@@ -364,6 +370,21 @@ mod tests {
 
     fn cnt() -> BallisticFet {
         BallisticFet::cnt_fig1().unwrap()
+    }
+
+    #[test]
+    fn a_bias_that_never_brackets_counts_one_fallback_per_barrier_solve() {
+        let fallbacks = || {
+            carbon_metrics::global()
+                .counter("devices.ballistic.no_bracket")
+                .total()
+        };
+        let f = cnt();
+        let before = fallbacks();
+        // NaN fails every bracket test; at vds > 0 the n-type device
+        // solves one barrier.
+        let _ = f.ids(f64::NAN, 0.5);
+        assert_eq!(fallbacks() - before, 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use carbon_econ::{CampaignGrid, CostModel, EconConfig, EconError, McMode, NodeSpec, YieldModel};
 use carbon_json::Json;
 use carbon_spice::parser::parse_deck;
-use carbon_spice::{AcOptions, Circuit, DcOptions, SpiceError, TranMethod, TranOptions};
+use carbon_spice::{Circuit, DcOptions, SpiceError, TranMethod, TranOptions};
 
 /// The kinds the service accepts, in the order error messages list
 /// them: the [`QUEUED_JOB_KINDS`], then `ping` and `stats`.
@@ -529,7 +529,7 @@ impl Job {
                 nodes,
             } => {
                 let ac = circuit
-                    .ac_sweep(source, freqs, AcOptions::default())
+                    .ac_sweep(source, freqs)
                     .map_err(|e| JobError::from_spice(&e))?;
                 let mut traces = Json::obj();
                 for node in nodes {

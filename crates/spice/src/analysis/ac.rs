@@ -18,128 +18,36 @@
 //!
 //! Small systems solve by dense elimination
 //! ([`DenseMatrix<Complex>`](crate::linalg::DenseMatrix)); at and above
-//! the sparse threshold the sweep switches to the scalar-generic sparse
-//! LU ([`SparseLu<Complex>`](crate::sparse::SparseLu)). Both bind the
+//! the sparse threshold (16 unknowns, the Newton analyses' rule) the
+//! sweep switches to the scalar-generic sparse LU
+//! ([`SparseLu<Complex>`](crate::sparse::SparseLu)). Both bind the
 //! Newton engine's element footprints to their matrix slots once. The
 //! `G + jωC` sparsity pattern is frequency-independent — a capacitor's
 //! susceptances land on its companion-conductance positions and an
 //! inductor's reactance on its branch diagonal, so the pattern is the
-//! one the DC and transient stamps use — and the symbolic analysis and
-//! fill-reducing ordering are computed once per circuit. Each frequency
-//! point after the first runs a numeric
-//! [`replay`](crate::sparse::SparseLu::refactor) with the same
-//! pivot-growth staleness fallback as the DC path.
+//! one the DC and transient stamps use — and each sweep computes the
+//! symbolic analysis and fill-reducing ordering once. The sparse LU
+//! follows the Newton engine's one factor schedule: a full pivoting
+//! factorization at the first frequency, then a numeric
+//! [`replay`](crate::sparse::SparseLu::refactor) per point with the
+//! same pivot-growth staleness fallback.
 //!
-//! [`AcOptions::chunk`] fans the frequency grid out over the
-//! deterministic executor in fixed-size chunks; each chunk factors at
-//! its head frequency and replays the rest, so the result is
-//! **byte-identical at every `CARBON_THREADS`** and — because the
-//! serial sweep follows the same factor-then-replay schedule —
-//! byte-identical to the serial sweep when one chunk covers the whole
-//! grid.
+//! Every sweep builds its own workspace and walks the grid in order,
+//! so its result depends only on the circuit and its arguments.
 
 use std::sync::Arc;
 
-use super::engine::{add, take, MnaMatrix, NameTable, StampSlots, SPARSE_THRESHOLD};
+use super::engine::{add, take, Factorization, MnaMatrix, NameTable, StampSlots, SPARSE_THRESHOLD};
 use super::OpResult;
 use crate::complex::Complex;
 use crate::element::{diode_iv, ElementKind};
 use crate::error::SpiceError;
 use crate::netlist::{is_ground, Circuit, NodeId};
-use crate::sparse::Refactor;
-use carbon_runtime::executor::Executor;
 use carbon_trace::{instant, span};
 
 /// Node-to-ground leak stamped on every node diagonal, matching the
 /// DC solver's default gmin so floating nodes stay anchored.
 const AC_GMIN: f64 = 1e-12;
-
-/// Which complex linear solver an AC sweep uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AcMethod {
-    /// Dense below the sparse threshold (16 unknowns), sparse pattern
-    /// reuse at and above it.
-    #[default]
-    Auto,
-    /// Force dense complex elimination — the oracle the property tests
-    /// compare the sparse path against.
-    Dense,
-    /// Force the sparse symbolic-once / replay-per-frequency path.
-    Sparse,
-}
-
-impl AcMethod {
-    /// Whether a sweep over `n` unknowns takes the sparse path.
-    fn sparse_for(self, n: usize) -> bool {
-        match self {
-            Self::Auto => n >= SPARSE_THRESHOLD,
-            Self::Dense => false,
-            Self::Sparse => true,
-        }
-    }
-}
-
-/// Options for [`Circuit::ac_sweep`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AcOptions {
-    /// Which complex linear solver the sweep uses.
-    pub method: AcMethod,
-    /// `None` (the default) sweeps serially on the circuit's cached
-    /// workspace and never touches the executor. `Some(c)` cuts the
-    /// grid into `c`-point chunks (at least 1) and runs them over
-    /// [`Executor::new`], each on a private workspace. The chunking
-    /// depends only on `c`, never on the thread count.
-    pub chunk: Option<usize>,
-}
-
-/// One sweep's complex solve state: the `G + jωC` matrix — dense, or
-/// sparse with its fixed pattern plus the complex LU with its
-/// fill-reducing ordering — and its bound stamp slots. The circuit
-/// caches one, so repeated serial sweeps skip the symbolic setup and
-/// reuse the factor allocations.
-pub(crate) struct AcWorkspace {
-    matrix: MnaMatrix<Complex>,
-    slots: StampSlots,
-}
-
-impl AcWorkspace {
-    /// A zeroed workspace for the circuit with its stamps bound.
-    fn new(circuit: &Circuit, sparse: bool) -> Self {
-        let (matrix, slots) = MnaMatrix::bind(circuit, sparse);
-        Self { matrix, slots }
-    }
-
-    /// Solves the stamped system in place of `x`, the `k`-th point
-    /// (frequency `f`) of a sweep. The sparse LU takes a full pivoting
-    /// factorization at `k == 0`, so the factor schedule — and hence
-    /// every bit of the output — is independent of whatever a cached
-    /// workspace solved before; later points replay it.
-    fn solve(&mut self, k: usize, f: f64, x: &mut [Complex]) -> Result<(), SpiceError> {
-        let (a, lu) = match &mut self.matrix {
-            MnaMatrix::Dense(a) => return a.solve_in_place(x),
-            MnaMatrix::Sparse { a, lu } => (a, lu),
-        };
-        if k == 0 {
-            lu.factor(a)?;
-            carbon_metrics::global_counter!("spice.sparse.ac_factor").incr();
-        } else {
-            match lu.refactor(a)? {
-                Refactor::Replayed => {
-                    carbon_metrics::global_counter!("spice.sparse.ac_replay").incr()
-                }
-                Refactor::Repivoted => {
-                    // The pivot order chosen at the head frequency went
-                    // stale as ω moved the susceptances — rare, but
-                    // campaigns watch the fallback rate.
-                    carbon_metrics::global_counter!("spice.sparse.ac_repivot").incr();
-                    instant!("spice.sparse.ac_stale_pivot", "freq" = f, "n" = a.dim());
-                }
-            }
-        }
-        lu.solve(x);
-        Ok(())
-    }
-}
 
 /// Result of an AC sweep: node-voltage phasors per frequency.
 #[derive(Debug, Clone)]
@@ -224,8 +132,8 @@ impl AcResult {
 impl Circuit {
     /// AC sweep: the named voltage or current source becomes the unit
     /// AC stimulus; all other independent sources are AC-quiet (but set
-    /// the DC operating point). [`AcOptions`] picks the solver and
-    /// whether the grid runs serially or in chunks over the executor.
+    /// the DC operating point). Below 16 unknowns each frequency solves
+    /// by dense elimination; at and above, on the sparse LU.
     ///
     /// # Errors
     ///
@@ -234,54 +142,63 @@ impl Circuit {
     /// [`SpiceError::InvalidSweep`] for an empty frequency list or any
     /// non-finite / non-positive frequency (rejected up front, naming
     /// the offending entry), and solver errors from the operating point
-    /// or any frequency point — with several failing chunks, the error
-    /// of the lowest-indexed one.
-    pub fn ac_sweep(
-        &self,
-        source: &str,
-        freqs: &[f64],
-        opts: AcOptions,
-    ) -> Result<AcResult, SpiceError> {
+    /// or any frequency point.
+    pub fn ac_sweep(&self, source: &str, freqs: &[f64]) -> Result<AcResult, SpiceError> {
+        self.sweep(source, freqs, self.num_unknowns() >= SPARSE_THRESHOLD)
+    }
+
+    /// [`Circuit::ac_sweep`] on the sparse LU when `sparse` is set and
+    /// by dense elimination otherwise, whatever the size: the dense
+    /// path is the sparse one's test oracle.
+    fn sweep(&self, source: &str, freqs: &[f64], sparse: bool) -> Result<AcResult, SpiceError> {
         let stimulus = self.validate_ac(source, freqs)?;
-        // Linearization point first: op() takes the same solver-cache
-        // lock the AC workspace lives behind.
         let op = self.op()?;
         let n = self.num_unknowns();
-        let sparse = opts.method.sparse_for(n);
-        let chunk = opts.chunk.map_or(freqs.len(), |c| c.max(1));
-        let n_chunks = freqs.len().div_ceil(chunk);
         let mut sweep_span = span!("spice.ac_sweep");
         if sweep_span.is_live() {
             sweep_span.record("source", stimulus.as_str());
             sweep_span.record("n", n);
             sweep_span.record("points", freqs.len());
-            sweep_span.record("chunk", chunk);
-            sweep_span.record("n_chunks", n_chunks);
             sweep_span.record("method", if sparse { "sparse" } else { "dense" });
         }
-        let solutions = if opts.chunk.is_none() {
-            let mut cache = self.solver_cache.lock();
-            let ws = match &mut cache.ac {
-                Some(ws) if matches!(ws.matrix, MnaMatrix::Sparse { .. }) == sparse => ws,
-                slot => slot.insert(AcWorkspace::new(self, sparse)),
-            };
-            sweep_points(self, &stimulus, freqs, &op, ws)?
-        } else {
-            let chunks = Executor::new().par_map(n_chunks, |c| {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(freqs.len());
-                let mut chunk_span = span!("spice.ac_chunk");
-                if chunk_span.is_live() {
-                    chunk_span.record("chunk", c);
-                    chunk_span.record("points", hi - lo);
+        // The static stamps accumulate into the zeroed matrix; their
+        // snapshot `g` then restores `G` per point with one memcpy
+        // instead of a full restamp.
+        let (mut matrix, slots) = MnaMatrix::bind(self, sparse);
+        let (b, jwc) = stamp_ac_static(self, &stimulus, &op, &slots, matrix.values_mut());
+        let g = matrix.values_mut().to_vec();
+        let mut solutions = Vec::with_capacity(freqs.len());
+        for &f in freqs {
+            if carbon_runtime::cancel::cancelled() {
+                return Err(SpiceError::Cancelled {
+                    analysis: "ac sweep",
+                });
+            }
+            let omega = 2.0 * std::f64::consts::PI * f;
+            let a = matrix.values_mut();
+            a.copy_from_slice(&g);
+            for &(slot, coeff) in &jwc {
+                a[slot] += Complex::imag(omega * coeff);
+            }
+            let mut x = b.clone();
+            match matrix.solve(&mut x)? {
+                Factorization::Dense => {}
+                Factorization::Factored => {
+                    carbon_metrics::global_counter!("spice.sparse.ac_factor").incr()
                 }
-                // A private workspace per chunk: no shared factor state,
-                // so scheduling cannot influence any bit of the result.
-                let mut ws = AcWorkspace::new(self, sparse);
-                sweep_points(self, &stimulus, &freqs[lo..hi], &op, &mut ws)
-            });
-            chunks.into_iter().collect::<Result<Vec<_>, _>>()?.concat()
-        };
+                Factorization::Replayed => {
+                    carbon_metrics::global_counter!("spice.sparse.ac_replay").incr()
+                }
+                Factorization::Repivoted => {
+                    // The pivot order chosen at the first frequency went
+                    // stale as ω moved the susceptances — rare, but
+                    // campaigns watch the fallback rate.
+                    carbon_metrics::global_counter!("spice.sparse.ac_repivot").incr();
+                    instant!("spice.sparse.ac_stale_pivot", "freq" = f, "n" = n);
+                }
+            }
+            solutions.push(x);
+        }
         Ok(AcResult {
             freqs: freqs.to_vec(),
             names: op.names,
@@ -324,42 +241,6 @@ impl Circuit {
         }
         Ok(stimulus)
     }
-}
-
-/// Solves `(G + jωC)·x = b` at each of `freqs` on `ws`: the static
-/// stamps once, then per point a restore of their snapshot, the `jωC`
-/// pairs, and a solve.
-fn sweep_points(
-    circuit: &Circuit,
-    stimulus: &str,
-    freqs: &[f64],
-    op: &OpResult,
-    ws: &mut AcWorkspace,
-) -> Result<Vec<Vec<Complex>>, SpiceError> {
-    // The static stamps accumulate from zero; their snapshot `g` then
-    // restores `G` per point with one memcpy instead of a full restamp.
-    let a = ws.matrix.values_mut();
-    a.fill(Complex::ZERO);
-    let (b, jwc) = stamp_ac_static(circuit, stimulus, op, &ws.slots, a);
-    let g = a.to_vec();
-    let mut solutions = Vec::with_capacity(freqs.len());
-    for (k, &f) in freqs.iter().enumerate() {
-        if carbon_runtime::cancel::cancelled() {
-            return Err(SpiceError::Cancelled {
-                analysis: "ac sweep",
-            });
-        }
-        let omega = 2.0 * std::f64::consts::PI * f;
-        let a = ws.matrix.values_mut();
-        a.copy_from_slice(&g);
-        for &(slot, coeff) in &jwc {
-            a[slot] += Complex::imag(omega * coeff);
-        }
-        let mut x = b.clone();
-        ws.solve(k, f, &mut x)?;
-        solutions.push(x);
-    }
-    Ok(solutions)
 }
 
 /// Stamps the ω-independent part of the circuit's AC system into the
@@ -452,6 +333,7 @@ fn stamp_ac_static(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carbon_runtime::prop::prelude::*;
 
     #[test]
     fn rc_lowpass_corner() {
@@ -461,7 +343,7 @@ mod tests {
         ckt.resistor("r", "in", "out", 1e3).unwrap();
         ckt.capacitor("c", "out", "0", 1e-9).unwrap();
         let freqs: Vec<f64> = (0..60).map(|k| 1e3 * 10f64.powf(k as f64 / 10.0)).collect();
-        let ac = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
+        let ac = ckt.ac_sweep("vin", &freqs).unwrap();
         let mag = ac.magnitude("out").unwrap();
         assert!((mag[0] - 1.0).abs() < 1e-3, "passband gain 1");
         assert!(*mag.last().unwrap() < 0.01, "stopband rolls off");
@@ -479,31 +361,32 @@ mod tests {
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.vccs("g1", "0", "out", "in", "0", 2e-3).unwrap();
         ckt.resistor("rl", "out", "0", 10e3).unwrap();
-        let ac = ckt
-            .ac_sweep("vin", &[1e3, 1e6, 1e9], AcOptions::default())
-            .unwrap();
+        let ac = ckt.ac_sweep("vin", &[1e3, 1e6, 1e9]).unwrap();
         let mag = ac.magnitude("out").unwrap();
         for m in mag {
             assert!((m - 20.0).abs() < 0.1, "|Av| = {m}");
         }
     }
 
+    /// gm = 1 mS and gds = 10 µS at every bias.
+    #[derive(Debug)]
+    struct LinearFet;
+
+    impl crate::element::FetCurve for LinearFet {
+        fn ids(&self, vgs: f64, vds: f64) -> f64 {
+            1e-3 * vgs + 1e-5 * vds
+        }
+    }
+
     #[test]
     fn fet_common_source_ac_gain_matches_gm_over_gds() {
-        #[derive(Debug)]
-        struct LinearFet;
-        impl crate::element::FetCurve for LinearFet {
-            fn ids(&self, vgs: f64, vds: f64) -> f64 {
-                1e-3 * vgs + 1e-5 * vds
-            }
-        }
         let mut ckt = Circuit::new();
         ckt.voltage_source("vdd", "vdd", "0", 1.0);
         ckt.voltage_source("vin", "g", "0", 0.5);
         ckt.resistor("rl", "vdd", "d", 1e5).unwrap();
         ckt.fet("m1", "d", "g", "0", std::sync::Arc::new(LinearFet))
             .unwrap();
-        let ac = ckt.ac_sweep("vin", &[1e6], AcOptions::default()).unwrap();
+        let ac = ckt.ac_sweep("vin", &[1e6]).unwrap();
         let gain = ac.magnitude("d").unwrap()[0];
         // |Av| = gm·(R_L ∥ 1/gds) = 1e-3·(1e5 ∥ 1e5) = 50.
         assert!((gain - 50.0).abs() < 1.0, "|Av| = {gain}");
@@ -515,7 +398,7 @@ mod tests {
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.resistor("r", "in", "0", 1e3).unwrap();
         // Unknown stimulus names the request and lists the candidates.
-        match ckt.ac_sweep("nope", &[1e3], AcOptions::default()) {
+        match ckt.ac_sweep("nope", &[1e3]) {
             Err(SpiceError::UnknownAcSource { name, available }) => {
                 assert_eq!(name, "nope");
                 assert_eq!(available, vec!["vin".to_owned()]);
@@ -524,17 +407,17 @@ mod tests {
         }
         // An element that exists but is not a source is rejected the
         // same way.
-        match ckt.ac_sweep("r", &[1e3], AcOptions::default()) {
+        match ckt.ac_sweep("r", &[1e3]) {
             Err(SpiceError::UnknownAcSource { name, .. }) => assert_eq!(name, "r"),
             other => panic!("expected UnknownAcSource, got {other:?}"),
         }
         assert!(matches!(
-            ckt.ac_sweep("vin", &[], AcOptions::default()),
+            ckt.ac_sweep("vin", &[]),
             Err(SpiceError::InvalidSweep { .. })
         ));
         // Bad frequencies are rejected up front, naming the entry.
         for bad in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
-            match ckt.ac_sweep("vin", &[1e3, bad], AcOptions::default()) {
+            match ckt.ac_sweep("vin", &[1e3, bad]) {
                 Err(SpiceError::InvalidSweep { reason }) => {
                     assert!(reason.contains("f[1]"), "{reason}");
                 }
@@ -549,20 +432,14 @@ mod tests {
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.current_source("ibias", "in", "0", 1e-6).unwrap();
         ckt.resistor("r", "in", "0", 1e3).unwrap();
-        let msg = ckt
-            .ac_sweep("vx", &[1e3], AcOptions::default())
-            .unwrap_err()
-            .to_string();
+        let msg = ckt.ac_sweep("vx", &[1e3]).unwrap_err().to_string();
         assert!(msg.contains("'vx'"), "{msg}");
         assert!(msg.contains("vin") && msg.contains("ibias"), "{msg}");
         // No sources at all: the message says so instead of listing an
         // empty set.
         let mut bare = Circuit::new();
         bare.resistor("r", "a", "0", 1e3).unwrap();
-        let msg = bare
-            .ac_sweep("vin", &[1e3], AcOptions::default())
-            .unwrap_err()
-            .to_string();
+        let msg = bare.ac_sweep("vin", &[1e3]).unwrap_err().to_string();
         assert!(msg.contains("no independent sources"), "{msg}");
     }
 
@@ -571,62 +448,92 @@ mod tests {
         let mut ckt = Circuit::new();
         ckt.voltage_source("vin", "in", "0", 0.0);
         ckt.resistor("r", "in", "0", 1e3).unwrap();
-        let ac = ckt.ac_sweep("vin", &[1e3], AcOptions::default()).unwrap();
+        let ac = ckt.ac_sweep("vin", &[1e3]).unwrap();
         assert_eq!(ac.magnitude("0").unwrap(), vec![0.0]);
         assert!(ac.magnitude("ghost").is_err());
     }
 
-    /// Series R / shunt C ladder with `n` stages — at least 17 unknowns
-    /// from n = 16, forcing the sparse path under [`AcMethod::Auto`].
-    fn rc_ladder(n: usize) -> Circuit {
+    /// Series R / shunt C ladder with `n` stages: n + 1 node unknowns
+    /// plus the source branch, so from n = 16 `ac_sweep` runs sparse.
+    fn rc_ladder(n: usize, r: f64, c: f64) -> Circuit {
         let mut ckt = Circuit::new();
         ckt.voltage_source("vin", "n0", "0", 0.0);
         for k in 0..n {
-            ckt.resistor(
-                &format!("r{k}"),
-                &format!("n{k}"),
-                &format!("n{}", k + 1),
-                1e3,
-            )
-            .unwrap();
-            ckt.capacitor(&format!("c{k}"), &format!("n{}", k + 1), "0", 1e-12)
-                .unwrap();
+            let (a, b) = (format!("n{k}"), format!("n{}", k + 1));
+            ckt.resistor(&format!("r{k}"), &a, &b, r).unwrap();
+            ckt.capacitor(&format!("c{k}"), &b, "0", c).unwrap();
         }
         ckt
     }
 
-    fn with_method(method: AcMethod) -> AcOptions {
-        AcOptions {
-            method,
-            ..AcOptions::default()
-        }
+    /// The first (dense, sparse) phasor pair at which the sparse sweep
+    /// driven by `vin` misses the dense oracle by 1e-9 of the dense
+    /// phasor's magnitude or of `floor`, whichever is larger. The two
+    /// eliminate in different orders, so bit equality is not expected.
+    fn sparse_vs_dense_mismatch(
+        ckt: &Circuit,
+        freqs: &[f64],
+        floor: f64,
+    ) -> Option<(Complex, Complex)> {
+        let [dense, sparse] = [false, true].map(|sparse| ckt.sweep("vin", freqs, sparse).unwrap());
+        dense
+            .solutions
+            .into_iter()
+            .flatten()
+            .zip(sparse.solutions.into_iter().flatten())
+            .find(|&(d, s)| {
+                // A NaN error compares unordered, so it counts as a miss.
+                let tol = 1e-9 * d.abs().max(floor);
+                (d - s).abs().partial_cmp(&tol) != Some(std::cmp::Ordering::Less)
+            })
     }
 
     #[test]
     fn sparse_path_matches_dense_oracle_on_ladder() {
-        let ckt = rc_ladder(24);
+        let ckt = rc_ladder(24, 1e3, 1e-12);
         let freqs: Vec<f64> = (0..20).map(|k| 1e4 * 10f64.powf(k as f64 / 4.0)).collect();
-        let dense = ckt
-            .ac_sweep("vin", &freqs, with_method(AcMethod::Dense))
-            .unwrap();
-        let sparse = ckt
-            .ac_sweep("vin", &freqs, with_method(AcMethod::Sparse))
-            .unwrap();
-        for (d, s) in dense.solutions.iter().zip(&sparse.solutions) {
-            for (dv, sv) in d.iter().zip(s) {
-                let err = (*dv - *sv).abs();
-                let scale = dv.abs().max(1.0);
-                assert!(err / scale < 1e-9, "dense {dv:?} vs sparse {sv:?}");
-            }
-        }
+        assert_eq!(sparse_vs_dense_mismatch(&ckt, &freqs, 1.0), None);
     }
 
     #[test]
-    fn repeated_sweeps_reuse_the_cached_workspace_bit_for_bit() {
-        let ckt = rc_ladder(20);
-        let freqs: Vec<f64> = (0..10).map(|k| 1e5 * 10f64.powf(k as f64 / 3.0)).collect();
-        let first = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
-        let second = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
-        assert_eq!(first.solutions, second.solutions);
+    fn sparse_and_dense_agree_on_rlc_ladder_with_fets() {
+        // A ladder with inductor branches and a FET load: every dynamic
+        // stamp kind (jωC node pattern, −jωL branch diagonal) plus
+        // op-point linearized conductances in one 22-unknown circuit.
+        let mut ckt = Circuit::new();
+        ckt.voltage_source("vin", "n0", "0", 0.5);
+        for k in 0..10 {
+            let (a, b) = (format!("n{k}"), format!("n{}", k + 1));
+            ckt.resistor(&format!("r{k}"), &a, &b, 100.0).unwrap();
+            ckt.capacitor(&format!("c{k}"), &b, "0", 1e-12).unwrap();
+            ckt.inductor(&format!("l{k}"), &b, "0", 1e-6).unwrap();
+        }
+        ckt.fet("m1", "n10", "n5", "0", std::sync::Arc::new(LinearFet))
+            .unwrap();
+        let freqs: Vec<f64> = (0..15)
+            .map(|k| 1e6 * 1e3f64.powf(k as f64 / 14.0))
+            .collect();
+        assert_eq!(sparse_vs_dense_mismatch(&ckt, &freqs, 1.0), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The sparse complex replay path agrees with the dense complex
+        /// oracle on random RC ladders: same circuit, same frequencies,
+        /// answers equal to tight relative tolerance at every unknown.
+        #[test]
+        fn ac_sparse_agrees_with_dense_oracle(
+            stages in 17usize..40,
+            r_exp in 2.0_f64..5.0,
+            c_exp in -13.0_f64..-10.0,
+            f_lo_exp in 3.0_f64..6.0,
+        ) {
+            let ckt = rc_ladder(stages, 10f64.powf(r_exp), 10f64.powf(c_exp));
+            let freqs: Vec<f64> = (0..8)
+                .map(|k| 10f64.powf(f_lo_exp) * 10f64.powf(k as f64 / 2.0))
+                .collect();
+            prop_assert_eq!(sparse_vs_dense_mismatch(&ckt, &freqs, 1e-3), None);
+        }
     }
 }

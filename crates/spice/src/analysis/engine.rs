@@ -1,7 +1,7 @@
 //! The Newton–Raphson MNA core shared by all analyses.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crate::element::{diode_iv, diode_vcrit, pnjlim, ElementKind};
 use crate::error::SpiceError;
@@ -16,15 +16,15 @@ use carbon_trace::{instant, span};
 /// preserves their results bit-for-bit.
 pub(crate) const SPARSE_THRESHOLD: usize = 16;
 
-/// Reusable MNA solve state for one circuit topology: the system matrix
-/// (dense or sparse by size) with every stamp position bound to its
-/// value slot, the RHS/trial buffers, and — on the sparse path — the
-/// cached symbolic analysis and pivot order that later Newton iterations
-/// refactor against.
+/// One analysis's MNA solve state: the system matrix (dense or sparse
+/// by size) with every stamp position bound to its value slot, the
+/// RHS/trial buffers, and — on the sparse path — the symbolic analysis
+/// and the pivot order that later Newton iterations replay.
 ///
-/// Building one workspace per analysis (not per Newton iteration) is
-/// what turns the sparse symbolic work and the slot binding into a
-/// one-time cost across a whole sweep.
+/// Each analysis builds its own (a DC sweep one per warm-start chain),
+/// so the sparse symbolic work and the slot binding are paid once per
+/// analysis, not per Newton iteration, and no result depends on what the
+/// circuit solved before.
 pub(crate) struct MnaWorkspace {
     matrix: MnaMatrix<f64>,
     slots: StampSlots,
@@ -239,65 +239,45 @@ impl<T: Scalar> MnaMatrix<T> {
             Self::Sparse { a, .. } => a.values_mut(),
         }
     }
-}
 
-/// The per-topology workspaces an analysis can cache on a circuit:
-/// the DC/transient Newton workspace and the AC sweep workspace. Both
-/// hang off the circuit's one [`SolverCache`] lock and are dropped
-/// together on topology changes.
-#[derive(Default)]
-pub(crate) struct Workspaces {
-    /// Newton MNA state for `op()`/`transient()`.
-    pub dc: Option<MnaWorkspace>,
-    /// Dense or sparse complex solve state for serial `ac_sweep()`s.
-    pub ac: Option<super::ac::AcWorkspace>,
-}
-
-/// Interior-mutable, per-[`Circuit`] cache of the solver workspaces, so
-/// repeated `op()`/`transient()`/`ac_sweep()` calls on one circuit pay
-/// the sparse symbolic analysis (pattern + ordering + first-factor fill
-/// discovery) once instead of per call. The netlist builder invalidates
-/// it on any topology change (new node, new element); value-only edits
-/// such as [`Circuit::set_source_value`] keep it valid.
-pub(crate) struct SolverCache(Mutex<Workspaces>);
-
-impl SolverCache {
-    /// Empties the cache — called by the builder on topology changes.
-    pub fn invalidate(&mut self) {
-        *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = Workspaces::default();
-    }
-
-    /// Locks the cache for an analysis. A poisoned lock (a stamp panic
-    /// in another thread) is recovered by discarding the possibly
-    /// half-updated workspaces.
-    pub fn lock(&self) -> MutexGuard<'_, Workspaces> {
-        self.0.lock().unwrap_or_else(|poison| {
-            let mut guard = poison.into_inner();
-            *guard = Workspaces::default();
-            guard
-        })
+    /// Solves the stamped system in place of `x`. Dense matrices
+    /// eliminate in place. A sparse LU takes its full pivoting
+    /// factorization on its first solve and replays that pivot order on
+    /// every later one, falling back to a full factorization when a
+    /// cached pivot goes stale; the caller counts which happened.
+    pub fn solve(&mut self, x: &mut [T]) -> Result<Factorization, SpiceError> {
+        let (a, lu) = match self {
+            Self::Dense(a) => {
+                a.solve_in_place(x)?;
+                return Ok(Factorization::Dense);
+            }
+            Self::Sparse { a, lu } => (a, lu),
+        };
+        let done = if lu.is_factored() {
+            match lu.refactor(a)? {
+                Refactor::Replayed => Factorization::Replayed,
+                Refactor::Repivoted => Factorization::Repivoted,
+            }
+        } else {
+            lu.factor(a)?;
+            Factorization::Factored
+        };
+        lu.solve(x);
+        Ok(done)
     }
 }
 
-impl Default for SolverCache {
-    fn default() -> Self {
-        Self(Mutex::new(Workspaces::default()))
-    }
-}
-
-impl Clone for SolverCache {
-    /// Cloned circuits start cold: a workspace is cheap to rebuild next
-    /// to sharing a lock between independent clones (the parallel sweep
-    /// clones circuits precisely to keep solver state private).
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl std::fmt::Debug for SolverCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SolverCache")
-    }
+/// Which factorization an [`MnaMatrix::solve`] ran.
+pub(crate) enum Factorization {
+    /// Dense elimination.
+    Dense,
+    /// The sparse LU's first, pivoting factorization.
+    Factored,
+    /// A numeric replay of the cached sparse pivot order.
+    Replayed,
+    /// A replay whose cached pivots went stale, redone as a full
+    /// pivoting factorization.
+    Repivoted,
 }
 
 impl MnaWorkspace {
@@ -473,7 +453,7 @@ fn node_v(id: NodeId, x: &[f64]) -> f64 {
 
 /// Runs Newton iteration on the MNA system at a fixed time point.
 ///
-/// * `ws` is the per-topology solve state from
+/// * `ws` is the analysis's solve state from
 ///   [`MnaWorkspace::for_circuit`] (matrix, factors, buffers), reused
 ///   across iterations, bias points, and time steps;
 /// * `time = None` → DC (capacitors open);
@@ -587,29 +567,21 @@ pub(crate) fn newton_solve(
             a[slot] += gmin;
         }
         x_new.copy_from_slice(z);
-        match &mut ws.matrix {
-            MnaMatrix::Dense(a) => a.solve_in_place(x_new)?,
-            MnaMatrix::Sparse { a, lu } => {
-                if lu.is_factored() {
-                    match lu.refactor(a)? {
-                        Refactor::Replayed => {
-                            carbon_metrics::global_counter!("spice.sparse.replay").incr()
-                        }
-                        Refactor::Repivoted => {
-                            // The pivot-growth staleness check rejected
-                            // the cached pivot order — the event sweeps
-                            // and campaigns watch for fallback-rate
-                            // spikes.
-                            carbon_metrics::global_counter!("spice.sparse.repivot").incr();
-                            instant!("spice.sparse.stale_pivot", "iter" = iter, "n" = n_unknowns);
-                            repivots += 1;
-                        }
-                    }
-                } else {
-                    lu.factor(a)?;
-                    carbon_metrics::global_counter!("spice.sparse.factor").incr();
-                }
-                lu.solve(x_new);
+        match ws.matrix.solve(x_new)? {
+            Factorization::Dense => {}
+            Factorization::Factored => {
+                carbon_metrics::global_counter!("spice.sparse.factor").incr()
+            }
+            Factorization::Replayed => {
+                carbon_metrics::global_counter!("spice.sparse.replay").incr()
+            }
+            Factorization::Repivoted => {
+                // The pivot-growth staleness check rejected the cached
+                // pivot order — the event sweeps and campaigns watch
+                // for fallback-rate spikes.
+                carbon_metrics::global_counter!("spice.sparse.repivot").incr();
+                instant!("spice.sparse.stale_pivot", "iter" = iter, "n" = n_unknowns);
+                repivots += 1;
             }
         }
 
@@ -804,5 +776,207 @@ fn stamp_all(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::element::FetCurve;
+    use crate::sparse::{SparseLu, SparseMatrix};
+    use crate::waveform::Waveform;
+    use carbon_json::Fnv;
+    use carbon_runtime::rng::SplitMix64;
+
+    /// The column order `SparseLu::new` picks for a pattern.
+    fn pattern_order(n: usize, pattern: &[(usize, usize)]) -> Vec<u32> {
+        SparseLu::new(&SparseMatrix::<f64>::from_entries(n, pattern))
+            .order()
+            .to_vec()
+    }
+
+    /// The column order of a circuit's sparse MNA matrix.
+    fn circuit_order(ckt: &Circuit) -> Vec<u32> {
+        match MnaMatrix::<f64>::bind(ckt, true).0 {
+            MnaMatrix::Sparse { lu, .. } => lu.order().to_vec(),
+            MnaMatrix::Dense(_) => unreachable!("bound sparse"),
+        }
+    }
+
+    fn absorb(h: &mut Fnv, order: &[u32]) {
+        h.write(&(order.len() as u64).to_le_bytes());
+        for k in order {
+            h.write(&k.to_le_bytes());
+        }
+    }
+
+    #[derive(Debug)]
+    struct Fet;
+
+    impl FetCurve for Fet {
+        fn ids(&self, vgs: f64, vds: f64) -> f64 {
+            1e-4 * vgs * vds
+        }
+    }
+
+    /// The topology of the `stamps.rs` deck: `sections` copies of a
+    /// section holding every element kind, linked drain to node `a`.
+    fn stamps_deck(sections: usize) -> Circuit {
+        let mut ckt = Circuit::new();
+        for s in 0..sections {
+            let node = |name: &str| format!("{name}{s}");
+            let (inp, a, b, c, d) = (node("in"), node("a"), node("b"), node("c"), node("d"));
+            ckt.voltage_source(&node("v"), &inp, "0", 1.0);
+            ckt.resistor(&node("ra"), &inp, &a, 1e3).unwrap();
+            ckt.resistor(&node("rb"), "0", &a, 1e4).unwrap();
+            ckt.capacitor(&node("ca"), &a, "0", 1e-12).unwrap();
+            ckt.capacitor(&node("cb"), &a, &b, 5e-13).unwrap();
+            ckt.inductor(&node("l"), &b, "0", 1e-8).unwrap();
+            ckt.resistor(&node("rl"), &b, &c, 100.0).unwrap();
+            ckt.current_source(&node("i"), &c, "0", 1e-5).unwrap();
+            ckt.diode(&node("d"), &a, &c, 1e-14, 1.0).unwrap();
+            ckt.resistor(&node("rc"), &c, "0", 2e3).unwrap();
+            ckt.vccs(&node("g"), &c, "0", &c, &a, 1e-4).unwrap();
+            ckt.resistor(&node("rs"), &c, &c, 1e3).unwrap();
+            ckt.resistor(&node("rd"), &inp, &d, 1e4).unwrap();
+            ckt.fet(&node("m"), &d, &d, "0", Arc::new(Fet)).unwrap();
+            ckt.fet(&node("mb"), &c, &inp, "0", Arc::new(Fet)).unwrap();
+            if s + 1 < sections {
+                ckt.resistor(&node("rx"), &d, &format!("a{}", s + 1), 5e3)
+                    .unwrap();
+            }
+        }
+        ckt
+    }
+
+    /// The `scaling.rs` ladder: n series-R / shunt-C sections.
+    fn ladder(n: usize) -> Circuit {
+        let mut ckt = Circuit::new();
+        ckt.voltage_source_wave("vin", "n0", "0", Waveform::Dc(1.0))
+            .unwrap();
+        for i in 0..n {
+            let (a, b) = (format!("n{i}"), format!("n{}", i + 1));
+            ckt.resistor(&format!("r{i}"), &a, &b, 1e3).unwrap();
+            ckt.capacitor(&format!("c{i}"), &b, "0", 1e-12).unwrap();
+        }
+        ckt
+    }
+
+    /// The `scaling.rs` hub: n branches of R to a leaf, C and R to ground.
+    fn hub(n: usize) -> Circuit {
+        let mut ckt = Circuit::new();
+        ckt.voltage_source("vin", "hub", "0", 1.0);
+        for i in 0..n {
+            let leaf = format!("l{i}");
+            ckt.resistor(&format!("r{i}"), "hub", &leaf, 1e3).unwrap();
+            ckt.capacitor(&format!("c{i}"), &leaf, "0", 1e-12).unwrap();
+            ckt.resistor(&format!("g{i}"), &leaf, "0", 1e4).unwrap();
+        }
+        ckt
+    }
+
+    /// A seeded random pattern: scattered entries, hubs wired to most
+    /// vertices, or a band with chords, each with some diagonals.
+    fn random_pattern(seed: u64) -> (usize, Vec<(usize, usize)>) {
+        let mut rng = SplitMix64::new(seed);
+        let mut below = |k: u64| (rng.next_u64() % k) as usize;
+        let mut pattern = Vec::new();
+        let n = match seed % 3 {
+            0 => {
+                let n = 1 + below(64);
+                let per_mille = 10 + below(300);
+                for r in 0..n {
+                    for c in 0..n {
+                        if below(1000) < per_mille {
+                            pattern.push((r, c));
+                        }
+                    }
+                }
+                n
+            }
+            1 => {
+                let n = 2 + below(300);
+                let hubs = 1 + below(4).min(n - 1);
+                for v in hubs..n {
+                    let h = below(hubs as u64);
+                    match below(3) {
+                        0 => pattern.push((h, v)),
+                        1 => pattern.push((v, h)),
+                        _ => pattern.extend([(h, v), (v, h)]),
+                    }
+                }
+                for _ in 0..below(n as u64) {
+                    pattern.push((below(n as u64), below(n as u64)));
+                }
+                n
+            }
+            _ => {
+                let n = 1 + below(200);
+                let band = 1 + below(3);
+                for r in 0..n {
+                    for c in r.saturating_sub(band)..(r + band + 1).min(n) {
+                        pattern.push((r, c));
+                    }
+                }
+                for _ in 0..below(8) {
+                    let (r, c) = (below(n as u64), below(n as u64));
+                    pattern.extend([(r, c), (c, r)]);
+                }
+                n
+            }
+        };
+        for _ in 0..below(n as u64 + 1) {
+            let v = below(n as u64);
+            pattern.push((v, v));
+        }
+        (n, pattern)
+    }
+
+    #[test]
+    fn min_degree_orders_are_pinned() {
+        let mut sparse_rs = Fnv::new();
+        let star: Vec<(usize, usize)> = (1..5).flat_map(|k| [(0, k), (k, 0)]).collect();
+        let chain: Vec<(usize, usize)> = (0..50)
+            .flat_map(|i| [(i, i), (i, (i + 1).min(49)), ((i + 1).min(49), i)])
+            .collect();
+        let full2 = [(0, 0), (0, 1), (1, 0), (1, 1)];
+        let tri3 = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
+        let mna3 = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)];
+        for (n, pattern) in [
+            (3, &[(0, 0), (1, 1), (2, 2)][..]),
+            (3, &tri3[..]),
+            (2, &[(0, 1), (1, 0)][..]),
+            (3, &mna3[..]),
+            (2, &full2[..]),
+            (2, &[(0, 0)][..]),
+            (2, &[(0, 0), (1, 1), (0, 0)][..]),
+            (3, &[(0, 0), (2, 0), (1, 1), (0, 2)][..]),
+            (5, &star[..]),
+            (50, &chain[..]),
+        ] {
+            absorb(&mut sparse_rs, &pattern_order(n, pattern));
+        }
+        let mut decks = Fnv::new();
+        for sections in [1, 4] {
+            absorb(&mut decks, &circuit_order(&stamps_deck(sections)));
+        }
+        for n in [2000, 16_000] {
+            absorb(&mut decks, &circuit_order(&ladder(n)));
+        }
+        for n in [1000, 8000] {
+            absorb(&mut decks, &circuit_order(&hub(n)));
+        }
+        let mut random = Fnv::new();
+        for seed in 0..3000 {
+            let (n, pattern) = random_pattern(seed);
+            absorb(&mut random, &pattern_order(n, &pattern));
+        }
+        let got = [sparse_rs.finish(), decks.finish(), random.finish()];
+        let golden = [
+            0x6511_501c_3aef_5e37,
+            0xa1cc_6575_67c0_f812,
+            0x8aee_9a13_b508_7b28,
+        ];
+        assert_eq!(got, golden, "{got:#018x?}");
     }
 }

@@ -1,5 +1,5 @@
-//! Analyses: DC operating point, DC sweep, transient — plus their result
-//! types.
+//! Analyses: DC operating point, DC sweep, transient and AC sweep —
+//! plus their result types.
 //!
 //! All are methods on [`Circuit`]:
 //!
@@ -18,9 +18,12 @@
 //!   LTE-adaptive, see [`transient`]), used for ring oscillators and
 //!   the inverter's dynamic behaviour with its 10 fF load.
 //!
-//! All of them share one `MnaWorkspace` per analysis, so the sparse
-//! symbolic analysis and pivot order are discovered once and re-used by
-//! every Newton iteration at every bias point.
+//! Each analysis builds its own `MnaWorkspace` (a DC sweep one per
+//! warm-start chain), so the sparse symbolic analysis and pivot order
+//! are discovered once per analysis and re-used by every later Newton
+//! iteration at every bias point, and no result depends on what the
+//! circuit solved before. [`Circuit::ac_sweep`] (in [`ac`]) follows the
+//! same factor schedule on the complex `G + jωC` system.
 
 pub mod ac;
 mod engine;
@@ -33,7 +36,7 @@ use crate::netlist::{is_ground, Circuit};
 use carbon_trace::{instant, span};
 
 pub(crate) use engine::{
-    newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, NewtonOptions, SolverCache,
+    newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, NewtonOptions,
 };
 pub use transient::{TranMethod, TranOptions, TranResult};
 
@@ -233,15 +236,9 @@ impl Circuit {
     /// [`SpiceError::NonConvergence`] when all strategies fail.
     pub fn op(&self) -> Result<OpResult, SpiceError> {
         let mut x = vec![0.0; self.num_unknowns()];
-        // Reuse (or build) this topology's cached workspace, so a
-        // second op() pays no symbolic analysis and refactors against
-        // the already-discovered fill pattern.
-        let mut cache = self.solver_cache.lock();
-        let ws = cache
-            .dc
-            .get_or_insert_with(|| MnaWorkspace::for_circuit(self));
-        self.op_from(&mut x, ws)?;
-        Ok(OpResult::new(ws.names.clone(), x))
+        let mut ws = MnaWorkspace::for_circuit(self);
+        self.op_from(&mut x, &mut ws)?;
+        Ok(OpResult::new(ws.names, x))
     }
 
     /// Operating point starting from the guess in `x`, reusing the

@@ -1,12 +1,12 @@
 //! Transient analysis: fixed-step and adaptive implicit integration.
 //!
-//! Two methods share one Newton/MNA core (the `engine` module) and one
-//! per-topology workspace, so the sparse symbolic analysis and
-//! fill-reducing ordering are discovered **once per deck** and every
-//! Newton iteration at every time point runs a numeric
+//! Two methods share one Newton/MNA core (the `engine` module). Each
+//! transient builds its own workspace, so the sparse symbolic analysis
+//! and fill-reducing ordering are discovered **once per transient** and
+//! every later Newton iteration at every time point runs a numeric
 //! [`replay`](crate::sparse::SparseLu::refactor) against the cached
 //! pattern (with the usual pivot-growth staleness fallback) — the same
-//! treatment PR 4 gave the AC sweep's `G + jωC` systems.
+//! factor schedule the AC sweep's `G + jωC` systems follow.
 //!
 //! * [`TranMethod::FixedStep`] — the PR 1 integrator, kept numerically
 //!   bit-for-bit as the oracle: backward Euler for the start-up step,
@@ -355,10 +355,7 @@ impl Circuit {
         }
 
         let nopts = NewtonOptions::default();
-        let mut cache = self.solver_cache.lock();
-        let ws = cache
-            .dc
-            .get_or_insert_with(|| MnaWorkspace::for_circuit(self));
+        let ws = &mut MnaWorkspace::for_circuit(self);
         // DC initial condition with sources evaluated at t = 0.
         let mut x = vec![0.0; self.num_unknowns()];
         newton_solve(self, ws, &mut x, Some(0.0), None, 1.0, nopts.gmin, &nopts).or_else(|_| {

@@ -6,15 +6,18 @@
 //! engine with
 //!
 //! * dense LU factorization with partial pivoting ([`linalg`]) plus a
-//!   sparse LU path with cached symbolic analysis and numeric
-//!   refactorization that takes over for larger systems ([`sparse`]),
-//!   both generic over real and [`Complex`] scalars,
+//!   sparse LU path that takes over for larger systems ([`sparse`]):
+//!   its symbolic analysis and first factorization run once per
+//!   analysis and every later solve replays the pivot order, both
+//!   generic over real and [`Complex`] scalars,
 //! * Newton–Raphson iteration with voltage-step damping, gmin stepping
 //!   and source stepping for hard operating points, warm-started across
 //!   sweep points with step-halving source continuation ([`analysis`]),
 //! * DC operating point, DC sweeps, transient analysis (fixed or
 //!   LTE-adaptive stepping), and AC small-signal sweeps through one
-//!   entry point, [`Circuit::ac_sweep`] with [`AcOptions`],
+//!   entry point, [`Circuit::ac_sweep`]; each analysis builds its own
+//!   solver workspace, so its result depends only on the circuit and
+//!   its arguments,
 //! * element stamps for resistors, capacitors, independent sources
 //!   (DC/pulse/PWL/sine), diodes, controlled sources, and an arbitrary
 //!   three-terminal FET driven by any [`FetCurve`] compact model
@@ -55,7 +58,7 @@ pub mod runner;
 pub mod sparse;
 pub mod waveform;
 
-pub use analysis::ac::{AcMethod, AcOptions, AcResult};
+pub use analysis::ac::AcResult;
 pub use analysis::{DcOptions, OpResult, SweepResult, TranMethod, TranOptions, TranResult};
 pub use complex::Complex;
 pub use element::FetCurve;

@@ -3,7 +3,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::analysis::SolverCache;
 use crate::element::{Element, ElementKind, FetCurve};
 use crate::error::SpiceError;
 use crate::waveform::Waveform;
@@ -45,9 +44,6 @@ pub struct Circuit {
     pub(crate) elements: Vec<Element>,
     element_index: HashMap<String, usize>,
     pub(crate) num_branches: usize,
-    /// Cached solver workspace for this topology (cold in clones,
-    /// invalidated whenever a node or element is added).
-    pub(crate) solver_cache: SolverCache,
 }
 
 impl Circuit {
@@ -68,7 +64,6 @@ impl Circuit {
         let id = NodeId(self.node_names.len() + 1);
         self.node_names.push(lower.clone());
         self.node_index.insert(lower, id);
-        self.solver_cache.invalidate();
         id
     }
 
@@ -116,7 +111,6 @@ impl Circuit {
         }
         self.element_index.insert(name.clone(), self.elements.len());
         self.elements.push(Element { name, kind });
-        self.solver_cache.invalidate();
         Ok(())
     }
 

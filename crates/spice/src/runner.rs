@@ -2,7 +2,6 @@
 //! the simulator usable as a standalone tool (`.op`, `.dc`, `.tran`,
 //! `.ac`, `.print`) rather than only as a library.
 
-use crate::analysis::ac::AcOptions;
 use crate::analysis::{DcOptions, TranOptions};
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
@@ -229,9 +228,7 @@ impl Deck {
                             f_start * (f_stop / f_start).powf(k as f64 / (*points as f64 - 1.0))
                         })
                         .collect();
-                    let ac = self
-                        .circuit
-                        .ac_sweep(source, &freqs, AcOptions::default())?;
+                    let ac = self.circuit.ac_sweep(source, &freqs)?;
                     let _ = writeln!(out, "* .ac {source} {f_start} {f_stop} {points}");
                     let traces: Vec<(String, Vec<f64>)> = nodes
                         .iter()

@@ -1,129 +1,14 @@
-//! End-to-end tests of the AC sweep: chunk-schedule equivalence with
-//! the serial sweep, dense/sparse agreement on real circuit shapes, and
-//! the dense path's bits pinned to golden digests. Thread-count
-//! determinism of chunked sweeps is the `ac` row of the bench crate's
-//! `digest_matrix` test, which runs at `CARBON_THREADS` 1/2/4/8.
+//! End-to-end tests of the AC sweep: the dense path's bits pinned to
+//! golden digests. The dense-vs-sparse oracle tests drive the sweep's
+//! private solver choice, so they live in `analysis::ac::tests`.
 
-use carbon_spice::{AcMethod, AcOptions, Circuit};
-
-/// Series-R / shunt-C ladder with `n` stages: n + 1 node unknowns plus
-/// the source branch, so anything from n = 16 up runs the sparse path.
-fn rc_ladder(n: usize) -> Circuit {
-    let mut ckt = Circuit::new();
-    ckt.voltage_source("vin", "n0", "0", 0.0);
-    for k in 0..n {
-        ckt.resistor(
-            &format!("r{k}"),
-            &format!("n{k}"),
-            &format!("n{}", k + 1),
-            1e3,
-        )
-        .expect("unique");
-        ckt.capacitor(&format!("c{k}"), &format!("n{}", k + 1), "0", 1e-12)
-            .expect("unique");
-    }
-    ckt
-}
+use carbon_spice::Circuit;
 
 /// `n` log-spaced frequencies over `lo..hi`.
 fn log_freqs(n: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..n)
         .map(|k| lo * (hi / lo).powf(k as f64 / (n - 1) as f64))
         .collect()
-}
-
-/// `freqs.len().div_ceil(c)` chunks of `c` points over the executor.
-fn chunked(c: usize) -> AcOptions {
-    AcOptions {
-        chunk: Some(c),
-        ..AcOptions::default()
-    }
-}
-
-fn with_method(method: AcMethod) -> AcOptions {
-    AcOptions {
-        method,
-        ..AcOptions::default()
-    }
-}
-
-#[test]
-fn single_chunk_sweep_matches_serial_sweep_bitwise() {
-    // One chunk runs the exact serial schedule — factor at the head
-    // frequency, replay the rest — so the chunked sweep must
-    // reproduce the serial one bit for bit, workers or not.
-    let ckt = rc_ladder(24);
-    let freqs = log_freqs(25, 1e4, 1e8);
-    let serial = ckt
-        .ac_sweep("vin", &freqs, AcOptions::default())
-        .expect("sweeps");
-    let par = ckt
-        .ac_sweep("vin", &freqs, chunked(freqs.len()))
-        .expect("sweeps");
-    assert_eq!(par.solutions(), serial.solutions());
-}
-
-#[test]
-fn chunked_dense_sweep_matches_serial() {
-    // Below the sparse threshold the chunked sweep runs the dense
-    // per-point solver; points are fully independent, so any chunking
-    // matches the serial sweep exactly.
-    let mut ckt = Circuit::new();
-    ckt.voltage_source("vin", "in", "0", 0.0);
-    ckt.resistor("r", "in", "out", 1e3).expect("unique");
-    ckt.capacitor("c", "out", "0", 1e-9).expect("unique");
-    let freqs = log_freqs(17, 1e3, 1e8);
-    let serial = ckt
-        .ac_sweep("vin", &freqs, AcOptions::default())
-        .expect("sweeps");
-    for chunk in [1, 3, 100] {
-        let par = ckt.ac_sweep("vin", &freqs, chunked(chunk)).expect("sweeps");
-        assert_eq!(par.solutions(), serial.solutions(), "chunk = {chunk}");
-    }
-}
-
-#[test]
-fn sparse_and_dense_agree_on_rlc_ladder_with_fets() {
-    // A ladder with inductor branches and a FET load: every dynamic
-    // stamp kind (jωC node pattern, −jωL branch diagonal) plus
-    // op-point linearized conductances in one circuit.
-    #[derive(Debug)]
-    struct LinearFet;
-    impl carbon_spice::FetCurve for LinearFet {
-        fn ids(&self, vgs: f64, vds: f64) -> f64 {
-            1e-3 * vgs + 1e-5 * vds
-        }
-    }
-    let mut ckt = Circuit::new();
-    ckt.voltage_source("vin", "n0", "0", 0.5);
-    for k in 0..10 {
-        ckt.resistor(
-            &format!("r{k}"),
-            &format!("n{k}"),
-            &format!("n{}", k + 1),
-            100.0,
-        )
-        .expect("unique");
-        ckt.capacitor(&format!("c{k}"), &format!("n{}", k + 1), "0", 1e-12)
-            .expect("unique");
-        ckt.inductor(&format!("l{k}"), &format!("n{}", k + 1), "0", 1e-6)
-            .expect("unique");
-    }
-    ckt.fet("m1", "n10", "n5", "0", std::sync::Arc::new(LinearFet))
-        .expect("fet");
-    let freqs = log_freqs(15, 1e6, 1e9);
-    let dense = ckt
-        .ac_sweep("vin", &freqs, with_method(AcMethod::Dense))
-        .expect("dense");
-    let sparse = ckt
-        .ac_sweep("vin", &freqs, with_method(AcMethod::Sparse))
-        .expect("sparse");
-    for (fd, fs) in dense.solutions().iter().zip(sparse.solutions()) {
-        for (d, s) in fd.iter().zip(fs) {
-            let err = (*d - *s).abs();
-            assert!(err < 1e-9 * d.abs().max(1.0), "dense {d:?} vs sparse {s:?}");
-        }
-    }
 }
 
 /// A smooth square-law FET whose `gm` and `gds` both depend on the bias.
@@ -137,11 +22,11 @@ impl carbon_spice::FetCurve for SquareLawFet {
     }
 }
 
-/// A forced-dense sweep over 13 log-spaced points from 1 kHz to 10 GHz.
+/// A sweep over 13 log-spaced points from 1 kHz to 10 GHz. Every deck
+/// below has fewer than 16 unknowns, so it runs the dense path.
 fn dense_sweep(ckt: &Circuit, source: &str) -> carbon_spice::AcResult {
     let freqs = log_freqs(13, 1e3, 1e10);
-    ckt.ac_sweep(source, &freqs, with_method(AcMethod::Dense))
-        .expect("sweeps")
+    ckt.ac_sweep(source, &freqs).expect("sweeps")
 }
 
 /// FNV-1a 64 over the bits of every solution entry, then over every

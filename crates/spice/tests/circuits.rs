@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use carbon_spice::{AcOptions, Circuit, DcOptions, FetCurve, SpiceError, TranOptions, Waveform};
+use carbon_spice::{Circuit, DcOptions, FetCurve, SpiceError, TranOptions, Waveform};
 
 #[test]
 fn resistive_divider() {
@@ -440,7 +440,7 @@ fn lc_tank_resonates_in_ac() {
     let freqs: Vec<f64> = (0..161)
         .map(|k| 1e4 * 10f64.powf(k as f64 / 40.0))
         .collect();
-    let ac = ckt.ac_sweep("vin", &freqs, AcOptions::default()).unwrap();
+    let ac = ckt.ac_sweep("vin", &freqs).unwrap();
     let mag = ac.magnitude("tank").unwrap();
     let (k_peak, peak) =
         mag.iter().enumerate().fold(
@@ -521,7 +521,7 @@ fn pre_cancelled_token_stops_every_analysis() {
             Err(SpiceError::Cancelled { .. })
         ));
         assert!(matches!(
-            ckt.ac_sweep("v", &[1e3, 1e4], AcOptions::default()),
+            ckt.ac_sweep("v", &[1e3, 1e4]),
             Err(SpiceError::Cancelled { .. })
         ));
         assert!(matches!(
@@ -532,4 +532,73 @@ fn pre_cancelled_token_stops_every_analysis() {
     // Outside the scope the same analyses run to completion.
     assert!(ckt.op().is_ok());
     assert!(ckt.transient(1e-7, 1e-6, TranOptions::default()).is_ok());
+}
+
+/// A 1 kΩ-fed ladder of 24 diodes `d{i} → d{i+1}` under a PWL ramp
+/// from 0.5 to 5 V, each later node loaded by 1 pF and 100 kΩ, the
+/// last by 10 Ω: 27 unknowns, so it solves on the sparse path.
+fn diode_ladder() -> Circuit {
+    let mut ckt = Circuit::new();
+    ckt.voltage_source_wave(
+        "vin",
+        "n0",
+        "0",
+        Waveform::Pwl(vec![(0.0, 0.5), (1e-9, 5.0)]),
+    )
+    .unwrap();
+    ckt.resistor("rin", "n0", "d0", 1e3).unwrap();
+    for i in 0..24 {
+        let (a, b) = (format!("d{i}"), format!("d{}", i + 1));
+        ckt.diode(&format!("x{i}"), &a, &b, 1e-15, 1.0).unwrap();
+        ckt.capacitor(&format!("c{i}"), &b, "0", 1e-12).unwrap();
+        ckt.resistor(&format!("r{i}"), &b, "0", 1e5).unwrap();
+    }
+    ckt.resistor("rload", "d24", "0", 10.0).unwrap();
+    ckt
+}
+
+/// The bits of every node voltage and the source current.
+fn op_bits(ckt: &Circuit) -> Vec<u64> {
+    let op = ckt.op().unwrap();
+    let mut bits: Vec<u64> = std::iter::once("n0".to_owned())
+        .chain((0..=24).map(|i| format!("d{i}")))
+        .map(|node| op.voltage(&node).unwrap().to_bits())
+        .collect();
+    bits.push(op.source_current("vin").unwrap().to_bits());
+    bits
+}
+
+/// The bits of a fixed-step transient's every node sample.
+fn tran_bits(ckt: &Circuit) -> Vec<u64> {
+    let tran = ckt.transient(1e-11, 2e-9, TranOptions::default()).unwrap();
+    let mut bits: Vec<u64> = tran.times().iter().map(|t| t.to_bits()).collect();
+    for node in tran.node_names() {
+        bits.extend(tran.voltages(node).unwrap().iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+/// The bits of every phasor of a sweep driven by `vin`.
+fn ac_bits(ckt: &Circuit) -> Vec<u64> {
+    let freqs: Vec<f64> = (0..12).map(|k| 1e4 * 10f64.powf(k as f64 / 2.0)).collect();
+    let ac = ckt.ac_sweep("vin", &freqs).unwrap();
+    ac.solutions()
+        .iter()
+        .flatten()
+        .flat_map(|x| [x.re.to_bits(), x.im.to_bits()])
+        .collect()
+}
+
+#[test]
+fn an_analysis_does_not_depend_on_what_its_circuit_solved_before() {
+    let ckt = diode_ladder();
+    let first = op_bits(&ckt);
+    assert_eq!(op_bits(&ckt), first, "a second op()");
+
+    let fresh = tran_bits(&diode_ladder());
+    assert_eq!(tran_bits(&ckt), fresh, "a transient after op()");
+
+    let fresh = ac_bits(&diode_ladder());
+    assert_eq!(ac_bits(&ckt), fresh, "an AC sweep after a transient");
+    assert_eq!(ac_bits(&ckt), fresh, "a second AC sweep");
 }

@@ -8,17 +8,20 @@
 //!   for each capacitor's companion, or a per-probe scan of the node
 //!   names, makes that ratio grow with n (about 64× for a fully
 //!   quadratic path);
-//! * a warmed operating point, AC sweep and fixed-step transient on a
-//!   hub deck, one node with n branches like a supply rail. A stamp
-//!   that searches its matrix row for its slot is quadratic there,
-//!   because the hub's row holds n entries.
+//! * an operating point, AC sweep and fixed-step transient on a hub
+//!   deck, one node with n branches like a supply rail. Each analysis
+//!   builds its own workspace, so every timing includes the sparse
+//!   symbolic analysis. A stamp that searches its matrix row for its
+//!   slot, or an ordering that scans the hub's neighbour list for each
+//!   eliminated leaf, is quadratic there, because the hub's row holds
+//!   n entries.
 //!
 //! Kept as its own test binary with a single `#[test]`, so no other
 //! test of this crate runs inside its timing window.
 
 use std::time::{Duration, Instant};
 
-use carbon_spice::{AcOptions, Circuit, TranOptions, Waveform};
+use carbon_spice::{Circuit, TranOptions, Waveform};
 
 /// Sections of the smaller ladder; the larger one has 8× as many.
 const N: usize = 2000;
@@ -104,24 +107,18 @@ fn ladder_time(n: usize) -> Duration {
     })
 }
 
-/// Warmed operating point, 3-point AC sweep and fixed transient times
-/// on the hub deck. One untimed `op()` and one untimed sweep build the
-/// cached workspaces first, so the symbolic analysis falls outside the
-/// timed window.
+/// Operating point, 3-point AC sweep and fixed transient times on the
+/// hub deck, each a cold analysis that orders, binds and factors its
+/// own matrix.
 fn hub_times(n: usize) -> [Duration; 3] {
     let ckt = hub(n);
     let freqs = [1e6, 1e8, 1e10];
-    ckt.op().expect("hub solves");
-    ckt.ac_sweep("vin", &freqs, AcOptions::default())
-        .expect("hub sweeps");
     let op = best_of_three(|| {
         let op = ckt.op().expect("hub solves");
         assert!(op.voltage("l0").expect("leaf").is_finite());
     });
     let ac = best_of_three(|| {
-        let ac = ckt
-            .ac_sweep("vin", &freqs, AcOptions::default())
-            .expect("hub sweeps");
+        let ac = ckt.ac_sweep("vin", &freqs).expect("hub sweeps");
         assert_eq!(ac.frequencies().len(), freqs.len());
     });
     let tran = best_of_three(|| {

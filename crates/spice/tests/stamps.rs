@@ -17,7 +17,7 @@
 //! different summation order.
 
 use carbon_json::Fnv;
-use carbon_spice::{AcOptions, Circuit, FetCurve, TranOptions, Waveform};
+use carbon_spice::{Circuit, FetCurve, TranOptions, Waveform};
 
 /// A smooth square-law FET: softplus overdrive above a 0.3 V
 /// threshold, so `gm` and `gds` both vary with bias and never jump.
@@ -140,9 +140,7 @@ fn tran_digest(ckt: &Circuit, opts: TranOptions) -> u64 {
 /// Every raw phasor of a serial sweep driven by section 0's source.
 fn ac_digest(ckt: &Circuit) -> u64 {
     let freqs: Vec<f64> = (0..13).map(|k| 1e3 * 10f64.powf(k as f64 * 0.6)).collect();
-    let ac = ckt
-        .ac_sweep("v0", &freqs, AcOptions::default())
-        .expect("sweep");
+    let ac = ckt.ac_sweep("v0", &freqs).expect("sweep");
     let mut h = Fnv::new();
     for x in ac.solutions().iter().flatten() {
         put(&mut h, x.re);

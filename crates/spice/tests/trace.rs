@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use carbon_spice::{AcOptions, Circuit, DcOptions, FetCurve, SpiceError, TranOptions, Waveform};
+use carbon_spice::{Circuit, DcOptions, FetCurve, SpiceError, TranOptions, Waveform};
 use carbon_trace::collect::Collector;
 use carbon_trace::{with_subscriber, Event, Value};
 
@@ -185,14 +185,12 @@ fn ac_sweep_traces_one_factor_and_replays_the_rest() {
 
     let collector = Collector::new();
     let (traced, [factors, replays, repivots]) = deltas(AC_COUNTERS, || {
-        with_subscriber(collector.clone(), || {
-            ckt.ac_sweep("vin", &freqs, AcOptions::default())
-        })
+        with_subscriber(collector.clone(), || ckt.ac_sweep("vin", &freqs))
     });
     let traced = traced.expect("sweeps");
 
     // The factor/replay schedule is the whole point of the sparse AC
-    // path: one full factorization at the head frequency, and every
+    // path: one full factorization at the first frequency, and every
     // other point either replays or (rarely) falls back to a repivot.
     assert_eq!(factors, 1);
     assert_eq!(
@@ -219,40 +217,7 @@ fn ac_sweep_traces_one_factor_and_replays_the_rest() {
     );
 
     // Observation must not participate.
-    let untraced = ckt
-        .ac_sweep("vin", &freqs, AcOptions::default())
-        .expect("sweeps");
-    assert_eq!(traced.solutions(), untraced.solutions());
-}
-
-#[test]
-fn chunked_ac_sweep_traces_chunk_spans() {
-    let _lock = lock();
-    let ckt = rc_ladder(20);
-    let freqs: Vec<f64> = (0..10).map(|k| 1e5 * 10f64.powf(k as f64 / 3.0)).collect();
-    let chunked = AcOptions {
-        chunk: Some(4),
-        ..AcOptions::default()
-    };
-
-    let collector = Collector::new();
-    let (traced, [factors, replays, repivots]) = deltas(AC_COUNTERS, || {
-        with_subscriber(collector.clone(), || ckt.ac_sweep("vin", &freqs, chunked))
-    });
-    let traced = traced.expect("sweeps");
-
-    // The sweep span is the caller's; the `spice.ac_chunk` spans run on
-    // executor workers, so the `digest_matrix` test counts them.
-    assert_eq!(collector.spans("spice.ac_sweep").len(), 1);
-    assert_eq!(
-        collector.span_field("spice.ac_sweep", "n_chunks"),
-        vec![Value::U64(3)]
-    );
-    // Each chunk factors at its own head frequency, then replays.
-    assert_eq!(factors, 3);
-    assert_eq!(replays + repivots, (freqs.len() - 3) as u64);
-
-    let untraced = ckt.ac_sweep("vin", &freqs, chunked).expect("sweeps");
+    let untraced = ckt.ac_sweep("vin", &freqs).expect("sweeps");
     assert_eq!(traced.solutions(), untraced.solutions());
 }
 
@@ -385,7 +350,7 @@ fn transient_factors_once_and_replays_every_newton_iteration() {
         );
         assert_eq!(
             factors, 1,
-            "adaptive = {adaptive}: symbolic analysis + first factorization happen once per deck"
+            "adaptive = {adaptive}: symbolic analysis + first factorization happen once per analysis"
         );
         assert_eq!(repivots, 0, "a linear ladder never goes stale");
         assert!(

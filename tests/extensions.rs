@@ -9,7 +9,7 @@ use carbon_electronics::devices::{AlphaPowerFet, BallisticFet, TableFet};
 use carbon_electronics::experiments::{ablations, rf};
 use carbon_electronics::fab::{ChiralitySeparation, SelfAssembly, SynthesisRecipe, VmrProcess};
 use carbon_electronics::logic::{GateTopology, RfStage, StaticGate};
-use carbon_electronics::spice::{parser::parse_deck, AcOptions, DcOptions, TranOptions};
+use carbon_electronics::spice::{parser::parse_deck, DcOptions, TranOptions};
 use carbon_electronics::units::{Capacitance, Resistance, Voltage};
 use carbon_runtime::Xoshiro256pp;
 
@@ -67,9 +67,7 @@ fn deck_parser_to_all_four_analyses() {
         (v_end - 0.5).abs() < 0.02,
         "settles to the divider: {v_end}"
     );
-    let ac = ckt
-        .ac_sweep("v1", &[1e2, 1e5, 1e8], AcOptions::default())
-        .expect("ac");
+    let ac = ckt.ac_sweep("v1", &[1e2, 1e5, 1e8]).expect("ac");
     let mag = ac.magnitude("mid").expect("node");
     assert!(mag[0] > 0.49 && mag[2] < 0.05, "low-pass divider");
 }
