@@ -2,7 +2,9 @@
 //! regeneration of each artifact and prints its headline numbers once,
 //! so a bench run doubles as an experiment run.
 
+use carbon_fab::VariabilityModel;
 use carbon_runtime::bench::{black_box, Harness};
+use carbon_runtime::Executor;
 
 use carbon_core::{claims, fig1, fig2, fig3, fig4, fig5, fig6, fig7_stats, fig8_computer};
 
@@ -79,8 +81,18 @@ fn main() {
         fig.vt_stats.0,
         fig.vt_stats.1
     );
+    // The job reads the campaign drawn once per process; the sampler
+    // row times the draw itself.
     h.bench("fig7/park_campaign", || {
         black_box(fig7_stats::run().expect("runs"));
+    });
+    let model = VariabilityModel::park_experiment();
+    h.bench("fig7/sample_10k", || {
+        black_box(model.sample_population_with(
+            &Executor::new(),
+            fig7_stats::CAMPAIGN_SEED,
+            fig7_stats::CAMPAIGN_SIZE,
+        ));
     });
 
     let fig = fig8_computer::run().expect("fig8 runs");

@@ -202,14 +202,18 @@ fn run_batch() -> ExitCode {
 
     // The adaptive campaign: devices, rounds, and CI must be identical
     // at every `CARBON_THREADS`.
-    let campaign = carbon_fab::VariabilityModel::park_experiment().sample_population_adaptive(
-        &carbon_runtime::Executor::new(),
+    // Nothing stored: every round is drawn.
+    let ex = carbon_runtime::Executor::new();
+    let campaign = carbon_fab::Campaign::sample(
+        carbon_fab::VariabilityModel::park_experiment(),
+        &ex,
         2014,
-        // Tight enough to need several growth rounds, so the chunk
-        // extension path is actually exercised.
-        0.01,
-        100_000,
-    );
+        0,
+    )
+    // Tight enough to need several growth rounds, so the chunk
+    // extension path is actually exercised.
+    .grow(&ex, 0.01, 100_000)
+    .expect("no cancel token is installed");
     let mut digest = carbon_bench::Fnv::new();
     for vt in campaign.population.thresholds() {
         digest.write_f64(vt);

@@ -14,6 +14,27 @@ pub enum CoreError {
     Logic(LogicError),
     /// A figure of merit could not be extracted from simulated data.
     Extract(String),
+    /// The experiment observed a cooperative-cancellation request (an
+    /// explicit cancel or an expired deadline on the installed
+    /// [`carbon_runtime::cancel::CancelToken`]) at one of its own
+    /// checkpoints and stopped early.
+    Cancelled {
+        /// Which experiment was running when the checkpoint fired.
+        experiment: &'static str,
+    },
+}
+
+impl CoreError {
+    /// Whether the experiment stopped for a cancellation: at one of its
+    /// own checkpoints, or in a solve of its circuit or logic analysis.
+    pub fn is_cancelled(&self) -> bool {
+        matches!(
+            self,
+            Self::Cancelled { .. }
+                | Self::Circuit(SpiceError::Cancelled { .. })
+                | Self::Logic(LogicError::Simulation(SpiceError::Cancelled { .. }))
+        )
+    }
 }
 
 impl std::fmt::Display for CoreError {
@@ -23,6 +44,12 @@ impl std::fmt::Display for CoreError {
             Self::Circuit(e) => write!(f, "circuit simulation failed: {e}"),
             Self::Logic(e) => write!(f, "logic analysis failed: {e}"),
             Self::Extract(msg) => write!(f, "extraction failed: {msg}"),
+            Self::Cancelled { experiment } => {
+                write!(
+                    f,
+                    "{experiment} cancelled (deadline exceeded or job cancelled)"
+                )
+            }
         }
     }
 }
@@ -46,6 +73,14 @@ impl From<SpiceError> for CoreError {
 impl From<LogicError> for CoreError {
     fn from(e: LogicError) -> Self {
         Self::Logic(e)
+    }
+}
+
+impl From<carbon_fab::CampaignCancelled> for CoreError {
+    fn from(_: carbon_fab::CampaignCancelled) -> Self {
+        Self::Cancelled {
+            experiment: "§V adaptive campaign",
+        }
     }
 }
 
@@ -74,5 +109,28 @@ mod tests {
         assert!(e.to_string().contains("logic"));
         let e = CoreError::Extract("no crossing".into());
         assert!(e.to_string().contains("no crossing"));
+    }
+
+    #[test]
+    fn cancellation_is_recognised_however_it_is_wrapped() {
+        let solve = || SpiceError::Cancelled {
+            analysis: "dc newton solve",
+        };
+        let cancelled = [
+            CoreError::Cancelled { experiment: "fig5" },
+            CoreError::from(carbon_fab::CampaignCancelled),
+            CoreError::Circuit(solve()),
+            CoreError::Logic(LogicError::Simulation(solve())),
+        ];
+        for e in &cancelled {
+            assert!(e.is_cancelled(), "{e}");
+            assert!(e.to_string().contains("cancelled"), "{e}");
+        }
+        let failed = [
+            CoreError::Circuit(SpiceError::UnknownNode { name: "x".into() }),
+            CoreError::Logic(LogicError::InvalidParameter { reason: "r".into() }),
+            CoreError::Extract("no crossing".into()),
+        ];
+        assert!(failed.iter().all(|e| !e.is_cancelled()));
     }
 }

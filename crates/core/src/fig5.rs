@@ -53,7 +53,9 @@ pub const I_OFF_TARGET_A_PER_M: f64 = 100e-9 / 1e-6;
 ///
 /// # Errors
 ///
-/// Propagates device construction and extraction failures.
+/// Propagates device construction and extraction failures, and
+/// returns [`CoreError::Cancelled`] when the ambient
+/// [`carbon_runtime::cancel`] token fires before a gate length's sweep.
 pub fn run() -> Result<Fig5, CoreError> {
     let gate_lengths = [9.0, 15.0, 30.0, 60.0, 100.0, 300.0, 1000.0, 3000.0];
     let mfp = Length::from_nanometers(300.0);
@@ -75,6 +77,11 @@ pub fn run() -> Result<Fig5, CoreError> {
     // fan the ladder out on the runtime executor.
     let cnt: Vec<CntPoint> = carbon_runtime::Executor::new()
         .par_map(gate_lengths.len(), |k| -> Result<CntPoint, CoreError> {
+            // One checkpoint per gate length: a 3 µm sweep alone costs
+            // tens of milliseconds.
+            if carbon_runtime::cancel::cancelled() {
+                return Err(CoreError::Cancelled { experiment: "fig5" });
+            }
             let lg = gate_lengths[k];
             let alpha_d = (electro.dibl(Length::from_nanometers(lg)) / 1e3).clamp(1e-3, 0.5);
             let fet = BallisticFet::builder(Arc::new(band.clone()))

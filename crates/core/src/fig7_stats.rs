@@ -13,8 +13,11 @@
 //!   gel chromatography / density gradient / DNA wrapping, with the
 //!   cumulative material yield each purity level costs.
 
+use std::sync::LazyLock;
+
 use carbon_fab::stats::percentiles;
-use carbon_fab::{DevicePopulation, SortingProcess, VariabilityModel};
+use carbon_fab::{Campaign, DevicePopulation, SortingProcess, VariabilityModel};
+use carbon_runtime::Executor;
 
 use crate::error::CoreError;
 use crate::table::{num, sci, Table};
@@ -40,12 +43,25 @@ pub const CAMPAIGN_SIZE: usize = 10_000;
 /// Campaign seed (the paper's year).
 pub const CAMPAIGN_SEED: u64 = 2014;
 
+/// The §V campaign's first [`CAMPAIGN_SIZE`] sites at [`CAMPAIGN_SEED`],
+/// drawn once per process on first use and read by [`run`] and
+/// [`run_adaptive`] (240 KB). Every §V request reads a prefix of this
+/// one device sequence, so drawing it again would only repeat the work.
+static PARK_CAMPAIGN: LazyLock<Campaign> = LazyLock::new(|| {
+    Campaign::sample(
+        VariabilityModel::park_experiment(),
+        &Executor::new(),
+        CAMPAIGN_SEED,
+        CAMPAIGN_SIZE,
+    )
+});
+
 /// Runs the §V statistics experiment with a fixed seed.
 ///
-/// The measurement campaign runs on the runtime executor: the same
-/// summary statistics come out at any thread count (the executor's
+/// The campaign is drawn once per process, on the runtime executor: the
+/// same summary statistics come out at any thread count (the executor's
 /// deterministic chunked schedule), while the 10,000 device solves
-/// spread across the available cores.
+/// spread across the available cores. Later runs copy the stored sites.
 ///
 /// # Errors
 ///
@@ -53,10 +69,7 @@ pub const CAMPAIGN_SEED: u64 = 2014;
 /// `Result` keeps the interface uniform with the other experiments.
 pub fn run() -> Result<Fig7Stats, CoreError> {
     let mut campaign_span = carbon_trace::span!("core.fig7_campaign");
-    let model = VariabilityModel::park_experiment();
-    let ex = carbon_runtime::Executor::new();
-    let population = model.sample_population_with(&ex, CAMPAIGN_SEED, CAMPAIGN_SIZE);
-    let stats = stats_from(population);
+    let stats = stats_from(PARK_CAMPAIGN.population().clone());
     if campaign_span.is_live() {
         campaign_span.record("devices", CAMPAIGN_SIZE);
         campaign_span.record("seed", CAMPAIGN_SEED);
@@ -75,18 +88,15 @@ pub const ADAPTIVE_MAX_DEFAULT: usize = 100_000;
 /// reached. Same seed and per-chunk RNG streams as [`run`], so a
 /// campaign that stops at 10,000 devices is byte-identical to the fixed
 /// one — and any stop size is byte-identical across `CARBON_THREADS`.
+/// Rounds that end within the fixed campaign copy its stored sites;
+/// later rounds are drawn ([`Campaign::grow`]).
 ///
 /// # Errors
 ///
-/// Deterministic; `Result` kept uniform with the other experiments.
+/// [`CoreError::Cancelled`] when the ambient [`carbon_runtime::cancel`]
+/// token fires before a round.
 pub fn run_adaptive(target_ci: f64, max_devices: usize) -> Result<Fig7Adaptive, CoreError> {
-    let model = VariabilityModel::park_experiment();
-    let campaign = model.sample_population_adaptive(
-        &carbon_runtime::Executor::new(),
-        CAMPAIGN_SEED,
-        target_ci,
-        max_devices,
-    );
+    let campaign = PARK_CAMPAIGN.grow(&Executor::new(), target_ci, max_devices)?;
     Ok(Fig7Adaptive {
         stats: stats_from(campaign.population),
         rounds: campaign.rounds,
@@ -249,14 +259,54 @@ mod tests {
         let n = fig.stats.population.len();
         assert_eq!(n, fig.rounds * carbon_runtime::MC_CHUNK);
         assert!(n <= ADAPTIVE_MAX_DEFAULT);
-        // Same seed, same streams: the adaptive population is a prefix
-        // (or extension) of the fixed campaign's device sequence.
-        let fixed = run().unwrap();
-        let m = n.min(fixed.population.len());
-        assert_eq!(
-            fig.stats.population.sites()[..m],
-            fixed.population.sites()[..m]
+        // Same seed, same streams: the adaptive population is the
+        // fixed-size campaign's device sequence, drawn afresh here.
+        let fresh = VariabilityModel::park_experiment().sample_population_with(
+            &Executor::new(),
+            CAMPAIGN_SEED,
+            n,
         );
+        assert_eq!(fig.stats.population, fresh);
+    }
+
+    #[test]
+    fn the_stored_campaign_never_changes_an_answer() {
+        // Caps inside the store, at its end, straddling it (9 216..10 240
+        // is drawn whole) and past it; targets that never converge run
+        // every round. The oracles bypass the store: a fresh fixed-size
+        // draw and the adaptive loop with nothing stored.
+        let caps = [1_536, 4_096, 9_216, 10_000, 10_240, 12_288];
+        let model = VariabilityModel::park_experiment();
+        for threads in [1, 4] {
+            let ex = Executor::with_threads(threads);
+            let unstored = Campaign::sample(model.clone(), &ex, CAMPAIGN_SEED, 0);
+            let oracles: Vec<_> = caps
+                .iter()
+                .map(|&cap| {
+                    let grown = unstored.grow(&ex, 1e-9, cap).unwrap();
+                    let fresh = model.sample_population_with(&ex, CAMPAIGN_SEED, cap);
+                    assert_eq!(grown.population, fresh, "cap {cap} at {threads} threads");
+                    grown
+                })
+                .collect();
+            let fixed = model.sample_population_with(&ex, CAMPAIGN_SEED, CAMPAIGN_SIZE);
+            let check_fixed = || assert_eq!(run().unwrap().population, fixed);
+            let check_adaptive = |i: usize| {
+                let got = run_adaptive(1e-9, caps[i]).unwrap();
+                let want = &oracles[i];
+                assert_eq!(got.stats.population, want.population, "cap {}", caps[i]);
+                assert_eq!(got.rounds, want.rounds);
+                assert_eq!(got.ci_half_width.to_bits(), want.ci_half_width.to_bits());
+                assert!(!got.converged && !want.converged);
+            };
+            // Two orders: the fixed run, then the caps up; the caps
+            // down, then the fixed run.
+            check_fixed();
+            (0..caps.len()).for_each(check_adaptive);
+            (0..caps.len()).rev().for_each(check_adaptive);
+            check_fixed();
+        }
+        assert_eq!(PARK_CAMPAIGN.population().len(), CAMPAIGN_SIZE);
     }
 
     #[test]

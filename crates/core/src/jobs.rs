@@ -26,7 +26,8 @@ pub struct JobReport {
 ///
 /// # Errors
 ///
-/// Propagates circuit-simulation failures from [`fig2::run`].
+/// Propagates circuit-simulation failures from [`fig2::run`], a
+/// cancelled solve among them.
 pub fn fig2_report() -> Result<JobReport, CoreError> {
     let r = fig2::run()?;
     Ok(JobReport {
@@ -52,8 +53,8 @@ pub fn fig2_report() -> Result<JobReport, CoreError> {
 ///
 /// # Errors
 ///
-/// Propagates device construction and extraction failures from
-/// [`fig5::run`].
+/// Propagates device construction, extraction and cancellation
+/// failures from [`fig5::run`].
 pub fn fig5_report() -> Result<JobReport, CoreError> {
     let r = fig5::run()?;
     let mut scalars = vec![

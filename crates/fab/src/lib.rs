@@ -41,7 +41,9 @@ pub use chirality_sorting::ChiralitySeparation;
 pub use placement::{AlignedGrowth, SelfAssembly};
 pub use sorting::SortingProcess;
 pub use synthesis::SynthesisRecipe;
-pub use variability::{DeviceOutcome, DevicePopulation, MeasuredSite, VariabilityModel};
+pub use variability::{
+    Campaign, CampaignCancelled, DeviceOutcome, DevicePopulation, MeasuredSite, VariabilityModel,
+};
 pub use vmr::{VmrOutcome, VmrProcess};
 pub use wafer::{WaferModel, WaferSample};
 pub use yield_model::CircuitYield;

@@ -20,6 +20,11 @@
 //! (a [`DevicePopulation`] of [`MeasuredSite`]s), and
 //! [`VariabilityModel::sample_short`] only the short/not-short split
 //! of the econ purity axis.
+//!
+//! A [`Campaign`] keeps the first sites of one seeded campaign with the
+//! model and seed that drew them, and grows adaptive campaigns from
+//! them ([`Campaign::grow`]): rounds inside the stored sites are copied,
+//! later ones drawn, bit for bit the same sites either way.
 
 use std::ops::ControlFlow;
 
@@ -259,36 +264,85 @@ impl VariabilityModel {
     /// [`sample_population`]: Self::sample_population
     pub fn sample_population_with(&self, ex: &Executor, seed: u64, n: usize) -> DevicePopulation {
         DevicePopulation {
-            sites: ex.par_mc(seed, n, |_, rng| self.measure_site(rng)),
+            sites: self.draw(ex, seed, 0, n),
         }
     }
 
-    /// Grows a campaign adaptively until the 95 % confidence interval
-    /// on the functional yield is tighter than `target_ci` (half-width)
-    /// or `max_devices` sites have been measured.
+    /// Draws sites `start..end` of the campaign seeded from `seed`
+    /// (`start` chunk-aligned), counted in `fab.campaign.sites_drawn`:
+    /// the one draw both seeded samplers take.
+    fn draw(&self, ex: &Executor, seed: u64, start: usize, end: usize) -> Vec<MeasuredSite> {
+        carbon_metrics::global_counter!("fab.campaign.sites_drawn").add((end - start) as u64);
+        ex.par_mc_extend(seed, start, end, |_, rng| self.measure_site(rng))
+    }
+}
+
+/// The first sites of one seeded campaign, bound to the model and seed
+/// that drew them.
+///
+/// Built only by [`sample`](Self::sample), so the stored sites are
+/// always sites `0..n` of `model`'s campaign at `seed`, and
+/// [`grow`](Self::grow) can copy them instead of drawing them again.
+/// Nothing grows the store: a `Campaign` holds what `sample` drew.
+#[derive(Debug, Clone)]
+pub struct Campaign {
+    model: VariabilityModel,
+    seed: u64,
+    stored: DevicePopulation,
+}
+
+impl Campaign {
+    /// Draws and keeps sites `0..n` of `model`'s campaign at `seed`:
+    /// exactly [`VariabilityModel::sample_population_with`]`(ex, seed,
+    /// n)`. With `n = 0` nothing is stored, and [`grow`](Self::grow)
+    /// draws every round.
+    pub fn sample(model: VariabilityModel, ex: &Executor, seed: u64, n: usize) -> Self {
+        let stored = model.sample_population_with(ex, seed, n);
+        Self {
+            model,
+            seed,
+            stored,
+        }
+    }
+
+    /// The stored sites, in campaign order.
+    pub fn population(&self) -> &DevicePopulation {
+        &self.stored
+    }
+
+    /// Grows the campaign adaptively until the 95 % confidence
+    /// interval on the functional yield is tighter than `target_ci`
+    /// (half-width) or `max_devices` sites have been measured.
     ///
-    /// Each round appends exactly one [`MC_CHUNK`] of devices through
-    /// [`Executor::par_mc_extend`], so round `r` of the campaign is
-    /// bit-identical to items `r·MC_CHUNK..` of a fixed-size
-    /// [`sample_population_with`](Self::sample_population_with) run
-    /// with the same seed — at any thread count. The growth schedule
-    /// depends only on the sampled outcomes (never on the schedule), so
-    /// the final population is byte-identical across `CARBON_THREADS`
-    /// settings and stops within one chunk of the smallest n meeting
-    /// the target. A final partial chunk occurs only when `max_devices`
-    /// is not chunk-aligned.
+    /// Each round adds the sites `start..end`, one [`MC_CHUNK`] long
+    /// (shorter only when `max_devices` is not chunk-aligned). A round
+    /// that ends inside the stored sites copies them; every other round
+    /// draws through [`Executor::par_mc_extend`], a round that
+    /// straddles the end of the store included. Chunk `k` always draws
+    /// from the same generator stream, so a copied round is bit for bit
+    /// the drawn one, and round `r` is items `r·MC_CHUNK..` of a
+    /// fixed-size [`VariabilityModel::sample_population_with`] run with
+    /// the same seed — at any thread count. The growth schedule depends
+    /// only on the sampled outcomes (never on the schedule or the
+    /// store), so the final population is byte-identical across
+    /// `CARBON_THREADS` settings and stops within one chunk of the
+    /// smallest n meeting the target.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignCancelled`] when the ambient [`carbon_runtime::cancel`]
+    /// token has fired at the start of a round.
     ///
     /// # Panics
     ///
     /// Panics unless `target_ci` is positive and finite and
     /// `max_devices > 0`.
-    pub fn sample_population_adaptive(
+    pub fn grow(
         &self,
         ex: &Executor,
-        seed: u64,
         target_ci: f64,
         max_devices: usize,
-    ) -> AdaptiveCampaign {
+    ) -> Result<AdaptiveCampaign, CampaignCancelled> {
         assert!(
             target_ci > 0.0 && target_ci.is_finite(),
             "target_ci must be positive and finite, got {target_ci}"
@@ -296,22 +350,29 @@ impl VariabilityModel {
         assert!(max_devices > 0, "max_devices must be positive");
         let _span = carbon_trace::span!(
             "fab.adaptive_campaign",
-            "seed" = seed,
+            "seed" = self.seed,
             "max_devices" = max_devices as u64
         );
+        let stored = self.stored.sites();
         let mut sites: Vec<MeasuredSite> = Vec::new();
         let mut functional = 0usize;
         let mut rounds = 0usize;
         let mut half = f64::INFINITY;
         while sites.len() < max_devices {
+            if carbon_runtime::cancel::cancelled() {
+                return Err(CampaignCancelled);
+            }
             let start = sites.len();
             let end = (start + MC_CHUNK).min(max_devices);
-            let chunk = ex.par_mc_extend(seed, start, end, |_, rng| self.measure_site(rng));
-            functional += chunk
+            if end <= stored.len() {
+                sites.extend_from_slice(&stored[start..end]);
+            } else {
+                sites.extend(self.model.draw(ex, self.seed, start, end));
+            }
+            functional += sites[start..]
                 .iter()
                 .filter(|s| matches!(s, MeasuredSite::Functional { .. }))
                 .count();
-            sites.extend(chunk);
             rounds += 1;
             half = yield_ci_half_width(functional, sites.len());
             carbon_trace::instant!(
@@ -325,14 +386,27 @@ impl VariabilityModel {
             }
         }
         let converged = half <= target_ci;
-        AdaptiveCampaign {
+        Ok(AdaptiveCampaign {
             population: DevicePopulation { sites },
             rounds,
             ci_half_width: half,
             converged,
-        }
+        })
     }
 }
+
+/// An adaptive campaign stopped at a round boundary because the
+/// ambient [`carbon_runtime::cancel`] token fired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CampaignCancelled;
+
+impl std::fmt::Display for CampaignCancelled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("adaptive campaign cancelled (deadline exceeded or job cancelled)")
+    }
+}
+
+impl std::error::Error for CampaignCancelled {}
 
 /// Advances `rng` by `words` generator words, discarding them.
 fn skip_words<R: Rng + ?Sized>(rng: &mut R, words: u64) {
@@ -357,8 +431,7 @@ pub fn yield_ci_half_width(functional: usize, n: usize) -> f64 {
     Z95 * (p * (1.0 - p) / n as f64).sqrt()
 }
 
-/// Result of an adaptive yield campaign
-/// ([`VariabilityModel::sample_population_adaptive`]).
+/// Result of an adaptive yield campaign ([`Campaign::grow`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveCampaign {
     /// All devices measured, in campaign order.
@@ -467,6 +540,17 @@ impl DevicePopulation {
 mod tests {
     use super::*;
     use carbon_runtime::{Executor, Xoshiro256pp};
+
+    /// The Park campaign at `seed` with nothing stored: every round
+    /// of its growth is drawn.
+    fn unstored(seed: u64) -> Campaign {
+        Campaign::sample(
+            VariabilityModel::park_experiment(),
+            &Executor::new(),
+            seed,
+            0,
+        )
+    }
 
     fn population(n: usize, seed: u64) -> DevicePopulation {
         VariabilityModel::park_experiment()
@@ -595,7 +679,7 @@ mod tests {
     fn adaptive_campaign_is_a_prefix_of_the_fixed_run() {
         let model = VariabilityModel::park_experiment();
         let ex = Executor::with_threads(2);
-        let campaign = model.sample_population_adaptive(&ex, 2014, 0.02, 100_000);
+        let campaign = unstored(2014).grow(&ex, 0.02, 100_000).unwrap();
         assert!(campaign.converged);
         assert!(campaign.ci_half_width <= 0.02);
         let n = campaign.population.len();
@@ -608,13 +692,14 @@ mod tests {
 
     #[test]
     fn adaptive_campaign_is_thread_count_invariant() {
-        let model = VariabilityModel::park_experiment();
-        let reference =
-            model.sample_population_adaptive(&Executor::with_threads(1), 7, 0.02, 50_000);
+        let grow = |threads| {
+            unstored(7)
+                .grow(&Executor::with_threads(threads), 0.02, 50_000)
+                .unwrap()
+        };
+        let reference = grow(1);
         for threads in [2, 4, 8] {
-            let campaign =
-                model.sample_population_adaptive(&Executor::with_threads(threads), 7, 0.02, 50_000);
-            assert_eq!(campaign, reference, "divergence at {threads} threads");
+            assert_eq!(grow(threads), reference, "divergence at {threads} threads");
         }
     }
 
@@ -622,7 +707,7 @@ mod tests {
     fn adaptive_campaign_stops_within_one_chunk_of_the_target() {
         let model = VariabilityModel::park_experiment();
         let ex = Executor::with_threads(2);
-        let campaign = model.sample_population_adaptive(&ex, 3, 0.015, 200_000);
+        let campaign = unstored(3).grow(&ex, 0.015, 200_000).unwrap();
         assert!(campaign.converged);
         let n = campaign.population.len();
         // One chunk fewer must NOT have met the target (minimality).
@@ -637,15 +722,42 @@ mod tests {
 
     #[test]
     fn adaptive_campaign_caps_at_max_devices() {
-        let model = VariabilityModel::park_experiment();
         let ex = Executor::with_threads(2);
         // Unreachable target: must stop at the cap, including a final
         // partial chunk when the cap is not chunk-aligned.
         let cap = MC_CHUNK + MC_CHUNK / 2;
-        let campaign = model.sample_population_adaptive(&ex, 5, 1e-9, cap);
+        let campaign = unstored(5).grow(&ex, 1e-9, cap).unwrap();
         assert!(!campaign.converged);
         assert_eq!(campaign.population.len(), cap);
         assert_eq!(campaign.rounds, 2);
+    }
+
+    #[test]
+    fn stored_sites_are_copied_bit_for_bit() {
+        // A store that ends mid-chunk: rounds ending at or before 1 500
+        // are copied, the round 1 024..2 048 straddles the end and is
+        // drawn whole, and later rounds are drawn.
+        let ex = Executor::with_threads(2);
+        let stored = Campaign::sample(VariabilityModel::park_experiment(), &ex, 11, 1_500);
+        assert_eq!(stored.population().len(), 1_500);
+        for cap in [700, MC_CHUNK, 1_500, 2 * MC_CHUNK, 3 * MC_CHUNK + 5] {
+            let grown = stored.grow(&ex, 1e-9, cap).unwrap();
+            assert_eq!(
+                grown,
+                unstored(11).grow(&ex, 1e-9, cap).unwrap(),
+                "cap {cap}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cancelled_campaign_stops_before_its_next_round() {
+        let token = carbon_runtime::CancelToken::new();
+        token.cancel();
+        let grown = carbon_runtime::cancel::scope(&token, || {
+            unstored(5).grow(&Executor::new(), 1e-9, 4 * MC_CHUNK)
+        });
+        assert_eq!(grown, Err(CampaignCancelled));
     }
 
     #[test]

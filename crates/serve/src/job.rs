@@ -608,12 +608,19 @@ impl Job {
     }
 }
 
-/// Renders a figure report as `{"name":..., "scalars":{...}}`.
+/// Renders a figure report as `{"name":..., "scalars":{...}}`. A
+/// cancelled experiment, at its own checkpoint or in a solve, keeps
+/// the timeout variant.
 fn figure_result(
     report: Result<carbon_core::jobs::JobReport, carbon_core::CoreError>,
 ) -> Result<Json, JobError> {
-    let report = report.map_err(|e| JobError::Exec {
-        message: e.to_string(),
+    let report = report.map_err(|e| {
+        let message = e.to_string();
+        if e.is_cancelled() {
+            JobError::Cancelled { message }
+        } else {
+            JobError::Exec { message }
+        }
     })?;
     let mut scalars = Json::obj();
     for (name, value) in &report.scalars {
@@ -1618,5 +1625,31 @@ mod tests {
         token.cancel();
         let err = carbon_runtime::cancel::scope(&token, || parsed.run()).unwrap_err();
         assert!(matches!(err, JobError::Cancelled { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn cancelled_figures_map_to_timeout_variant() {
+        // fig2 stops in a solve, fig5 at a gate length, and the
+        // adaptive fig7 before a round; this one reaches past the
+        // stored campaign.
+        let bodies = [
+            Json::obj().push("kind", "fig2"),
+            Json::obj().push("kind", "fig5"),
+            Json::obj()
+                .push("kind", "fig7")
+                .push("target_ci", 1e-9)
+                .push("max_devices", 20_480),
+        ];
+        let token = carbon_runtime::CancelToken::new();
+        token.cancel();
+        for body in bodies {
+            let parsed = Job::from_json(&body).unwrap();
+            let err = carbon_runtime::cancel::scope(&token, || parsed.run()).unwrap_err();
+            assert!(
+                matches!(err, JobError::Cancelled { .. }),
+                "{}: {err:?}",
+                body.render()
+            );
+        }
     }
 }
